@@ -66,9 +66,10 @@ from .plangen import (
     generate_plan,
     normalized_cost,
     plan_cost,
+    tree_plan_from_order,
 )
 from .nfa import DEFAULT_KL_CAP, NfaEngine, build_nfa
-from .tree_engine import TreeEngine, build_tree_engine, tree_plan_from_order
+from .tree_engine import TreeEngine, build_tree_engine
 from .runner import PatternRunner, RunResult, run_pattern
 from .oracle import oracle_match
 from .stream import (

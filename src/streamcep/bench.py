@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import string
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .model import (
@@ -57,8 +55,6 @@ CSV_COLUMNS = (
     "throughput", "memory_peak", "mean_latency", "plan_cost",
     "normalized_cost", "plan_time", "alpha", "status",
 )
-
-THREADS_ENV = "CEP_PLANNER_THREADS"
 
 
 @dataclass(frozen=True)
@@ -313,18 +309,6 @@ def valid_cells(algorithms=ALGORITHM_NAMES, engines=ENGINES):
     return tuple(out)
 
 
-def planner_threads(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise DataError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-
-
 def match_lines(reports) -> tuple[str, ...]:
     return tuple(",".join(str(s) for s in r.serials) for r in reports)
 
@@ -388,7 +372,6 @@ def run_benchmark(
     algorithms=ALGORITHM_NAMES,
     engines=ENGINES,
     alphas=(0.0,),
-    threads: int | None = None,
     kl_cap: int = DEFAULT_KL_CAP,
     collect_matches: bool = False,
     patterns: tuple[GeneratedPattern, ...] | None = None,
@@ -397,17 +380,16 @@ def run_benchmark(
     if patterns is None:
         patterns = generate_workload(spec, universe=source.type_names())
     events = list(source.events)
-    workers = planner_threads(threads)
     grid = valid_cells(algorithms, engines)
 
-    tasks = []
+    cells = []
     for generated in patterns:
         try:
             stats = estimate_statistics(source, generated.pattern, seed=spec.seed)
         except DataError as exc:
             for algorithm, engine in grid:
                 for alpha in alphas:
-                    tasks.append(CellResult(row=BenchmarkRow(
+                    cells.append(CellResult(row=BenchmarkRow(
                         pattern_id=generated.pattern_id,
                         family=generated.family, size=generated.size,
                         algorithm=algorithm, engine=engine, alpha=alpha,
@@ -425,24 +407,10 @@ def run_benchmark(
             except Exception:
                 base_cost = None
             for algorithm, engine in grid:
-                tasks.append((
+                cells.append(_run_cell(
                     generated, stats, algorithm, engine, alpha, base_cost,
+                    spec.seed, events, kl_cap, collect_matches,
                 ))
-
-    def execute(task):
-        if isinstance(task, CellResult):
-            return task
-        generated, stats, algorithm, engine, alpha, base_cost = task
-        return _run_cell(
-            generated, stats, algorithm, engine, alpha, base_cost,
-            spec.seed, events, kl_cap, collect_matches,
-        )
-
-    if workers == 1:
-        cells = [execute(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(execute, tasks))
     return BenchmarkResult(spec=spec, cells=tuple(cells))
 
 
@@ -495,49 +463,44 @@ def aggregate_rows(rows, group_by: str):
     return out
 
 
-def aggregate_csv(agg, group_by: str) -> str:
-    columns = (
-        group_by, "algorithm", "engine", "alpha", "cells", "failures",
-        "throughput", "memory_peak", "mean_latency", "normalized_cost",
-    )
-    lines = [",".join(columns)]
+AGGREGATE_COLUMNS = (
+    "algorithm", "engine", "alpha", "cells", "failures",
+    "throughput", "memory_peak", "mean_latency", "normalized_cost",
+)
+
+
+def _aggregate_table(agg, group_by: str, missing: str,
+                     float_spec: str) -> list[tuple[str, ...]]:
+    """Header and one row of formatted cells per aggregate entry."""
+    columns = (group_by,) + AGGREGATE_COLUMNS
+    table = [columns]
     for entry in agg:
         cells = []
         for col in columns:
             value = entry[col]
             if value is None:
-                cells.append("")
+                cells.append(missing)
             elif isinstance(value, float):
-                cells.append("{:.6g}".format(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def aggregate_text(agg, group_by: str) -> str:
-    columns = (
-        group_by, "algorithm", "engine", "alpha", "cells", "failures",
-        "throughput", "memory_peak", "mean_latency", "normalized_cost",
-    )
-    table = [tuple(str(c) for c in columns)]
-    for entry in agg:
-        cells = []
-        for col in columns:
-            value = entry[col]
-            if value is None:
-                cells.append("-")
-            elif isinstance(value, float):
-                cells.append("{:.4g}".format(value))
+                cells.append(float_spec.format(value))
             else:
                 cells.append(str(value))
         table.append(tuple(cells))
-    widths = [max(len(row[i]) for row in table) for i in range(len(columns))]
+    return table
+
+
+def aggregate_csv(agg, group_by: str) -> str:
+    table = _aggregate_table(agg, group_by, "", "{:.6g}")
+    return "\n".join(",".join(row) for row in table) + "\n"
+
+
+def aggregate_text(agg, group_by: str) -> str:
+    table = _aggregate_table(agg, group_by, "-", "{:.4g}")
+    widths = [max(len(cell) for cell in column) for column in zip(*table)]
     lines = []
     for index, row in enumerate(table):
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
         if index == 0:
-            lines.append("  ".join("-" * widths[i] for i in range(len(columns))))
+            lines.append("  ".join("-" * width for width in widths))
     return "\n".join(lines) + "\n"
 
 

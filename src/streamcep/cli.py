@@ -218,7 +218,6 @@ def cmd_bench(args) -> int:
         algorithms=args.algorithms,
         engines=args.engines,
         alphas=alphas,
-        threads=args.threads,
         kl_cap=args.kl_cap,
         collect_matches=out_dir is not None,
         patterns=patterns,
@@ -387,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="synthetic stream length (seconds)")
     bench.add_argument("--stream", default=None,
                        help="CSV stream to use instead of a synthetic one")
-    bench.add_argument("--threads", type=int, default=None,
-                       help="parallel cells (default: CEP_PLANNER_THREADS or 1)")
     bench.add_argument("--kl-cap", type=int, default=DEFAULT_KL_CAP)
     bench.add_argument("--out", default=None,
                        help="directory for rows, aggregates, plans, matches")

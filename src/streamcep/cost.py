@@ -31,10 +31,10 @@ from .model import (
     StatisticsCatalog,
     TreeNode,
     TreePlan,
+    linear_from_log2,
     selectivity_key,
 )
 
-_LOG2_LINEAR_MAX = 1020.0
 _LOG_PATH_THRESHOLD = 1000.0
 
 FAMILY_ANY = "any"
@@ -61,9 +61,7 @@ class CostValue:
 
     @classmethod
     def from_log2(cls, log2_value: float) -> "CostValue":
-        if log2_value > _LOG2_LINEAR_MAX:
-            return cls(math.inf, log2_value)
-        return cls(2.0 ** log2_value if log2_value != -math.inf else 0.0, log2_value)
+        return cls(linear_from_log2(log2_value), log2_value)
 
     def __float__(self) -> float:
         return self.linear

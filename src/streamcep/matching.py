@@ -2,9 +2,11 @@
 
 Both engines reduce a conjunct to the same currency: a stream of candidate
 full matches per processed event.  This module holds what must agree
-between them so the engines themselves stay independent: candidate
-identity and ordering, the absence test for negated positions, the
-selection-strategy replay, and the metrics snapshot.
+between them so the engines themselves keep only their joins and
+extensions: candidate identity and ordering, the absence test for negated
+positions, the absence tracker (checkpoint, completion and pending tests,
+blocker buffers, pending matches), the selection-strategy replay, and the
+metrics snapshot.
 """
 from __future__ import annotations
 
@@ -13,8 +15,10 @@ from dataclasses import dataclass, field
 
 from .model import (
     ANY_MATCH,
+    ContractError,
     Event,
     MatchReport,
+    Plan,
     evaluate_predicate,
 )
 from .transform import NegationSpec
@@ -140,6 +144,131 @@ def final_at_checkpoint(spec: NegationSpec) -> bool:
     return spec.ts_confined
 
 
+def checkpoint_slots(plan: Plan, negations, base: int = 0) -> dict[str, int]:
+    """Slot of each negated alias's checkpoint: its plan position less ``base``.
+
+    Order plans number their steps from 1 and tree plans index their
+    nodes in post-order from 0.  A negated position the plan gives no
+    checkpoint is a ``ContractError``.
+    """
+    slot = {c.alias: c.position - base for c in plan.checkpoints}
+    for spec in negations:
+        if spec.alias not in slot:
+            raise ContractError(
+                f"plan lacks a checkpoint for negated position {spec.alias!r}"
+            )
+    return slot
+
+
+class _PendingMatch:
+    """A full match whose absence test stays open until its deadline.
+
+    Blockers that could still invalidate it are applied as they arrive,
+    so resolution itself needs no buffer scan.
+    """
+
+    __slots__ = ("bindings", "deadline")
+
+    def __init__(self, bindings: Bindings, deadline: float):
+        self.bindings = bindings
+        self.deadline = deadline
+
+
+class AbsenceTracker:
+    """Absence state of one conjunct, held by either engine.
+
+    A slot is an order-plan step or a tree node.  A spec whose test is
+    exact at its checkpoint is checked at that slot; every other spec is
+    checked on the full match, and when blockers may still arrive after
+    completion the match waits as pending until its deadline.  The engine
+    passes the blocker test ``blocks`` into each call, so every engine's
+    tests are counted under its own module's name.
+    """
+
+    def __init__(self, negations, slot_of: dict[str, int], slots: int,
+                 window: float):
+        self.window = window
+        self.at_slot: list[list[NegationSpec]] = [[] for _ in range(slots)]
+        completion: list[NegationSpec] = []
+        for spec in negations:
+            if final_at_checkpoint(spec):
+                self.at_slot[slot_of[spec.alias]].append(spec)
+            elif not spec.needs_pending:
+                completion.append(spec)
+        self.pending_specs = tuple(s for s in negations if s.needs_pending)
+        self.on_completion = tuple(completion) + self.pending_specs
+        self.pending_types = frozenset(s.type_name for s in self.pending_specs)
+        self.buffers: dict[str, list[Event]] = {
+            s.type_name: [] for s in negations
+        }
+        self.pending: list[_PendingMatch] = []
+
+    @property
+    def buffered(self) -> int:
+        return sum(len(b) for b in self.buffers.values())
+
+    def blocked_at(self, slot: int, bindings: Bindings, blocks) -> bool:
+        """Whether a buffered blocker rules out a partial match at ``slot``."""
+        for spec in self.at_slot[slot]:
+            for blocker in self.buffers[spec.type_name]:
+                if blocks(spec, blocker, bindings, self.window):
+                    return True
+        return False
+
+    def complete(self, bindings: Bindings, out: list[Candidate],
+                 emission_serial: int, blocks) -> None:
+        """Emit a full match, hold it as pending, or drop it as blocked."""
+        for spec in self.on_completion:
+            for blocker in self.buffers[spec.type_name]:
+                if blocks(spec, blocker, bindings, self.window):
+                    return
+        if self.pending_specs:
+            self.pending.append(_PendingMatch(
+                bindings, absence_deadline(bindings, self.window)
+            ))
+            return
+        out.append(make_candidate(bindings, emission_serial))
+
+    def arrive(self, event: Event, out: list[Candidate], blocks) -> None:
+        """Release the pending matches whose deadline ``event`` passes,
+        cancel those it blocks, and buffer it if it is a blocker."""
+        if self.pending:
+            self._release(event.timestamp, event.serial, out)
+            if event.type_name in self.pending_types:
+                self.pending = [
+                    entry for entry in self.pending
+                    if not any(
+                        spec.type_name == event.type_name
+                        and blocks(spec, event, entry.bindings, self.window)
+                        for spec in self.pending_specs
+                    )
+                ]
+        buffer = self.buffers.get(event.type_name)
+        if buffer is not None:
+            buffer.append(event)
+
+    def evict(self, horizon: float) -> None:
+        for buffer in self.buffers.values():
+            while buffer and buffer[0].timestamp < horizon:
+                buffer.pop(0)
+
+    def end(self, max_serial: int) -> list[Candidate]:
+        """Release every pending match once the stream has ended."""
+        out: list[Candidate] = []
+        self._release(float("inf"), max_serial + 1, out)
+        return out
+
+    def _release(self, now_ts: float, emission_serial: int,
+                 out: list[Candidate]) -> None:
+        keep = []
+        for entry in self.pending:
+            if now_ts > entry.deadline:
+                out.append(make_candidate(entry.bindings, emission_serial))
+            else:
+                keep.append(entry)
+        self.pending = keep
+
+
 class SelectionReplay:
     """Turns per-arrival candidate batches into reported matches.
 
@@ -228,12 +357,6 @@ class EngineMetrics:
         if count > self.per_node_peak.get(node_id, 0):
             self.per_node_peak[node_id] = count
 
-    @property
-    def mean_latency(self) -> float:
-        if not self.latency_samples:
-            return 0.0
-        return sum(self.latency_samples) / len(self.latency_samples)
-
 
 class ArrivalClock:
     """Wall-clock arrival times, for per-match detection latency."""
@@ -249,7 +372,3 @@ class ArrivalClock:
         if start is None:
             return 0.0
         return time.perf_counter() - start
-
-    def forget_before(self, serial: int) -> None:
-        for s in [s for s in self._at if s < serial]:
-            del self._at[s]

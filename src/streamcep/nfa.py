@@ -5,19 +5,19 @@ order, regardless of arrival order: events are buffered per type, a
 partial match forks over the already-buffered backlog the moment it is
 created, and is extended directly by later arrivals.  Each full match is
 therefore materialized exactly once, at the arrival of its final (by
-serial) contributing event.
+serial) contributing event.  Absence of negated positions is decided by
+the shared ``AbsenceTracker``, with the chain's steps as its slots.
 """
 from __future__ import annotations
 
 from itertools import combinations
 
 from .matching import (
+    AbsenceTracker,
     Candidate,
     EngineMetrics,
-    absence_deadline,
     blocks,
-    final_at_checkpoint,
-    make_candidate,
+    checkpoint_slots,
 )
 from .model import (
     AttrRef,
@@ -28,7 +28,7 @@ from .model import (
     Predicate,
     evaluate_predicate,
 )
-from .transform import NegationSpec, NormalizedConjunct, normalize_pattern
+from .transform import NormalizedConjunct, normalize_pattern
 
 DEFAULT_KL_CAP = 8
 
@@ -57,32 +57,8 @@ class NfaChain:
         for pred in core.predicates:
             last = max(position_of[a] for a in pred.aliases())
             self.conditions[last].append(pred)
-        # An absence test is exact at the checkpoint step only when the
-        # interval and the predicates depend on nothing but the bound
-        # neighbours; everything else is decided on the full match, where
-        # the window edges are known and plan order cannot influence the
-        # outcome.
-        self.checkpoints: list[list[NegationSpec]] = [[] for _ in plan.order]
-        checkpoint_position = {c.alias: c.position for c in plan.checkpoints}
-        completion: list[NegationSpec] = []
-        for spec in conjunct.negations:
-            if spec.alias not in checkpoint_position:
-                raise ContractError(
-                    f"plan lacks a checkpoint for negated position {spec.alias!r}"
-                )
-            if final_at_checkpoint(spec):
-                position = checkpoint_position[spec.alias]
-                self.checkpoints[position - 1].append(spec)
-            elif not spec.needs_pending:
-                completion.append(spec)
-        self.completion_specs = tuple(completion)
-        self.pending_specs = tuple(
-            s for s in conjunct.negations if s.needs_pending
-        )
-        self.blocker_types = frozenset(s.type_name for s in conjunct.negations)
-        self.pending_blockers = frozenset(
-            s.type_name for s in self.pending_specs
-        )
+        # Step k of the plan is position k - 1 of the chain.
+        self.checkpoint_slot = checkpoint_slots(plan, conjunct.negations, base=1)
         # When every consecutive pair of positions carries a strict
         # timestamp chain, a buffered event can never join a partial
         # created after it (stream timestamps are non-decreasing), so the
@@ -152,36 +128,22 @@ class _Partial:
         self.max_serial = max_serial
 
 
-class _PendingMatch:
-    """A full match whose absence test stays open until its deadline.
-
-    Blockers that could still invalidate it are applied as they arrive,
-    so resolution itself needs no buffer scan.
-    """
-
-    __slots__ = ("bindings", "deadline")
-
-    def __init__(self, bindings: dict, deadline: float):
-        self.bindings = bindings
-        self.deadline = deadline
-
-
 class NfaEngine:
     def __init__(self, plan: OrderPlan, conjunct: NormalizedConjunct,
                  kl_cap: int = DEFAULT_KL_CAP):
         self.chain = NfaChain(plan, conjunct)
         self.kl_cap = kl_cap
         self.window = self.chain.window
-        self.buffers: dict[str, list[Event]] = {
-            t: [] for t in set(self.chain.order) | set(self.chain.blocker_types)
-        }
+        self.buffers: dict[str, list[Event]] = {t: [] for t in self.chain.order}
         self.by_state: list[list[_Partial]] = [
             [] for _ in range(len(self.chain.order))
         ]
-        self.pending: list[_PendingMatch] = []
+        self.absence = AbsenceTracker(
+            conjunct.negations, self.chain.checkpoint_slot,
+            len(self.chain.order), self.window,
+        )
         self.metrics = EngineMetrics()
         self._position_of = {t: i for i, t in enumerate(self.chain.order)}
-        self._latest = float("-inf")
 
     @property
     def alias_order(self) -> tuple[str, ...]:
@@ -201,20 +163,6 @@ class NfaEngine:
             evaluate_predicate(p, bindings)
             for p in self.chain.conditions[position]
         )
-
-    def _blocked_at(self, position: int, bindings: dict) -> bool:
-        for spec in self.chain.checkpoints[position]:
-            for blocker in self.buffers.get(spec.type_name, ()):
-                if blocks(spec, blocker, bindings, self.window):
-                    return True
-        return False
-
-    def _blocked_on_completion(self, bindings: dict) -> bool:
-        for spec in self.chain.completion_specs + self.chain.pending_specs:
-            for blocker in self.buffers.get(spec.type_name, ()):
-                if blocks(spec, blocker, bindings, self.window):
-                    return True
-        return False
 
     def _position_values(self, position: int, event: Event) -> list:
         """Direct-extension values for a position: the event itself, or every
@@ -256,64 +204,24 @@ class NfaEngine:
         bindings[self.chain.aliases[position]] = value
         if not self._conditions_hold(position, bindings):
             return
-        if self._blocked_at(position, bindings):
+        if self.absence.blocked_at(position, bindings, blocks):
             return
         newest = max(partial.max_serial, max(e.serial for e in events))
         new = _Partial(bindings, position + 1, lo, hi, newest)
         self.metrics.instances_created += 1
         if new.state == len(self.chain.order):
-            self._complete(new, out, emission_serial)
+            self.absence.complete(bindings, out, emission_serial, blocks)
             return
         self.by_state[new.state].append(new)
         for value2 in self._backlog_values(new.state):
             self._try_extend(new, new.state, value2, out, emission_serial)
-
-    def _complete(self, partial: _Partial, out: list[Candidate],
-                  emission_serial: int) -> None:
-        if self._blocked_on_completion(partial.bindings):
-            return
-        if self.chain.pending_specs:
-            self.pending.append(_PendingMatch(
-                partial.bindings,
-                absence_deadline(partial.bindings, self.window),
-            ))
-            return
-        out.append(make_candidate(partial.bindings, emission_serial))
-
-    def _apply_blocker(self, event: Event) -> None:
-        if event.type_name not in self.chain.pending_blockers or not self.pending:
-            return
-        survivors = []
-        for entry in self.pending:
-            dead = any(
-                spec.type_name == event.type_name
-                and blocks(spec, event, entry.bindings, self.window)
-                for spec in self.chain.pending_specs
-            )
-            if not dead:
-                survivors.append(entry)
-        self.pending = survivors
-
-    def _resolve_pending(self, now_ts: float, emission_serial: int,
-                         out: list[Candidate]) -> None:
-        if not self.pending:
-            return
-        keep = []
-        for entry in self.pending:
-            if now_ts > entry.deadline:
-                out.append(make_candidate(entry.bindings, emission_serial))
-            else:
-                keep.append(entry)
-        self.pending = keep
 
     # -- public protocol -----------------------------------------------------
 
     def process_event(self, event: Event) -> list[Candidate]:
         out: list[Candidate] = []
         self.metrics.events += 1
-        self._latest = max(self._latest, event.timestamp)
-        self._resolve_pending(event.timestamp, event.serial, out)
-        self._apply_blocker(event)
+        self.absence.arrive(event, out, blocks)
         if event.type_name in self.buffers and not self.chain.eager:
             self.buffers[event.type_name].append(event)
         position = self._position_of.get(event.type_name)
@@ -335,21 +243,22 @@ class NfaEngine:
                 ]
         self._evict(event.timestamp)
         self.metrics.live_partials = (
-            sum(len(s) for s in self.by_state) + len(self.pending)
+            sum(len(s) for s in self.by_state) + len(self.absence.pending)
         )
-        self.metrics.buffered = sum(len(b) for b in self.buffers.values())
+        self.metrics.buffered = (
+            sum(len(b) for b in self.buffers.values()) + self.absence.buffered
+        )
         self.metrics.note_usage()
         return out
 
     def end(self, max_serial: int) -> list[Candidate]:
-        out: list[Candidate] = []
-        self._resolve_pending(float("inf"), max_serial + 1, out)
-        return out
+        return self.absence.end(max_serial)
 
     def _evict(self, latest: float) -> None:
         horizon = latest - self.window
         for buffer in self.buffers.values():
             while buffer and buffer[0].timestamp < horizon:
                 buffer.pop(0)
+        self.absence.evict(horizon)
         for state, partials in enumerate(self.by_state):
             self.by_state[state] = [p for p in partials if p.min_ts >= horizon]

@@ -5,7 +5,8 @@ event types with Kleene positions replaced by synthetic types.  Costs are
 evaluated through one ``CostModel`` so every algorithm minimizes the same
 objective and comparisons stay consistent; ``finalize_plan`` then maps
 synthetic names back to their Kleene originals and anchors the negation
-checkpoints.
+checkpoints, and ``tree_plan_from_order`` re-anchors them on an order
+plan's left-deep tree.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .cost import CostModel, CostObjective, FAMILY_ANY, FAMILY_NEXT
+from .matching import checkpoint_slots
 from .model import (
     ANY_MATCH,
     ContractError,
@@ -30,6 +32,7 @@ from .model import (
     UnsupportedPatternError,
     join,
     leaf,
+    left_deep_tree,
 )
 from .transform import (
     NormalizedConjunct,
@@ -414,13 +417,10 @@ def finalize_plan(
                     f"checkpoint for {spec.type_name} depends on types "
                     f"missing from the plan"
                 )
-            position = 1
-            seen: set[str] = set()
-            for step, name in enumerate(order, start=1):
-                seen.add(name)
-                if deps <= seen:
-                    position = step if deps else 1
-                    break
+            position = next(
+                step for step in range(1, len(order) + 1)
+                if deps <= set(order[:step])
+            )
             checkpoints.append(
                 NegationCheckpoint(
                     type_name=spec.type_name,
@@ -437,6 +437,17 @@ def finalize_plan(
         return join(map_tree(node.left), map_tree(node.right))
 
     root = map_tree(payload)
+    return TreePlan(
+        root=root, kl_types=kl, checkpoints=tree_checkpoints(root, conjunct)
+    )
+
+
+def tree_checkpoints(
+    root: TreeNode, conjunct: NormalizedConjunct
+) -> tuple[NegationCheckpoint, ...]:
+    """Anchor each negation at the lowest node of the tree whose leaves
+    cover its dependencies (the leftmost leaf when it has none); the
+    position is the node's post-order index."""
     postorder = list(root.postorder())
     checkpoints = []
     for spec in conjunct.negations:
@@ -447,17 +458,13 @@ def finalize_plan(
                 f"from the plan"
             )
         node = root
-        if deps:
-            while not node.is_leaf:
-                if deps <= set(node.left.leaf_names()):
-                    node = node.left
-                elif deps <= set(node.right.leaf_names()):
-                    node = node.right
-                else:
-                    break
-        else:
-            while not node.is_leaf:
+        while not node.is_leaf:
+            if deps <= set(node.left.leaf_names()):
                 node = node.left
+            elif deps <= set(node.right.leaf_names()):
+                node = node.right
+            else:
+                break
         checkpoints.append(
             NegationCheckpoint(
                 type_name=spec.type_name,
@@ -466,7 +473,20 @@ def finalize_plan(
                 dependencies=spec.dependencies,
             )
         )
-    return TreePlan(root=root, kl_types=kl, checkpoints=tuple(checkpoints))
+    return tuple(checkpoints)
+
+
+def tree_plan_from_order(plan: OrderPlan, conjunct: NormalizedConjunct) -> TreePlan:
+    """Left-deep tree equivalent of an order plan, checkpoints re-anchored.
+
+    The order plan must still give every negated position a checkpoint,
+    as the chain NFA requires of it.
+    """
+    checkpoint_slots(plan, conjunct.negations)
+    root = left_deep_tree(plan.order)
+    return TreePlan(
+        root=root, kl_types=plan.kl_types, checkpoints=tree_checkpoints(root, conjunct)
+    )
 
 
 def _dispatch(

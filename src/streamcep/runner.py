@@ -27,9 +27,9 @@ from .model import (
     TreePlan,
 )
 from .nfa import DEFAULT_KL_CAP, NfaEngine
-from .plangen import PlanBundle
+from .plangen import PlanBundle, tree_plan_from_order
 from .transform import normalize_pattern
-from .tree_engine import TreeEngine, tree_plan_from_order
+from .tree_engine import TreeEngine
 
 ENGINE_KINDS = ("auto", "nfa", "tree")
 

@@ -5,41 +5,30 @@ types.  An arriving event becomes one leaf instance (or one per subset
 for a Kleene leaf), and each new instance immediately joins the stored
 instances of its sibling, cascading upward; a new root instance is a
 full match.  Joining on insert keeps every pair of child instances
-combined exactly once.
+combined exactly once.  Absence of negated positions is decided by the
+shared ``AbsenceTracker``, with the tree's nodes as its slots.
 """
 from __future__ import annotations
 
 from itertools import combinations
 
 from .matching import (
+    AbsenceTracker,
     Candidate,
     EngineMetrics,
-    absence_deadline,
     blocks,
-    final_at_checkpoint,
-    make_candidate,
+    checkpoint_slots,
 )
 from .model import (
     ContractError,
     Event,
-    NegationCheckpoint,
-    OrderPlan,
     Pattern,
     Predicate,
     TreePlan,
     evaluate_predicate,
-    left_deep_tree,
 )
 from .nfa import DEFAULT_KL_CAP
-from .transform import NegationSpec, NormalizedConjunct, normalize_pattern
-
-
-class _PendingMatch:
-    __slots__ = ("bindings", "deadline")
-
-    def __init__(self, bindings: dict, deadline: float):
-        self.bindings = bindings
-        self.deadline = deadline
+from .transform import NormalizedConjunct, normalize_pattern
 
 
 class _Instance:
@@ -98,26 +87,7 @@ class TreeStructure:
         for pred in core.predicates:
             cover = {leaf_of_alias[a] for a in pred.aliases()}
             self.node_predicates[self._lowest_covering(cover)].append(pred)
-        self.checkpoints: list[list[NegationSpec]] = [[] for _ in self.nodes]
-        checkpoint_position = {c.alias: c.position for c in plan.checkpoints}
-        completion: list[NegationSpec] = []
-        for spec in conjunct.negations:
-            if spec.alias not in checkpoint_position:
-                raise ContractError(
-                    f"plan lacks a checkpoint for negated position {spec.alias!r}"
-                )
-            if final_at_checkpoint(spec):
-                self.checkpoints[checkpoint_position[spec.alias]].append(spec)
-            elif not spec.needs_pending:
-                completion.append(spec)
-        self.completion_specs = tuple(completion)
-        self.pending_specs = tuple(
-            s for s in conjunct.negations if s.needs_pending
-        )
-        self.blocker_types = frozenset(s.type_name for s in conjunct.negations)
-        self.pending_blockers = frozenset(
-            s.type_name for s in self.pending_specs
-        )
+        self.checkpoint_slot = checkpoint_slots(plan, conjunct.negations)
 
     def _label(self, node) -> str:
         if node.is_leaf:
@@ -143,36 +113,6 @@ def build_tree_engine(plan: TreePlan, pattern: Pattern) -> "TreeEngine":
     return TreeEngine(plan, norm.conjuncts[0])
 
 
-def tree_plan_from_order(plan: OrderPlan, conjunct: NormalizedConjunct) -> TreePlan:
-    """Left-deep tree equivalent of an order plan, checkpoints re-anchored."""
-    root = left_deep_tree(plan.order)
-    postorder = list(root.postorder())
-    checkpoints = []
-    for spec in conjunct.negations:
-        deps = set(spec.dependencies)
-        node = root
-        if deps:
-            while not node.is_leaf:
-                if deps <= set(node.left.leaf_names()):
-                    node = node.left
-                elif deps <= set(node.right.leaf_names()):
-                    node = node.right
-                else:
-                    break
-        else:
-            while not node.is_leaf:
-                node = node.left
-        checkpoints.append(NegationCheckpoint(
-            type_name=spec.type_name,
-            alias=spec.alias,
-            position=postorder.index(node),
-            dependencies=spec.dependencies,
-        ))
-    return TreePlan(
-        root=root, kl_types=plan.kl_types, checkpoints=tuple(checkpoints)
-    )
-
-
 class TreeEngine:
     def __init__(self, plan: TreePlan, conjunct: NormalizedConjunct,
                  kl_cap: int = DEFAULT_KL_CAP):
@@ -181,76 +121,23 @@ class TreeEngine:
         self.window = self.tree.window
         self.instances: list[list[_Instance]] = [[] for _ in self.tree.nodes]
         self.kl_pool: dict[int, list[Event]] = {i: [] for i in self.tree.kl_leaves}
-        self.blocker_buffers: dict[str, list[Event]] = {
-            t: [] for t in self.tree.blocker_types
-        }
-        self.pending: list[_PendingMatch] = []
+        self.absence = AbsenceTracker(
+            conjunct.negations, self.tree.checkpoint_slot,
+            len(self.tree.nodes), self.window,
+        )
         self.metrics = EngineMetrics()
-        self._latest = float("-inf")
 
     @property
     def alias_order(self) -> tuple[str, ...]:
         return self.tree.alias_order
 
-    # -- absence tests -------------------------------------------------------
-
-    def _blocked_at(self, node_index: int, bindings: dict) -> bool:
-        for spec in self.tree.checkpoints[node_index]:
-            for blocker in self.blocker_buffers.get(spec.type_name, ()):
-                if blocks(spec, blocker, bindings, self.window):
-                    return True
-        return False
-
-    def _blocked_on_completion(self, bindings: dict) -> bool:
-        for spec in self.tree.completion_specs + self.tree.pending_specs:
-            for blocker in self.blocker_buffers.get(spec.type_name, ()):
-                if blocks(spec, blocker, bindings, self.window):
-                    return True
-        return False
-
-    def _apply_blocker(self, event: Event) -> None:
-        if event.type_name not in self.tree.pending_blockers or not self.pending:
-            return
-        self.pending = [
-            entry for entry in self.pending
-            if not any(
-                spec.type_name == event.type_name
-                and blocks(spec, event, entry.bindings, self.window)
-                for spec in self.tree.pending_specs
-            )
-        ]
-
-    def _resolve_pending(self, now_ts: float, emission_serial: int,
-                         out: list[Candidate]) -> None:
-        if not self.pending:
-            return
-        keep = []
-        for entry in self.pending:
-            if now_ts > entry.deadline:
-                out.append(make_candidate(entry.bindings, emission_serial))
-            else:
-                keep.append(entry)
-        self.pending = keep
-
     # -- instance propagation ------------------------------------------------
-
-    def _report_root(self, instance: _Instance, out: list[Candidate],
-                     emission_serial: int) -> None:
-        if self._blocked_on_completion(instance.bindings):
-            return
-        if self.tree.pending_specs:
-            self.pending.append(_PendingMatch(
-                instance.bindings,
-                absence_deadline(instance.bindings, self.window),
-            ))
-            return
-        out.append(make_candidate(instance.bindings, emission_serial))
 
     def _propagate(self, node_index: int, instance: _Instance,
                    out: list[Candidate], emission_serial: int) -> None:
         self.metrics.instances_created += 1
         if node_index == self.tree.root_index:
-            self._report_root(instance, out, emission_serial)
+            self.absence.complete(instance.bindings, out, emission_serial, blocks)
             return
         slot = self.instances[node_index]
         slot.append(instance)
@@ -271,7 +158,7 @@ class TreeEngine:
             for p in self.tree.node_predicates[parent]
         ):
             return
-        if self._blocked_at(parent, bindings):
+        if self.absence.blocked_at(parent, bindings, blocks):
             return
         self._propagate(parent, _Instance(bindings, lo, hi), out, emission_serial)
 
@@ -306,11 +193,7 @@ class TreeEngine:
     def process_event(self, event: Event) -> list[Candidate]:
         out: list[Candidate] = []
         self.metrics.events += 1
-        self._latest = max(self._latest, event.timestamp)
-        self._resolve_pending(event.timestamp, event.serial, out)
-        self._apply_blocker(event)
-        if event.type_name in self.blocker_buffers:
-            self.blocker_buffers[event.type_name].append(event)
+        self.absence.arrive(event, out, blocks)
         leaf_index = self.tree.leaf_index.get(event.type_name)
         if leaf_index is not None:
             for instance in self._leaf_instances(leaf_index, event):
@@ -320,19 +203,17 @@ class TreeEngine:
             len(slot) for i, slot in enumerate(self.instances)
             if i not in self.tree.singleton_leaves
         )
-        self.metrics.live_partials = live + len(self.pending)
+        self.metrics.live_partials = live + len(self.absence.pending)
         self.metrics.buffered = (
             sum(len(self.instances[i]) for i in self.tree.singleton_leaves)
             + sum(len(p) for p in self.kl_pool.values())
-            + sum(len(b) for b in self.blocker_buffers.values())
+            + self.absence.buffered
         )
         self.metrics.note_usage()
         return out
 
     def end(self, max_serial: int) -> list[Candidate]:
-        out: list[Candidate] = []
-        self._resolve_pending(float("inf"), max_serial + 1, out)
-        return out
+        return self.absence.end(max_serial)
 
     def _evict(self, latest: float) -> None:
         horizon = latest - self.window
@@ -342,6 +223,4 @@ class TreeEngine:
         for pool in self.kl_pool.values():
             while pool and pool[0].timestamp < horizon:
                 pool.pop(0)
-        for buffer in self.blocker_buffers.values():
-            while buffer and buffer[0].timestamp < horizon:
-                buffer.pop(0)
+        self.absence.evict(horizon)

@@ -8,6 +8,8 @@ import random
 
 import pytest
 
+import streamcep.nfa
+import streamcep.tree_engine
 from streamcep.model import (
     AND,
     ContractError,
@@ -24,6 +26,8 @@ from streamcep.model import (
     NEXT_MATCH,
     PARTITION_CONTIGUITY,
     STRICT_CONTIGUITY,
+    TreePlan,
+    left_deep_tree,
 )
 from streamcep.nfa import NfaChain, NfaEngine
 from streamcep.oracle import oracle_match
@@ -35,6 +39,7 @@ from streamcep.plangen import (
 )
 from streamcep.runner import PatternRunner, run_pattern
 from streamcep.transform import normalize_pattern
+from streamcep.tree_engine import TreeStructure
 
 from helpers import (
     grouped_keys,
@@ -136,11 +141,13 @@ class TestStrategies:
 
 
 class TestNegation:
+    BETWEEN = Pattern(
+        OperatorNode(SEQ, (Leaf("A", "a"), Leaf("N", "n", (NOT,)), Leaf("B", "b"))),
+        (), 10.0,
+    )
+
     def test_blocker_between_members(self):
-        p = Pattern(
-            OperatorNode(SEQ, (Leaf("A", "a"), Leaf("N", "n", (NOT,)), Leaf("B", "b"))),
-            (), 10.0,
-        )
+        p = self.BETWEEN
         blocked = [ev("A", 0.0, 0), ev("N", 1.0, 1), ev("B", 2.0, 2)]
         clean = [ev("A", 0.0, 0), ev("B", 2.0, 2), ev("N", 3.0, 3)]
         for algorithm in ("trivial", "dp-ld"):
@@ -149,6 +156,25 @@ class TestNegation:
             assert run_keys(p, blocked, algorithm, engine="tree") == set()
             assert run_keys(p, clean, algorithm, engine="tree") == {(0, 2)}
 
+    def test_engines_call_their_own_blocks(self, monkeypatch):
+        # perfbench counts absence tests per engine by swapping each engine
+        # module's ``blocks``; both engines must call it through that name.
+        calls = {"nfa": 0, "tree": 0}
+
+        def counting(engine, real):
+            def counted(*args):
+                calls[engine] += 1
+                return real(*args)
+            return counted
+
+        monkeypatch.setattr(streamcep.nfa, "blocks", counting("nfa", streamcep.nfa.blocks))
+        monkeypatch.setattr(streamcep.tree_engine, "blocks",
+                            counting("tree", streamcep.tree_engine.blocks))
+        blocked = [ev("A", 0.0, 0), ev("N", 1.0, 1), ev("B", 2.0, 2)]
+        for engine in calls:
+            assert run_keys(self.BETWEEN, blocked, engine=engine) == set()
+            assert calls[engine] > 0, engine
+
     def test_trailing_absence_is_deferred(self):
         p = Pattern(
             OperatorNode(SEQ, (Leaf("A", "a"), Leaf("B", "b"), Leaf("N", "n", (NOT,)))),
@@ -156,13 +182,14 @@ class TestNegation:
         )
         events = [ev("A", 0.0, 0), ev("B", 1.0, 1), ev("C", 3.5, 2)]
         bundle = bundle_for(p)
-        runner = PatternRunner(p, bundle)
-        emitted = []
-        for event in events:
-            emitted.extend((event.serial, r) for r in runner.process(event))
-        emitted.extend(("end", r) for r in runner.end())
-        # the pending match may only surface once serial 2 proves the window clear
-        assert [(at, r.serials) for at, r in emitted] == [(2, (0, 1))]
+        for engine in ("auto", "tree"):
+            runner = PatternRunner(p, bundle, engine=engine)
+            emitted = []
+            for event in events:
+                emitted.extend((event.serial, r) for r in runner.process(event))
+            emitted.extend(("end", r) for r in runner.end())
+            # the pending match may only surface once serial 2 proves the window clear
+            assert [(at, r.serials) for at, r in emitted] == [(2, (0, 1))], engine
 
     def test_trailing_blocker_cancels_pending(self):
         p = Pattern(
@@ -171,9 +198,10 @@ class TestNegation:
         )
         # the absence interval runs to match start + window = 2.0
         events = [ev("A", 0.0, 0), ev("B", 1.0, 1), ev("N", 1.8, 2)]
-        assert run_keys(p, events) == set()
         survive = [ev("A", 0.0, 0), ev("B", 1.0, 1), ev("N", 2.5, 2)]
-        assert run_keys(p, survive) == {(0, 1)}
+        for engine in ("auto", "tree"):
+            assert run_keys(p, events, engine=engine) == set()
+            assert run_keys(p, survive, engine=engine) == {(0, 1)}
 
     def test_stream_end_flushes_pending(self):
         p = Pattern(
@@ -185,14 +213,19 @@ class TestNegation:
             assert run_keys(p, events, engine=engine) == {(0, 1)}
 
     def test_missing_checkpoint_is_a_contract_error(self):
-        p = Pattern(
-            OperatorNode(SEQ, (Leaf("A", "a"), Leaf("N", "n", (NOT,)), Leaf("B", "b"))),
-            (), 10.0,
-        )
+        p = self.BETWEEN
         conjunct = normalize_pattern(p).conjuncts[0]
         bare = OrderPlan(("A", "B"))  # no checkpoint for the absent position
         with pytest.raises(ContractError):
             NfaChain(bare, conjunct)
+        with pytest.raises(ContractError):
+            TreeStructure(TreePlan(left_deep_tree(("A", "B"))), conjunct)
+        planned = PlannedConjunct(
+            bare, PlanSearchReport("trivial", 0.0, 0.0, 1, 0.0, None)
+        )
+        for engine in ("auto", "tree"):
+            with pytest.raises(ContractError):
+                PatternRunner(p, PlanBundle("trivial", (planned,)), engine=engine)
 
 
 class TestKleene:
