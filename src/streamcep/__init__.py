@@ -42,20 +42,10 @@ from .model import (
     join,
     leaf,
     left_deep_tree,
-    match_key,
     validate_pattern,
 )
 from .parser import ParseError, parse_pattern, render_pattern
 from .transform import NormalizedConjunct, NormalizedPattern, normalize_pattern
-from .cost import (
-    cost_hybrid,
-    cost_ord,
-    cost_ord_latency,
-    cost_ord_next,
-    cost_tree,
-    cost_tree_latency,
-    cost_tree_next,
-)
 from .plangen import (
     ALGORITHM_NAMES,
     ORDER_ALGORITHMS,
@@ -64,12 +54,11 @@ from .plangen import (
     bundle_from_json,
     bundle_to_json,
     generate_plan,
-    normalized_cost,
     plan_cost,
     tree_plan_from_order,
 )
-from .nfa import DEFAULT_KL_CAP, NfaEngine, build_nfa
-from .tree_engine import TreeEngine, build_tree_engine
+from .nfa import DEFAULT_KL_CAP, NfaEngine
+from .tree_engine import TreeEngine
 from .runner import PatternRunner, RunResult, run_pattern
 from .oracle import oracle_match
 from .stream import (

@@ -86,14 +86,6 @@ class EventType:
         if len(set(names)) != len(names):
             raise PatternStructureError(f"duplicate attribute on event type {self.name!r}")
 
-    def kind_of(self, attribute: str) -> str:
-        for name, kind in self.attributes:
-            if name == attribute:
-                return kind
-        raise PatternStructureError(
-            f"event type {self.name!r} has no attribute {attribute!r}"
-        )
-
 
 @dataclass(frozen=True)
 class Event:
@@ -232,9 +224,6 @@ class Pattern:
 
         walk(self.root)
         return tuple(out)
-
-    def leaf_by_alias(self) -> dict[str, Leaf]:
-        return {leaf.alias: leaf for leaf in self.leaves()}
 
     def alias_types(self) -> dict[str, str]:
         return {leaf.alias: leaf.type_name for leaf in self.leaves()}
@@ -686,7 +675,3 @@ class MatchReport:
 
     def group_map(self) -> dict[str, tuple[int, ...]]:
         return dict(self.groups)
-
-
-def match_key(report: MatchReport) -> tuple[int, ...]:
-    return report.serials

@@ -24,11 +24,10 @@ from .model import (
     ContractError,
     Event,
     OrderPlan,
-    Pattern,
     Predicate,
     evaluate_predicate,
 )
-from .transform import NormalizedConjunct, normalize_pattern
+from .transform import NormalizedConjunct
 
 DEFAULT_KL_CAP = 8
 
@@ -102,18 +101,6 @@ class NfaChain:
                     and pred.right_offset == 1.0):
                 return True
         return False
-
-    @property
-    def states(self) -> int:
-        return len(self.order) + 1
-
-
-def build_nfa(plan: OrderPlan, pattern: Pattern) -> "NfaEngine":
-    """Engine for a single-conjunct pattern under the given order plan."""
-    norm = normalize_pattern(pattern)
-    if len(norm.conjuncts) != 1:
-        raise ContractError("the chain NFA executes one conjunct at a time")
-    return NfaEngine(plan, norm.conjuncts[0])
 
 
 class _Partial:

@@ -1,9 +1,12 @@
 """Plan-generation algorithms.
 
-All searches run over the planning view of one conjunctive core: positive
-event types with Kleene positions replaced by synthetic types.  Costs are
-evaluated through one ``CostModel`` so every algorithm minimizes the same
-objective and comparisons stay consistent; ``finalize_plan`` then maps
+``generate_plan`` (search) and ``plan_cost`` (evaluate a given plan) are
+the entry points.  All searches run over the planning view of one
+conjunctive core: positive event types with Kleene positions replaced by
+synthetic types.  Costs are evaluated through one ``CostModel`` so every
+algorithm minimizes the same objective and comparisons stay consistent;
+the cost family follows the pattern's selection strategy and the latency
+anchor is the pattern-final type.  ``finalize_plan`` then maps
 synthetic names back to their Kleene originals and anchors the negation
 checkpoints, and ``tree_plan_from_order`` re-anchors them on an order
 plan's left-deep tree.
@@ -90,15 +93,6 @@ class PlanBundle:
         return sum(c.report.cost for c in self.conjuncts)
 
 
-def catalan(m: int) -> int:
-    if m < 0:
-        return 0
-    out = 1
-    for k in range(m):
-        out = out * 2 * (2 * k + 1) // (k + 2)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Searches over a CostModel (index-based; declaration order = index order)
 
@@ -113,7 +107,7 @@ def _search_trivial(model: CostModel) -> tuple[list[int], float, int]:
 
 
 def _search_efreq(model: CostModel) -> tuple[list[int], float, int]:
-    order = sorted(range(len(model.types)), key=lambda i: (model.sc.wr(i), i))
+    order = sorted(range(len(model.types)), key=lambda i: (model.wr(i), i))
     return order, model.order_total(_order_names(model, order)), 1
 
 
@@ -123,7 +117,7 @@ def _search_greedy(model: CostModel) -> tuple[list[int], float, int]:
     order: list[int] = []
     prefix = 0
     candidates = 0
-    total = model.sc.zero
+    total = model.zero
     while remaining:
         best_index = None
         best_step = None
@@ -135,7 +129,7 @@ def _search_greedy(model: CostModel) -> tuple[list[int], float, int]:
         order.append(best_index)
         remaining.remove(best_index)
         prefix |= 1 << best_index
-        total = model.sc.add(total, best_step)
+        total = model.add(total, best_step)
     return order, total, candidates
 
 
@@ -158,14 +152,8 @@ def _neighbors(order: list[int]):
 
 
 def _search_ii(
-    model: CostModel,
-    seed: int,
-    restarts: int,
-    init: str,
-    first_improvement: bool = False,
+    model: CostModel, seed: int, restarts: int, init: str
 ) -> tuple[list[int], float, int]:
-    if restarts < 1:
-        raise ContractError("iterative improvement needs at least one restart")
     n = len(model.types)
     rng = random.Random(seed)
     candidates = 0
@@ -194,8 +182,6 @@ def _search_ii(
                 candidates += 1
                 if c < move_cost:
                     move_order, move_cost = neighbor, c
-                    if first_improvement:
-                        break
             if move_order is not None:
                 order, cost = move_order, move_cost
                 improved = True
@@ -211,7 +197,7 @@ def _search_dp_ld(model: CostModel, limit: int = DP_LD_LIMIT) -> tuple[list[int]
             f"order search by dynamic programming is limited to {limit} types; "
             f"the pattern has {n}"
         )
-    dp_cost = {0: model.sc.zero}
+    dp_cost = {0: model.zero}
     dp_order: dict[int, tuple[int, ...]] = {0: ()}
     candidates = 0
     for mask in sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m)):
@@ -222,7 +208,7 @@ def _search_dp_ld(model: CostModel, limit: int = DP_LD_LIMIT) -> tuple[list[int]
             if not mask & bit:
                 continue
             prev = mask ^ bit
-            cand = model.sc.add(dp_cost[prev], model.step_cost(prev, bit))
+            cand = model.add(dp_cost[prev], model.step_cost(prev, bit))
             candidates += 1
             if best is None or cand < best:
                 best, best_prev = cand, (prev, i)
@@ -285,7 +271,7 @@ def _search_dp_b(model: CostModel, limit: int = DP_B_LIMIT) -> tuple[TreeNode, f
     dp_tree: dict[int, TreeNode] = {}
     for i in range(n):
         bit = 1 << i
-        dp_cost[bit] = model.leaf_cost(bit)
+        dp_cost[bit] = model.node_pm(bit)
         dp_tree[bit] = leaf(model.types[i])
     candidates = 0
     for mask in sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m)):
@@ -294,8 +280,8 @@ def _search_dp_b(model: CostModel, limit: int = DP_B_LIMIT) -> tuple[TreeNode, f
         best = None
         best_split = None
         for left_bits, right_bits in _submask_splits(mask):
-            cand = model.sc.add(
-                model.sc.add(dp_cost[left_bits], dp_cost[right_bits]),
+            cand = model.add(
+                model.add(dp_cost[left_bits], dp_cost[right_bits]),
                 model.join_cost(left_bits, right_bits),
             )
             candidates += 1
@@ -308,7 +294,7 @@ def _search_dp_b(model: CostModel, limit: int = DP_B_LIMIT) -> tuple[TreeNode, f
 
 
 # ---------------------------------------------------------------------------
-# Brute-force references (used by the test suite, exported for the CLI verify)
+# Brute-force references for the test suite's optimality checks
 
 
 def brute_force_order(model: CostModel) -> tuple[tuple[str, ...], float]:
@@ -377,11 +363,9 @@ def conjunct_model(
     stats: StatisticsCatalog,
     family: str = FAMILY_ANY,
     alpha: float = 0.0,
-    last_type: str | None = None,
 ) -> CostModel:
     catalog, _ = planning_catalog(conjunct, stats)
-    if alpha > 0 and last_type is None:
-        last_type = _default_last_type(conjunct, catalog)
+    last_type = _default_last_type(conjunct, catalog) if alpha > 0 else None
     objective = CostObjective(family=family, alpha=alpha, last_type=last_type)
     return CostModel(
         conjunct.planning_types(), catalog, conjunct.core.window, objective
@@ -490,12 +474,7 @@ def tree_plan_from_order(plan: OrderPlan, conjunct: NormalizedConjunct) -> TreeP
 
 
 def _dispatch(
-    algorithm: str,
-    model: CostModel,
-    seed: int,
-    restarts: int | None,
-    first_improvement: bool,
-    leaf_order: tuple[str, ...] | None,
+    algorithm: str, model: CostModel, seed: int
 ) -> tuple[str, object, float, int, int | None]:
     if algorithm == "trivial":
         order, cost, count = _search_trivial(model)
@@ -507,21 +486,16 @@ def _dispatch(
         order, cost, count = _search_greedy(model)
         return "order", _order_names(model, order), cost, count, None
     if algorithm == "ii-random":
-        order, cost, count = _search_ii(
-            model, seed, restarts or II_RANDOM_RESTARTS, "random", first_improvement
-        )
+        order, cost, count = _search_ii(model, seed, II_RANDOM_RESTARTS, "random")
         return "order", _order_names(model, order), cost, count, seed
     if algorithm == "ii-greedy":
-        order, cost, count = _search_ii(
-            model, seed, restarts or II_GREEDY_RESTARTS, "greedy", first_improvement
-        )
+        order, cost, count = _search_ii(model, seed, II_GREEDY_RESTARTS, "greedy")
         return "order", _order_names(model, order), cost, count, seed
     if algorithm == "dp-ld":
         order, cost, count = _search_dp_ld(model)
         return "order", _order_names(model, order), cost, count, None
     if algorithm == "zstream":
-        names = leaf_order if leaf_order is not None else model.types
-        tree, cost, count = _search_zstream(model, tuple(names))
+        tree, cost, count = _search_zstream(model, model.types)
         return "tree", tree, cost, count, None
     if algorithm == "zstream-ord":
         order, _, greedy_count = _search_greedy(model)
@@ -539,31 +513,17 @@ def generate_plan(
     algorithm: str,
     alpha: float = 0.0,
     seed: int = 0,
-    strategy: SelectionStrategy | None = None,
-    last_type: str | None = None,
-    restarts: int | None = None,
-    first_improvement: bool = False,
-    leaf_order: tuple[str, ...] | None = None,
 ) -> PlanBundle:
     """Plan every conjunct of the pattern with the named algorithm."""
     if algorithm not in ALGORITHM_NAMES:
         raise ContractError(f"unknown algorithm {algorithm!r}")
-    strategy = strategy if strategy is not None else pattern.strategy
-    family = family_for(strategy)
+    family = family_for(pattern.strategy)
     norm = normalize_pattern(pattern)
     planned = []
     for conjunct in norm.conjuncts:
-        model = conjunct_model(conjunct, stats, family, alpha, last_type)
-        kl = conjunct.kl_types()
-        mapped_leaf_order = None
-        if leaf_order is not None:
-            mapped_leaf_order = tuple(
-                synthetic_name(n) if n in kl else n for n in leaf_order
-            )
+        model = conjunct_model(conjunct, stats, family, alpha)
         start = time.perf_counter()
-        kind, payload, cost, count, used_seed = _dispatch(
-            algorithm, model, seed, restarts, first_improvement, mapped_leaf_order
-        )
+        kind, payload, cost, count, used_seed = _dispatch(algorithm, model, seed)
         wall = time.perf_counter() - start
         value = model.value(cost)
         plan = finalize_plan(kind, payload, conjunct)
@@ -583,79 +543,8 @@ def generate_plan(
     return PlanBundle(algorithm=algorithm, conjuncts=tuple(planned))
 
 
-# -- spec-level single-conjunct entry points --------------------------------
-
-
-def _order_plan(pattern, stats, algorithm, **kw) -> OrderPlan:
-    bundle = generate_plan(pattern, stats, algorithm, **kw)
-    return bundle.conjuncts[0].plan
-
-
-def gen_trivial(pattern: Pattern) -> OrderPlan:
-    conjunct = _single_conjunct(pattern)
-    return finalize_plan("order", conjunct.planning_types(), conjunct)
-
-
-def gen_efreq(pattern: Pattern, stats: StatisticsCatalog) -> OrderPlan:
-    return _order_plan(pattern, stats, "efreq")
-
-
-def gen_greedy(
-    pattern: Pattern, stats: StatisticsCatalog, alpha: float = 0.0,
-    last_type: str | None = None,
-) -> OrderPlan:
-    return _order_plan(pattern, stats, "greedy", alpha=alpha, last_type=last_type)
-
-
-def gen_iterative_improvement(
-    pattern: Pattern,
-    stats: StatisticsCatalog,
-    init: str = "random",
-    seed: int = 0,
-    restarts: int | None = None,
-    first_improvement: bool = False,
-    alpha: float = 0.0,
-    last_type: str | None = None,
-) -> OrderPlan:
-    if init not in ("random", "greedy"):
-        raise ContractError("iterative improvement init must be random or greedy")
-    algorithm = "ii-random" if init == "random" else "ii-greedy"
-    return _order_plan(
-        pattern, stats, algorithm, seed=seed, restarts=restarts,
-        first_improvement=first_improvement, alpha=alpha, last_type=last_type,
-    )
-
-
-def gen_dp_ld(
-    pattern: Pattern, stats: StatisticsCatalog, alpha: float = 0.0,
-    last_type: str | None = None,
-) -> OrderPlan:
-    return _order_plan(pattern, stats, "dp-ld", alpha=alpha, last_type=last_type)
-
-
-def gen_zstream(
-    pattern: Pattern, stats: StatisticsCatalog,
-    leaf_order: tuple[str, ...] | None = None,
-) -> TreePlan:
-    bundle = generate_plan(pattern, stats, "zstream", leaf_order=leaf_order)
-    return bundle.conjuncts[0].plan
-
-
-def gen_zstream_ord(pattern: Pattern, stats: StatisticsCatalog) -> TreePlan:
-    bundle = generate_plan(pattern, stats, "zstream-ord")
-    return bundle.conjuncts[0].plan
-
-
-def gen_dp_b(
-    pattern: Pattern, stats: StatisticsCatalog, alpha: float = 0.0,
-    last_type: str | None = None,
-) -> TreePlan:
-    bundle = generate_plan(pattern, stats, "dp-b", alpha=alpha, last_type=last_type)
-    return bundle.conjuncts[0].plan
-
-
 # ---------------------------------------------------------------------------
-# Plan evaluation and normalization
+# Plan evaluation
 
 
 def _planning_names_of_plan(plan: Plan, conjunct: NormalizedConjunct):
@@ -679,46 +568,17 @@ def plan_cost(
     plan: Plan,
     pattern: Pattern,
     stats: StatisticsCatalog,
-    family: str | None = None,
     alpha: float = 0.0,
-    last_type: str | None = None,
 ) -> float:
     """Objective value of an existing plan for a single-conjunct pattern."""
     conjunct = _single_conjunct(pattern)
-    if family is None:
-        family = family_for(pattern.strategy)
-    model = conjunct_model(conjunct, stats, family, alpha, last_type)
+    model = conjunct_model(conjunct, stats, family_for(pattern.strategy), alpha)
     kind, payload = _planning_names_of_plan(plan, conjunct)
     if kind == "order":
         active = model.order_total(payload)
     else:
         active = model.tree_total(payload)
     return float(model.value(active))
-
-
-def normalized_cost(
-    plan: Plan,
-    pattern: Pattern,
-    stats: StatisticsCatalog,
-    family: str | None = None,
-    alpha: float = 0.0,
-    last_type: str | None = None,
-) -> float:
-    """Baseline (ascending-rate order) cost divided by the plan's cost."""
-    conjunct = _single_conjunct(pattern)
-    if family is None:
-        family = family_for(pattern.strategy)
-    model = conjunct_model(conjunct, stats, family, alpha, last_type)
-    base_order, base_active, _ = _search_efreq(model)
-    kind, payload = _planning_names_of_plan(plan, conjunct)
-    plan_active = (
-        model.order_total(payload) if kind == "order" else model.tree_total(payload)
-    )
-    base = model.value(base_active)
-    mine = model.value(plan_active)
-    if base.linear != float("inf") and mine.linear != float("inf"):
-        return base.linear / mine.linear
-    return 2.0 ** (base.log2 - mine.log2)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +597,7 @@ def _tree_from_json(data: dict) -> TreeNode:
     return join(_tree_from_json(data["left"]), _tree_from_json(data["right"]))
 
 
-def bundle_to_json(bundle: PlanBundle, include_timing: bool = False) -> dict:
+def bundle_to_json(bundle: PlanBundle) -> dict:
     """Serialize a bundle; timing is left out so plan files are repeatable."""
     out = {"algorithm": bundle.algorithm, "conjuncts": []}
     for planned in bundle.conjuncts:
@@ -758,8 +618,6 @@ def bundle_to_json(bundle: PlanBundle, include_timing: bool = False) -> dict:
             "candidates": planned.report.candidates,
             "seed": planned.report.seed,
         }
-        if include_timing:
-            entry["wall_time"] = planned.report.wall_time
         if isinstance(plan, OrderPlan):
             entry["order"] = list(plan.order)
         else:

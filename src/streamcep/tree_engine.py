@@ -22,13 +22,12 @@ from .matching import (
 from .model import (
     ContractError,
     Event,
-    Pattern,
     Predicate,
     TreePlan,
     evaluate_predicate,
 )
 from .nfa import DEFAULT_KL_CAP
-from .transform import NormalizedConjunct, normalize_pattern
+from .transform import NormalizedConjunct
 
 
 class _Instance:
@@ -103,14 +102,6 @@ class TreeStructure:
             paths.append(set(path))
         common = set.intersection(*paths)
         return min(common)
-
-
-def build_tree_engine(plan: TreePlan, pattern: Pattern) -> "TreeEngine":
-    """Engine for a single-conjunct pattern under the given tree plan."""
-    norm = normalize_pattern(pattern)
-    if len(norm.conjuncts) != 1:
-        raise ContractError("the tree engine executes one conjunct at a time")
-    return TreeEngine(plan, norm.conjuncts[0])
 
 
 class TreeEngine:

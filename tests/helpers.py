@@ -36,22 +36,6 @@ def random_catalog(rng: random.Random, n: int, *, sel_density: float = 0.6,
     return StatisticsCatalog(rates=rates, selectivities=sels)
 
 
-def acyclic_catalog(rng: random.Random, n: int) -> StatisticsCatalog:
-    """A catalog whose non-unit selectivities form a random tree over the types.
-
-    Rooted at any type, every other type then has exactly one selectivity
-    edge on its path toward the root, which is what the rank-based
-    ordering arguments require.
-    """
-    types = UNIVERSE[:n]
-    rates = {t: 0.2 * 40.0 ** rng.random() for t in types}
-    sels = {}
-    for i in range(1, n):
-        parent = rng.randrange(i)
-        sels[selectivity_key(types[i], types[parent])] = rng.uniform(0.05, 0.95)
-    return StatisticsCatalog(rates=rates, selectivities=sels)
-
-
 def seq_pattern(types, window: float, predicates=(), aliases=None) -> Pattern:
     if aliases is None:
         aliases = [t.lower() for t in types]

@@ -1,36 +1,23 @@
-"""Cost models: order and tree throughput, latency, hybrid, ranks, log path.
+"""Cost model: order and tree throughput, latency, hybrid, next-match, log path.
 
 The fixture catalog (three types, W = 10) is small enough that every
 expected value below is a hand-computed product and sum of W*r and
 selectivity terms; the comments next to each assertion show the arithmetic.
 """
+import itertools
 import math
 import random
 
 import pytest
 
 from streamcep.cost import (
-    CostBreakdown,
     CostModel,
     CostObjective,
     CostValue,
     FAMILY_ANY,
     FAMILY_NEXT,
-    SubsetCosts,
-    asi_sequence_cost,
-    asi_sequence_product,
     cost_bj,
-    cost_hybrid,
     cost_ldj,
-    cost_ord,
-    cost_ord_latency,
-    cost_ord_next,
-    cost_tree,
-    cost_tree_latency,
-    cost_tree_next,
-    rank_lat,
-    rank_trpt,
-    root_edge_selectivities,
 )
 from streamcep.model import (
     ContractError,
@@ -41,52 +28,83 @@ from streamcep.model import (
     selectivity_key,
 )
 
-from helpers import acyclic_catalog, random_catalog
+from helpers import all_tree_shapes, random_catalog
 
 W = 10.0
+TYPES = ("A", "B", "C")
 STATS = StatisticsCatalog(
     rates={"A": 1.0, "B": 2.0, "C": 4.0},
     selectivities={("A", "B"): 0.5, ("A", "C"): 0.1, ("B", "C"): 1.0},
 )
-CARDS = {t: W * STATS.rate(t) for t in ("A", "B", "C")}  # A=10 B=20 C=40
+CARDS = {t: W * STATS.rate(t) for t in TYPES}  # A=10 B=20 C=40
 TREE_ACB = join(join(leaf("A"), leaf("C")), leaf("B"))
 
 
-def lin(values):
-    return [float(v) for v in values]
+def model(stats=STATS, objective=CostObjective(), **kw):
+    return CostModel(TYPES, stats, W, objective, **kw)
+
+
+def hybrid(alpha, last_type):
+    return model(objective=CostObjective(FAMILY_ANY, alpha=alpha, last_type=last_type))
+
+
+def order_cost(m, order):
+    return float(m.value(m.order_total(order)))
+
+
+def tree_cost(m, tree):
+    return float(m.value(m.tree_total(tree)))
+
+
+def order_steps(m, order):
+    """Per-step partial-match counts of an order, in processing order."""
+    out, bits = [], 0
+    for name in order:
+        bits |= 1 << m.bit_of(name)
+        out.append(float(m.value(m.step_pm(bits))))
+    return out
+
+
+def tree_nodes(m, tree):
+    """Per-node partial-match counts of a tree, in post-order."""
+    return [
+        float(m.value(m.node_pm(sum(1 << m.bit_of(n) for n in node.leaf_names()))))
+        for node in tree.postorder()
+    ]
 
 
 class TestOrderCost:
     def test_worked_example_per_step(self):
-        got = cost_ord(("A", "B", "C"), STATS, W)
+        m = model()
         # 10; 10*20*0.5 = 100; 100*40*0.1*1 = 400
-        assert lin(got.partials) == [10.0, 100.0, 400.0]
-        assert float(got.throughput) == 510.0
+        assert order_steps(m, ("A", "B", "C")) == [10.0, 100.0, 400.0]
+        assert order_cost(m, ("A", "B", "C")) == 510.0
 
     def test_order_sensitivity(self):
-        assert float(cost_ord(("A", "C", "B"), STATS, W).throughput) == 450.0
-        assert float(cost_ord(("C", "A", "B"), STATS, W).throughput) == 480.0
-        assert float(cost_ord(("C", "B", "A"), STATS, W).throughput) == 1240.0
+        m = model()
+        assert order_cost(m, ("A", "C", "B")) == 450.0
+        assert order_cost(m, ("C", "A", "B")) == 480.0
+        assert order_cost(m, ("C", "B", "A")) == 1240.0
 
     def test_prefix_value_is_order_independent(self):
         # the k-th partial count depends only on the consumed subset
-        full_abc = cost_ord(("A", "B", "C"), STATS, W).partials[-1]
-        full_bac = cost_ord(("B", "A", "C"), STATS, W).partials[-1]
-        assert float(full_abc) == float(full_bac) == 400.0
+        m = model()
+        full_abc = order_steps(m, ("A", "B", "C"))[-1]
+        full_bac = order_steps(m, ("B", "A", "C"))[-1]
+        assert full_abc == full_bac == 400.0
 
     def test_filter_applies_at_entry_step(self):
         stats = STATS.with_entries(selectivities={("B",): 0.5})
-        got = cost_ord(("A", "B", "C"), stats, W)
         # step 2 halves: 10*20*0.5*0.5 = 50; step 3 follows: 50*40*0.1 = 200
-        assert lin(got.partials) == [10.0, 50.0, 200.0]
+        assert order_steps(model(stats), ("A", "B", "C")) == [10.0, 50.0, 200.0]
 
     def test_unknown_rate_and_bad_window(self):
         with pytest.raises(Exception):
-            cost_ord(("A", "Z"), STATS, W)
+            CostModel(("A", "Z"), STATS, W)
         with pytest.raises(ContractError):
-            cost_ord(("A", "B"), STATS, 0.0)
+            CostModel(("A", "B"), STATS, 0.0)
         with pytest.raises(ContractError):
-            SubsetCosts(("A", "A"), STATS, W)
+            CostModel(("A", "A"), STATS, W)
 
     def test_left_deep_join_twin(self):
         sels = dict(STATS.selectivities)
@@ -99,168 +117,115 @@ class TestOrderCost:
         # 10*0.5 = 5; 5*20*0.1 = 10
         assert total == 15.0
 
-    def test_order_equivalence_random_smoke(self):
-        import itertools
-
-        rng = random.Random(7)
-        for _ in range(5):
-            stats = random_catalog(rng, 4)
-            window = rng.uniform(2.0, 20.0)
-            cards = {t: window * stats.rate(t) for t in stats.type_names()}
-            for perm in itertools.permutations(stats.type_names()):
-                a = float(cost_ord(perm, stats, window).throughput)
-                b = cost_ldj(perm, cards, dict(stats.selectivities))
-                assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
-
 
 class TestTreeCost:
     def test_worked_example_postorder(self):
-        got = cost_tree(TREE_ACB, STATS, W)
+        m = model()
         # A=10, C=40, AC join 10*40*0.1=40, B=20, root 40*20*0.5*1=400
-        assert lin(got.partials) == [10.0, 40.0, 40.0, 20.0, 400.0]
-        assert float(got.throughput) == 510.0
+        assert tree_nodes(m, TREE_ACB) == [10.0, 40.0, 40.0, 20.0, 400.0]
+        assert tree_cost(m, TREE_ACB) == 510.0
 
     def test_left_deep_tree_matches_order_cost_totals(self):
         # same per-subset values, one extra leaf term per join step
+        m = model()
         order = ("A", "C", "B")
-        tree_total = float(cost_tree(left_deep_tree(order), STATS, W).throughput)
-        order_total = float(cost_ord(order, STATS, W).throughput)
         # leaves C and B add W*r each on top of the order model's steps
-        assert tree_total == order_total + 40.0 + 20.0
+        assert tree_cost(m, left_deep_tree(order)) == order_cost(m, order) + 40.0 + 20.0
 
     def test_filters_do_not_enter_tree_nodes(self):
         stats = STATS.with_entries(selectivities={("B",): 0.25})
-        assert float(cost_tree(TREE_ACB, stats, W).throughput) == 510.0
+        assert tree_cost(model(stats), TREE_ACB) == 510.0
 
     def test_bushy_join_twin(self):
         sels = dict(STATS.selectivities)
         assert cost_bj(TREE_ACB, CARDS, sels) == 510.0
         other = join(leaf("B"), join(leaf("A"), leaf("C")))
-        assert cost_bj(other, CARDS, sels) == float(
-            cost_tree(other, STATS, W).throughput
-        )
+        assert cost_bj(other, CARDS, sels) == tree_cost(model(), other)
+
+
+class TestJoinEquivalence:
+    def test_plan_cost_equals_join_cost_random(self):
+        """The paper's equivalence: with |R_i| = W*r_i, every order costs
+        its left-deep join cost and every bushy tree its bushy join cost."""
+        rng = random.Random(7)
+        for _ in range(5):
+            stats = random_catalog(rng, 4)
+            window = rng.uniform(2.0, 20.0)
+            names = stats.type_names()
+            cards = {t: window * stats.rate(t) for t in names}
+            sels = dict(stats.selectivities)
+            for log_space in (False, True):
+                m = CostModel(names, stats, window, log_space=log_space)
+                for perm in itertools.permutations(names):
+                    got = order_cost(m, perm)
+                    want = cost_ldj(perm, cards, sels)
+                    assert got == pytest.approx(want, rel=1e-9)
+                    for tree in all_tree_shapes(perm):
+                        got = tree_cost(m, tree)
+                        want = cost_bj(tree, cards, sels)
+                        assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestLatencyAndHybrid:
     def test_order_latency_counts_types_after_anchor(self):
-        # after C in (C, A, B): W*r_A + W*r_B = 30
-        assert cost_ord_latency(("C", "A", "B"), STATS, W, "C") == 30.0
-        assert cost_ord_latency(("A", "B", "C"), STATS, W, "C") == 0.0
+        # after C in (C, A, B): W*r_A + W*r_B = 30 on top of 480
+        assert order_cost(hybrid(1.0, "C"), ("C", "A", "B")) == 480.0 + 30.0
+        # nothing follows C in (A, B, C): throughput 510 alone
+        assert order_cost(hybrid(1.0, "C"), ("A", "B", "C")) == 510.0
         with pytest.raises(ContractError):
-            cost_ord_latency(("A", "B"), STATS, W, "C")
+            CostModel(("A", "B"), STATS, W, CostObjective(alpha=1.0, last_type="C"))
 
     def test_tree_latency_sums_sibling_instances(self):
         # path B -> root; sibling subtree (A,C) holds 40 instances
-        assert cost_tree_latency(TREE_ACB, STATS, W, "B") == 40.0
+        assert tree_cost(hybrid(1.0, "B"), TREE_ACB) == 510.0 + 40.0
         # path C -> (A,C) -> root: siblings A (10) and B (20)
-        assert cost_tree_latency(TREE_ACB, STATS, W, "C") == 30.0
+        assert tree_cost(hybrid(1.0, "C"), TREE_ACB) == 510.0 + 30.0
         with pytest.raises(ContractError):
-            cost_tree_latency(TREE_ACB, STATS, W, "Z")
+            hybrid(1.0, "Z")
 
     def test_hybrid_combines_linearly(self):
-        assert cost_hybrid(("C", "A", "B"), STATS, W, 0.0, "C") == 480.0
-        assert cost_hybrid(("C", "A", "B"), STATS, W, 1.0, "C") == 510.0
-        assert cost_hybrid(("C", "A", "B"), STATS, W, 0.5, "C") == 495.0
-        assert cost_hybrid(TREE_ACB, STATS, W, 1.0, "B") == 550.0
+        assert order_cost(hybrid(0.0, "C"), ("C", "A", "B")) == 480.0
+        assert order_cost(hybrid(1.0, "C"), ("C", "A", "B")) == 510.0
+        assert order_cost(hybrid(0.5, "C"), ("C", "A", "B")) == 495.0
+        assert tree_cost(hybrid(1.0, "B"), TREE_ACB) == 550.0
         with pytest.raises(ContractError):
-            cost_hybrid(("A", "B", "C"), STATS, W, -0.1, "C")
+            hybrid(-0.1, "C")
 
     def test_breakdown_reports_alpha(self):
-        got = cost_ord(("C", "A", "B"), STATS, W, last_type="C", alpha=0.5)
-        assert isinstance(got, CostBreakdown)
-        assert got.alpha == 0.5
-        assert float(got.latency) == 30.0
-        assert float(got.combined) == 495.0
+        m = hybrid(0.5, "C")
+        assert m.objective.alpha == 0.5
+        steps, bits = [], 0
+        for name in ("C", "A", "B"):
+            bit = 1 << m.bit_of(name)
+            steps.append(m.step_cost(bits, bit))
+            bits |= bit
+        # throughput steps 40, 40, 400; A and B follow C: +0.5*10, +0.5*20
+        assert steps == [40.0, 45.0, 410.0]
+        latency = (sum(steps) - sum(order_steps(m, ("C", "A", "B")))) / 0.5
+        assert latency == 30.0
+        assert sum(steps) == 495.0
 
 
 class TestNextMatchCosts:
+    NEXT = CostObjective(FAMILY_NEXT)
+
     def test_order_next_worked_example(self):
         # steps: W*(W*min(r)*sel): 10*10, 10*(10*0.1), 10*(10*0.05)
-        assert cost_ord_next(("A", "C", "B"), STATS, W) == 115.0
+        assert order_cost(model(objective=self.NEXT), ("A", "C", "B")) == 115.0
 
     def test_order_next_prefers_scarce_first_here(self):
-        assert cost_ord_next(("A", "C", "B"), STATS, W) < cost_ord_next(
-            ("C", "B", "A"), STATS, W
-        )
+        m = model(objective=self.NEXT)
+        assert order_cost(m, ("A", "C", "B")) < order_cost(m, ("C", "B", "A"))
 
     def test_tree_next_worked_example(self):
         # leaves 10+40+20, AC node min(10,40)*0.1 = 1, root 10*0.05 = 0.5
-        assert cost_tree_next(TREE_ACB, STATS, W) == 71.5
-
-
-class TestRanks:
-    def test_root_edge_selectivities_tree(self):
-        stats = StatisticsCatalog(
-            rates={"A": 1.0, "B": 2.0, "C": 4.0},
-            selectivities={("A", "B"): 0.5, ("A", "C"): 0.1},
-        )
-        assert root_edge_selectivities(stats, "A") == {
-            "A": 1.0,
-            "B": 0.5,
-            "C": 0.1,
-        }
-
-    def test_root_edge_selectivities_rejects_cycles_and_gaps(self):
-        with pytest.raises(ContractError):
-            root_edge_selectivities(STATS, "A")  # triangle: cyclic
-        sparse = StatisticsCatalog(
-            rates={"A": 1.0, "B": 1.0, "C": 1.0},
-            selectivities={("A", "B"): 0.5},
-        )
-        with pytest.raises(ContractError):
-            root_edge_selectivities(sparse, "A")  # C unreachable
-        with pytest.raises(ContractError):
-            root_edge_selectivities(sparse, "Z")
-
-    def test_sequence_product_and_cost(self):
-        stats = StatisticsCatalog(
-            rates={"A": 1.0, "B": 2.0, "C": 4.0},
-            selectivities={("A", "B"): 0.5, ("A", "C"): 0.1},
-        )
-        # terms toward root A: B -> 20*0.5 = 10, C -> 40*0.1 = 4
-        assert asi_sequence_product(("B", "C"), stats, W, "A") == 40.0
-        assert asi_sequence_cost(("B", "C"), stats, W, "A") == 50.0
-        assert asi_sequence_product((), stats, W, "A") == 1.0
-        assert asi_sequence_cost((), stats, W, "A") == 0.0
-
-    def test_cost_concatenation_identity(self):
-        rng = random.Random(42)
-        for _ in range(50):
-            stats = acyclic_catalog(rng, rng.randint(2, 6))
-            names = list(stats.type_names())
-            root = rng.choice(names)
-            rng.shuffle(names)
-            cut = rng.randint(0, len(names))
-            s1, s2 = names[:cut], names[cut:]
-            window = rng.uniform(1.0, 12.0)
-            whole = asi_sequence_cost(names, stats, window, root)
-            split = asi_sequence_cost(s1, stats, window, root) + (
-                asi_sequence_product(s1, stats, window, root)
-                * asi_sequence_cost(s2, stats, window, root)
-            )
-            assert abs(whole - split) <= 1e-9 * max(1.0, abs(whole))
-
-    def test_throughput_rank_worked_example(self):
-        stats = StatisticsCatalog(
-            rates={"A": 1.0, "B": 2.0, "C": 4.0},
-            selectivities={("A", "B"): 0.5, ("A", "C"): 0.1},
-        )
-        # single B toward root A: T = 10, C = 10, rank = 9/10
-        assert rank_trpt(("B",), stats, W, "A") == 0.9
-        with pytest.raises(ContractError):
-            rank_trpt((), stats, W, "A")
-
-    def test_latency_rank(self):
-        assert rank_lat(("C", "A", "B"), STATS, W, "C") == 30.0
-        assert rank_lat(("A", "B"), STATS, W, "C") == 0.0
-        with pytest.raises(ContractError):
-            rank_lat((), STATS, W, "C")
+        assert tree_cost(model(objective=self.NEXT), TREE_ACB) == 71.5
 
 
 class TestLogSpacePath:
     def test_forced_log_space_matches_linear(self):
-        linear = SubsetCosts(("A", "B", "C"), STATS, W, log_space=False)
-        logged = SubsetCosts(("A", "B", "C"), STATS, W, log_space=True)
+        linear = model(log_space=False)
+        logged = model(log_space=True)
         assert logged.log_space and not linear.log_space
         full = (1 << 3) - 1
         a = float(linear.value(linear.pm_ord(full)))
@@ -273,11 +238,11 @@ class TestLogSpacePath:
             log2_rates={"A'": 2000.0},
             selectivities={("A'", "B"): 0.5},
         )
-        sc = SubsetCosts(("A'", "B"), stats, W)
-        assert sc.log_space
-        got = cost_ord(("B", "A'"), stats, W)
-        assert math.isinf(float(got.throughput))
-        assert got.throughput.log2 < cost_ord(("A'", "B"), stats, W).throughput.log2
+        m = CostModel(("A'", "B"), stats, W)
+        assert m.log_space
+        got = m.value(m.order_total(("B", "A'")))
+        assert math.isinf(float(got))
+        assert got.log2 < m.value(m.order_total(("A'", "B"))).log2
 
     def test_cost_value_comparisons_cross_range(self):
         small = CostValue.from_linear(1e300)
@@ -292,31 +257,24 @@ class TestLogSpacePath:
 
 class TestCostModel:
     def test_order_total_matches_direct_cost(self):
-        model = CostModel(("A", "B", "C"), STATS, W)
-        for order in (("A", "B", "C"), ("A", "C", "B"), ("C", "A", "B")):
-            direct = float(cost_ord(order, STATS, W).throughput)
-            assert float(model.value(model.order_total(order))) == direct
+        m = model()
+        for order, total in ((("A", "B", "C"), 510.0), (("A", "C", "B"), 450.0),
+                             (("C", "A", "B"), 480.0)):
+            assert order_cost(m, order) == sum(order_steps(m, order)) == total
 
     def test_order_total_with_hybrid_objective(self):
-        objective = CostObjective(FAMILY_ANY, alpha=1.0, last_type="C")
-        model = CostModel(("A", "B", "C"), STATS, W, objective)
-        got = float(model.value(model.order_total(("C", "A", "B"))))
-        assert got == cost_hybrid(("C", "A", "B"), STATS, W, 1.0, "C")
+        assert order_cost(hybrid(1.0, "C"), ("C", "A", "B")) == 510.0
 
     def test_tree_total_matches_direct_cost(self):
-        model = CostModel(("A", "B", "C"), STATS, W)
-        assert float(model.value(model.tree_total(TREE_ACB))) == 510.0
-        objective = CostObjective(FAMILY_ANY, alpha=1.0, last_type="B")
-        hybrid = CostModel(("A", "B", "C"), STATS, W, objective)
-        assert float(hybrid.value(hybrid.tree_total(TREE_ACB))) == 550.0
+        m = model()
+        assert tree_cost(m, TREE_ACB) == sum(tree_nodes(m, TREE_ACB)) == 510.0
+        assert tree_cost(hybrid(1.0, "B"), TREE_ACB) == 550.0
 
     def test_next_family_matches_direct_cost(self):
-        objective = CostObjective(FAMILY_NEXT)
-        model = CostModel(("A", "B", "C"), STATS, W, objective)
-        got = float(model.value(model.order_total(("A", "C", "B"))))
-        assert got == cost_ord_next(("A", "C", "B"), STATS, W)
-        tree_got = float(model.value(model.tree_total(TREE_ACB)))
-        assert tree_got == cost_tree_next(TREE_ACB, STATS, W)
+        m = model(objective=CostObjective(FAMILY_NEXT))
+        steps = order_steps(m, ("A", "C", "B"))
+        assert order_cost(m, ("A", "C", "B")) == sum(steps) == 115.0
+        assert tree_cost(m, TREE_ACB) == sum(tree_nodes(m, TREE_ACB)) == 71.5
 
     def test_objective_validation(self):
         with pytest.raises(ContractError):
@@ -325,6 +283,12 @@ class TestCostModel:
             CostObjective(FAMILY_ANY, alpha=-0.5)
         with pytest.raises(ContractError):
             CostObjective(FAMILY_ANY, alpha=0.5)  # needs an anchor type
+
+    def test_latency_anchor_must_be_a_type(self):
+        # an anchor outside the types would drop the latency term silently
+        for alpha in (0.0, 1.0):
+            with pytest.raises(ContractError):
+                model(objective=CostObjective(FAMILY_ANY, alpha=alpha, last_type="Z"))
 
 
 def test_selectivity_key_used_for_symmetric_lookup():
