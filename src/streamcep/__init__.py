@@ -14,7 +14,6 @@ from .model import (
     ContractError,
     DataError,
     Event,
-    EventType,
     KLEENE,
     Leaf,
     Literal,

@@ -37,7 +37,6 @@ from .oracle import DEFAULT_CORESIDENT_LIMIT, oracle_match
 from .plangen import (
     ALGORITHM_NAMES,
     DP_B_LIMIT,
-    ORDER_ALGORITHMS,
     PlanBundle,
     TREE_ALGORITHMS,
     bundle_to_json,

@@ -132,11 +132,7 @@ def _plan_summary(bundle) -> str:
         if isinstance(plan, OrderPlan):
             shape = " ".join(plan.order)
         else:
-            def fmt(node):
-                if node.is_leaf:
-                    return node.type_name
-                return f"({fmt(node.left)},{fmt(node.right)})"
-            shape = fmt(plan.root)
+            shape = plan.root.label()
         rep = planned.report
         lines.append(
             f"conjunct {index}: {shape} | cost {rep.cost:.6g} | "
@@ -171,13 +167,10 @@ def cmd_run(args) -> int:
         for report in result.reports
     )
     _write(args.out, lines)
-    latency = result.mean_latency
     sys.stdout.write("events,matches,throughput,memory_peak,mean_latency,kl_overflows\n")
     sys.stdout.write(
         f"{result.events},{result.matches},{result.throughput:.6g},"
-        f"{result.memory_peak},"
-        f"{'' if latency is None else format(latency, '.6g')},"
-        f"{result.kl_overflows}\n"
+        f"{result.memory_peak},{result.mean_latency:.6g},{result.kl_overflows}\n"
     )
     return EXIT_OK
 

@@ -16,9 +16,9 @@ over cardinalities, against which the paper's equivalence is checked under
 ``|R_i| = W*r_i``.
 
 All arithmetic transparently switches to a log2-space path when a catalog
-can push intermediates past the float range (Kleene-rewritten types); the
-path is chosen statically per catalog so comparisons stay consistent within
-one plan search.
+can push intermediates past the float range (the subset rates of Kleene
+positions); the path is chosen statically per catalog so comparisons stay
+consistent within one plan search.
 """
 from __future__ import annotations
 

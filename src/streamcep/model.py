@@ -1,4 +1,4 @@
-"""Core domain types: event schemas, patterns, predicates, statistics, plans.
+"""Core domain types: events, patterns, predicates, statistics, plans.
 
 Everything downstream (parsing, transformation, cost models, plan search and
 the runtimes) is written against the value types in this module.  They are
@@ -19,10 +19,6 @@ NARY_OPERATORS = (SEQ, AND, OR)
 
 NOT = "not"
 KLEENE = "kl"
-
-KIND_NUMBER = "number"
-KIND_TEXT = "text"
-KIND_TIMESTAMP = "timestamp"
 
 COMPARATORS = ("<", "<=", "=", ">=", ">", "!=")
 TEXT_COMPARATORS = ("=", "!=")
@@ -64,27 +60,6 @@ class ResourceLimitError(StreamCepError):
 
 # ---------------------------------------------------------------------------
 # Events
-
-
-@dataclass(frozen=True)
-class EventType:
-    """Schema of a primitive event: a name plus typed payload attributes.
-
-    A ``timestamp`` attribute is always present and appended automatically
-    when missing from ``attributes``.
-    """
-
-    name: str
-    attributes: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self) -> None:
-        names = [a for a, _ in self.attributes]
-        if "timestamp" not in names:
-            object.__setattr__(
-                self, "attributes", self.attributes + (("timestamp", KIND_TIMESTAMP),)
-            )
-        if len(set(names)) != len(names):
-            raise PatternStructureError(f"duplicate attribute on event type {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -227,9 +202,6 @@ class Pattern:
 
     def alias_types(self) -> dict[str, str]:
         return {leaf.alias: leaf.type_name for leaf in self.leaves()}
-
-    def positive_leaves(self) -> tuple[Leaf, ...]:
-        return tuple(l for l in self.leaves() if not l.negated)
 
     def type_names(self) -> tuple[str, ...]:
         return tuple(l.type_name for l in self.leaves())
@@ -413,11 +385,11 @@ def _catalog_key(key: str | tuple[str, ...]) -> tuple[str, ...]:
     raise ContractError(f"selectivity key must be one or two type names: {key!r}")
 
 
-_LOG2_LINEAR_MAX = 1020.0  # 2**x stays inside float range below this
+LOG2_LINEAR_MAX = 1020.0  # 2**x stays inside float range below this
 
 
 def linear_from_log2(log2_value: float) -> float:
-    if log2_value > _LOG2_LINEAR_MAX:
+    if log2_value > LOG2_LINEAR_MAX:
         return math.inf
     if log2_value == -math.inf:
         return 0.0
@@ -428,8 +400,8 @@ def linear_from_log2(log2_value: float) -> float:
 class StatisticsCatalog:
     """Arrival rates (events/second) and predicate selectivities.
 
-    Rates are carried both linearly and as log2 so that synthetic types with
-    astronomically large rates (Kleene rewrite) stay representable.  The
+    Rates are carried both linearly and as log2 so that the astronomically
+    large subset rates of Kleene positions stay representable.  The
     selectivity map is keyed by ``selectivity_key``: sorted type pairs for
     cross predicates, single names for filters; absent keys default to 1.
     """
@@ -580,10 +552,6 @@ class OrderPlan:
         if len(set(self.order)) != len(self.order):
             raise ContractError("evaluation order repeats a type")
 
-    def step_of(self, type_name: str) -> int:
-        """1-based step at which ``type_name`` is consumed."""
-        return self.order.index(type_name) + 1
-
 
 @dataclass(frozen=True)
 class TreeNode:
@@ -608,6 +576,12 @@ class TreeNode:
         if self.is_leaf:
             return (self.type_name,)
         return self.left.leaf_names() + self.right.leaf_names()
+
+    def label(self) -> str:
+        """The subtree's shape with its leaves' types, as in ``(A,(B,C))``."""
+        if self.is_leaf:
+            return self.type_name
+        return f"({self.left.label()},{self.right.label()})"
 
     def postorder(self) -> Iterator["TreeNode"]:
         if not self.is_leaf:
@@ -672,6 +646,3 @@ class MatchReport:
     completion_serial: int
     detected_at: float = 0.0
     latency: float = 0.0
-
-    def group_map(self) -> dict[str, tuple[int, ...]]:
-        return dict(self.groups)

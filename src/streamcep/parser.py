@@ -17,13 +17,10 @@ import re
 from dataclasses import dataclass
 
 from .model import (
-    AND,
     COMPARATORS,
     KLEENE,
     NARY_OPERATORS,
     NOT,
-    OR,
-    SEQ,
     AttrRef,
     Leaf,
     Literal,

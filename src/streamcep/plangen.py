@@ -1,13 +1,13 @@
 """Plan-generation algorithms.
 
 ``generate_plan`` (search) and ``plan_cost`` (evaluate a given plan) are
-the entry points.  All searches run over the planning view of one
-conjunctive core: positive event types with Kleene positions replaced by
-synthetic types.  Costs are evaluated through one ``CostModel`` so every
-algorithm minimizes the same objective and comparisons stay consistent;
-the cost family follows the pattern's selection strategy and the latency
-anchor is the pattern-final type.  ``finalize_plan`` then maps
-synthetic names back to their Kleene originals and anchors the negation
+the entry points.  All searches run over the positive event types of one
+conjunctive core, a Kleene position under its own type name with the
+subset rate ``planning_catalog`` gives it.  Costs are evaluated through
+one ``CostModel`` so every algorithm minimizes the same objective and
+comparisons stay consistent; the cost family follows the pattern's
+selection strategy and the latency anchor is the pattern-final type.
+``finalize_plan`` then marks the Kleene types and anchors the negation
 checkpoints, and ``tree_plan_from_order`` re-anchors them on an order
 plan's left-deep tree.
 """
@@ -17,12 +17,14 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .cost import CostModel, CostObjective, FAMILY_ANY, FAMILY_NEXT
 from .matching import checkpoint_slots
 from .model import (
     ANY_MATCH,
     ContractError,
+    DataError,
     NegationCheckpoint,
     OrderPlan,
     Pattern,
@@ -37,32 +39,12 @@ from .model import (
     leaf,
     left_deep_tree,
 )
-from .transform import (
-    NormalizedConjunct,
-    normalize_pattern,
-    planning_catalog,
-    synthetic_name,
-)
+from .transform import NormalizedConjunct, normalize_pattern, planning_catalog
 
 DP_LD_LIMIT = 20
 DP_B_LIMIT = 14
 II_RANDOM_RESTARTS = 10
 II_GREEDY_RESTARTS = 1
-
-ALGORITHM_NAMES = (
-    "trivial",
-    "efreq",
-    "greedy",
-    "ii-random",
-    "ii-greedy",
-    "dp-ld",
-    "zstream",
-    "zstream-ord",
-    "dp-b",
-)
-
-ORDER_ALGORITHMS = ("trivial", "efreq", "greedy", "ii-random", "ii-greedy", "dp-ld")
-TREE_ALGORITHMS = ("zstream", "zstream-ord", "dp-b")
 
 
 @dataclass(frozen=True)
@@ -250,6 +232,13 @@ def _search_zstream(
     return best, best_cost, count
 
 
+def _search_zstream_ord(model: CostModel) -> tuple[TreeNode, float, int]:
+    """ZStream over the leaf sequence of the greedy order."""
+    order, _, greedy_count = _search_greedy(model)
+    tree, cost, count = _search_zstream(model, _order_names(model, order))
+    return tree, cost, count + greedy_count
+
+
 def _submask_splits(mask: int):
     """Proper splits of mask, left half holding mask's lowest set bit."""
     low = mask & -mask
@@ -291,6 +280,29 @@ def _search_dp_b(model: CostModel, limit: int = DP_B_LIMIT) -> tuple[TreeNode, f
         dp_tree[mask] = join(dp_tree[best_split[0]], dp_tree[best_split[1]])
     full = (1 << n) - 1
     return dp_tree[full], dp_cost[full], candidates
+
+
+# name -> (plan kind, search, whether the search draws on the seed); an
+# order search returns type indices, a tree search a TreeNode
+_PLANNERS = {
+    "trivial": ("order", _search_trivial, False),
+    "efreq": ("order", _search_efreq, False),
+    "greedy": ("order", _search_greedy, False),
+    "ii-random": (
+        "order", partial(_search_ii, restarts=II_RANDOM_RESTARTS, init="random"), True
+    ),
+    "ii-greedy": (
+        "order", partial(_search_ii, restarts=II_GREEDY_RESTARTS, init="greedy"), True
+    ),
+    "dp-ld": ("order", _search_dp_ld, False),
+    "zstream": ("tree", lambda model: _search_zstream(model, model.types), False),
+    "zstream-ord": ("tree", _search_zstream_ord, False),
+    "dp-b": ("tree", _search_dp_b, False),
+}
+
+ALGORITHM_NAMES = tuple(_PLANNERS)
+ORDER_ALGORITHMS = tuple(n for n, (kind, *_) in _PLANNERS.items() if kind == "order")
+TREE_ALGORITHMS = tuple(n for n, (kind, *_) in _PLANNERS.items() if kind == "tree")
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +363,10 @@ def _default_last_type(conjunct: NormalizedConjunct, catalog: StatisticsCatalog)
     """Pattern-final type for latency: the declared sequence tail, else the
     highest-rate type (the one most likely to arrive last among the match's
     events)."""
-    last = conjunct.last_planning_type()
+    last = conjunct.last_type()
     if last is not None:
         return last
-    types = conjunct.planning_types()
+    types = conjunct.runtime_types()
     return max(types, key=lambda t: (catalog.log2_rate(t), -types.index(t)))
 
 
@@ -364,11 +376,11 @@ def conjunct_model(
     family: str = FAMILY_ANY,
     alpha: float = 0.0,
 ) -> CostModel:
-    catalog, _ = planning_catalog(conjunct, stats)
+    catalog = planning_catalog(conjunct, stats)
     last_type = _default_last_type(conjunct, catalog) if alpha > 0 else None
     objective = CostObjective(family=family, alpha=alpha, last_type=last_type)
     return CostModel(
-        conjunct.planning_types(), catalog, conjunct.core.window, objective
+        conjunct.runtime_types(), catalog, conjunct.core.window, objective
     )
 
 
@@ -381,18 +393,16 @@ def finalize_plan(
     payload,
     conjunct: NormalizedConjunct,
 ) -> Plan:
-    """Map a search result over planning names back to a runtime plan.
+    """Turn a search result (an order of type names or a tree) into a plan.
 
-    Synthetic Kleene stand-ins are restored to their original type names
-    with KL markers, and each negation checkpoint is placed at the
-    earliest step (or lowest tree node) whose accepted types cover the
-    checkpoint's dependency set.
+    The conjunct's Kleene types are marked, and each negation checkpoint
+    is placed at the earliest step (or lowest tree node) whose accepted
+    types cover the checkpoint's dependency set.
     """
-    mapping = conjunct.planning_to_runtime()
     kl = conjunct.kl_types()
 
     if kind == "order":
-        order = tuple(mapping.get(name, name) for name in payload)
+        order = tuple(payload)
         checkpoints = []
         for spec in conjunct.negations:
             deps = set(spec.dependencies)
@@ -415,14 +425,8 @@ def finalize_plan(
             )
         return OrderPlan(order=order, kl_types=kl, checkpoints=tuple(checkpoints))
 
-    def map_tree(node: TreeNode) -> TreeNode:
-        if node.is_leaf:
-            return leaf(mapping.get(node.type_name, node.type_name))
-        return join(map_tree(node.left), map_tree(node.right))
-
-    root = map_tree(payload)
     return TreePlan(
-        root=root, kl_types=kl, checkpoints=tree_checkpoints(root, conjunct)
+        root=payload, kl_types=kl, checkpoints=tree_checkpoints(payload, conjunct)
     )
 
 
@@ -473,40 +477,6 @@ def tree_plan_from_order(plan: OrderPlan, conjunct: NormalizedConjunct) -> TreeP
     )
 
 
-def _dispatch(
-    algorithm: str, model: CostModel, seed: int
-) -> tuple[str, object, float, int, int | None]:
-    if algorithm == "trivial":
-        order, cost, count = _search_trivial(model)
-        return "order", _order_names(model, order), cost, count, None
-    if algorithm == "efreq":
-        order, cost, count = _search_efreq(model)
-        return "order", _order_names(model, order), cost, count, None
-    if algorithm == "greedy":
-        order, cost, count = _search_greedy(model)
-        return "order", _order_names(model, order), cost, count, None
-    if algorithm == "ii-random":
-        order, cost, count = _search_ii(model, seed, II_RANDOM_RESTARTS, "random")
-        return "order", _order_names(model, order), cost, count, seed
-    if algorithm == "ii-greedy":
-        order, cost, count = _search_ii(model, seed, II_GREEDY_RESTARTS, "greedy")
-        return "order", _order_names(model, order), cost, count, seed
-    if algorithm == "dp-ld":
-        order, cost, count = _search_dp_ld(model)
-        return "order", _order_names(model, order), cost, count, None
-    if algorithm == "zstream":
-        tree, cost, count = _search_zstream(model, model.types)
-        return "tree", tree, cost, count, None
-    if algorithm == "zstream-ord":
-        order, _, greedy_count = _search_greedy(model)
-        tree, cost, count = _search_zstream(model, _order_names(model, order))
-        return "tree", tree, cost, count + greedy_count, None
-    if algorithm == "dp-b":
-        tree, cost, count = _search_dp_b(model)
-        return "tree", tree, cost, count, None
-    raise ContractError(f"unknown algorithm {algorithm!r}")
-
-
 def generate_plan(
     pattern: Pattern,
     stats: StatisticsCatalog,
@@ -515,18 +485,21 @@ def generate_plan(
     seed: int = 0,
 ) -> PlanBundle:
     """Plan every conjunct of the pattern with the named algorithm."""
-    if algorithm not in ALGORITHM_NAMES:
+    if algorithm not in _PLANNERS:
         raise ContractError(f"unknown algorithm {algorithm!r}")
+    kind, search, seeded = _PLANNERS[algorithm]
     family = family_for(pattern.strategy)
     norm = normalize_pattern(pattern)
     planned = []
     for conjunct in norm.conjuncts:
         model = conjunct_model(conjunct, stats, family, alpha)
         start = time.perf_counter()
-        kind, payload, cost, count, used_seed = _dispatch(algorithm, model, seed)
+        result, cost, count = search(model, seed) if seeded else search(model)
         wall = time.perf_counter() - start
+        if kind == "order":
+            result = _order_names(model, result)
         value = model.value(cost)
-        plan = finalize_plan(kind, payload, conjunct)
+        plan = finalize_plan(kind, result, conjunct)
         planned.append(
             PlannedConjunct(
                 plan=plan,
@@ -536,7 +509,7 @@ def generate_plan(
                     cost_log2=value.log2,
                     candidates=count,
                     wall_time=wall,
-                    seed=used_seed,
+                    seed=seed if seeded else None,
                 ),
             )
         )
@@ -547,37 +520,23 @@ def generate_plan(
 # Plan evaluation
 
 
-def _planning_names_of_plan(plan: Plan, conjunct: NormalizedConjunct):
-    kl = conjunct.kl_types()
-
-    def to_planning(name: str) -> str:
-        return synthetic_name(name) if name in kl else name
-
-    if isinstance(plan, OrderPlan):
-        return "order", tuple(to_planning(n) for n in plan.order)
-
-    def map_tree(node: TreeNode) -> TreeNode:
-        if node.is_leaf:
-            return leaf(to_planning(node.type_name))
-        return join(map_tree(node.left), map_tree(node.right))
-
-    return "tree", map_tree(plan.root)
-
-
 def plan_cost(
     plan: Plan,
     pattern: Pattern,
     stats: StatisticsCatalog,
     alpha: float = 0.0,
 ) -> float:
-    """Objective value of an existing plan for a single-conjunct pattern."""
+    """Objective value of an existing plan for a single-conjunct pattern.
+
+    The plan must cover exactly the pattern's positive types.
+    """
     conjunct = _single_conjunct(pattern)
     model = conjunct_model(conjunct, stats, family_for(pattern.strategy), alpha)
-    kind, payload = _planning_names_of_plan(plan, conjunct)
-    if kind == "order":
-        active = model.order_total(payload)
-    else:
-        active = model.tree_total(payload)
+    is_order = isinstance(plan, OrderPlan)
+    names = plan.order if is_order else plan.root.leaf_names()
+    if set(names) != set(model.types):
+        raise ContractError("plan types do not match the pattern's positive types")
+    active = model.order_total(plan.order) if is_order else model.tree_total(plan.root)
     return float(model.value(active))
 
 
@@ -591,10 +550,30 @@ def _tree_to_json(node: TreeNode) -> dict:
     return {"left": _tree_to_json(node.left), "right": _tree_to_json(node.right)}
 
 
-def _tree_from_json(data: dict) -> TreeNode:
-    if "leaf" in data:
-        return leaf(data["leaf"])
-    return join(_tree_from_json(data["left"]), _tree_from_json(data["right"]))
+def _tree_from_json(data, where: str) -> TreeNode:
+    if isinstance(data, dict):
+        if "leaf" in data:
+            return leaf(data["leaf"])
+        if "left" in data and "right" in data:
+            return join(
+                _tree_from_json(data["left"], where + ".left"),
+                _tree_from_json(data["right"], where + ".right"),
+            )
+    raise DataError(f"plan {where} has neither 'leaf' nor both 'left' and 'right'")
+
+
+def _checkpoint_from_json(data, where: str) -> NegationCheckpoint:
+    if not isinstance(data, dict):
+        raise DataError(f"plan {where} must be an object")
+    missing = [m for m in ("type", "alias", "position", "deps") if m not in data]
+    if missing:
+        raise DataError(f"plan {where} lacks {', '.join(map(repr, missing))}")
+    return NegationCheckpoint(
+        type_name=data["type"],
+        alias=data["alias"],
+        position=data["position"],
+        dependencies=tuple(data["deps"]),
+    )
 
 
 def bundle_to_json(bundle: PlanBundle) -> dict:
@@ -626,29 +605,36 @@ def bundle_to_json(bundle: PlanBundle) -> dict:
     return out
 
 
-def bundle_from_json(data: dict) -> PlanBundle:
+def bundle_from_json(data) -> PlanBundle:
+    """Read a plan file; a malformed one is a ``DataError`` naming the bad
+    member."""
+    if not isinstance(data, dict):
+        raise DataError("plan file must be a JSON object")
+    entries = data.get("conjuncts")
+    if not isinstance(entries, list):
+        raise DataError("plan member 'conjuncts' must be a list")
     planned = []
     algorithm = data.get("algorithm", "unknown")
-    for entry in data["conjuncts"]:
+    for index, entry in enumerate(entries):
+        where = f"conjuncts[{index}]"
+        if not isinstance(entry, dict):
+            raise DataError(f"plan {where} must be an object")
         kl = frozenset(entry.get("kl", ()))
         checkpoints = tuple(
-            NegationCheckpoint(
-                type_name=c["type"],
-                alias=c["alias"],
-                position=c["position"],
-                dependencies=tuple(c["deps"]),
-            )
-            for c in entry.get("checkpoints", ())
+            _checkpoint_from_json(c, f"{where}.checkpoints[{i}]")
+            for i, c in enumerate(entry.get("checkpoints", ()))
         )
         if "order" in entry:
             plan: Plan = OrderPlan(
                 order=tuple(entry["order"]), kl_types=kl, checkpoints=checkpoints
             )
-        else:
+        elif "tree" in entry:
             plan = TreePlan(
-                root=_tree_from_json(entry["tree"]), kl_types=kl,
+                root=_tree_from_json(entry["tree"], where + ".tree"), kl_types=kl,
                 checkpoints=checkpoints,
             )
+        else:
+            raise DataError(f"plan {where} has neither 'order' nor 'tree'")
         planned.append(
             PlannedConjunct(
                 plan=plan,

@@ -70,8 +70,7 @@ class PatternRunner:
     """Runs a pattern's plan bundle over events, one engine per conjunct."""
 
     def __init__(self, pattern: Pattern, bundle: PlanBundle,
-                 engine: str = "auto", kl_cap: int = DEFAULT_KL_CAP,
-                 measure_latency: bool = True):
+                 engine: str = "auto", kl_cap: int = DEFAULT_KL_CAP):
         if engine not in ENGINE_KINDS:
             raise ContractError(f"unknown engine kind {engine!r}")
         self.pattern = pattern
@@ -87,7 +86,7 @@ class PatternRunner:
             )
         ]
         self.replay = SelectionReplay(pattern.strategy.kind)
-        self.clock = ArrivalClock() if measure_latency else None
+        self.clock = ArrivalClock()
         self._needs_pserial = pattern.strategy.kind == PARTITION_CONTIGUITY
         self._partition_key = pattern.strategy.partition_key
         self._partition_counters: dict[object, int] = {}
@@ -124,8 +123,7 @@ class PatternRunner:
         event = self._augment(event)
         self.events_seen += 1
         self.max_serial = max(self.max_serial, event.serial)
-        if self.clock is not None:
-            self.clock.stamp(event.serial)
+        self.clock.stamp(event.serial)
         batch: list[Candidate] = []
         for index, engine in enumerate(self.engines):
             for candidate in engine.process_event(event):
@@ -152,10 +150,8 @@ class PatternRunner:
         for candidate in self.replay.offer(batch):
             metrics = self.engines[candidate.conjunct].metrics
             metrics.matches += 1
-            latency = 0.0
-            if self.clock is not None:
-                latency = self.clock.latency_since(candidate.completion_serial)
-                metrics.latency_samples.append(latency)
+            latency = self.clock.latency_since(candidate.completion_serial)
+            metrics.latency_samples.append(latency)
             reports.append(make_report(
                 candidate,
                 self.engines[candidate.conjunct].alias_order,

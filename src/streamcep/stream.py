@@ -317,11 +317,6 @@ class ArrivalOrderProfile:
             return None
         return min(self.counts, key=lambda k: (-self.counts[k], k))
 
-    @property
-    def mode_last(self) -> str | None:
-        mode = self.mode
-        return mode[-1] if mode else None
-
 
 def profile_output(reports: list[MatchReport], pattern: Pattern) -> ArrivalOrderProfile:
     """Count, per full match, the order in which its types arrived.

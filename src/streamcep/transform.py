@@ -4,8 +4,8 @@ Plan generation only understands pure conjunctive patterns over positive
 singleton positions, so patterns are normalized before planning:
 
 * sequences become conjunctions plus explicit timestamp-order predicates;
-* Kleene closures are replaced (for planning purposes) by synthetic types
-  whose rate counts the non-empty event subsets per window;
+* a Kleene position KL(T) is planned as a plain position of type T whose
+  rate counts T's non-empty event subsets per window;
 * negated positions are split off into absence checks with a dependency
   set that later anchors their checkpoint in the plan;
 * disjunctions distribute into a union of conjunctive subpatterns;
@@ -17,15 +17,14 @@ semantics (the runtimes consume the annotations produced here).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .model import (
     AND,
     AttrRef,
-    KLEENE,
+    LOG2_LINEAR_MAX,
     Leaf,
-    NOT,
     OperatorNode,
     OR,
     Pattern,
@@ -35,7 +34,6 @@ from .model import (
     SelectionStrategy,
     StatisticsCatalog,
     UnsupportedPatternError,
-    linear_from_log2,
     validate_pattern,
 )
 
@@ -93,95 +91,6 @@ def seq_to_and(pattern: Pattern) -> Pattern:
         root=OperatorNode(AND, pattern.root.children),
         predicates=pattern.predicates + tuple(added),
     )
-
-
-# ---------------------------------------------------------------------------
-# Kleene rewrite
-
-
-@dataclass(frozen=True)
-class SyntheticType:
-    """Planning stand-in for a Kleene position.
-
-    ``log2_rate_window`` is the authoritative field: log2(r' * W) = r * W,
-    the number of non-empty subsets of the expected W*r events per window
-    (exact whenever r*W is integral).  The linear ``rate`` is materialized
-    only while it fits the float range.
-    """
-
-    origin: str
-    name: str
-    log2_rate_window: float
-    window: float
-
-    @property
-    def log2_rate(self) -> float:
-        return self.log2_rate_window - math.log2(self.window)
-
-    @property
-    def rate(self) -> float:
-        if self.log2_rate_window <= 1020.0:
-            return 2.0 ** self.log2_rate_window / self.window
-        return linear_from_log2(self.log2_rate)
-
-
-def synthetic_name(type_name: str) -> str:
-    return type_name + "'"
-
-
-@dataclass(frozen=True)
-class KleeneRewrite:
-    pattern: Pattern
-    stats: StatisticsCatalog
-    synthetics: tuple[SyntheticType, ...]
-
-
-def rewrite_kleene(pattern: Pattern, stats: StatisticsCatalog) -> KleeneRewrite:
-    """Replace Kleene positions by synthetic types for planning.
-
-    Each KL(T) leaf becomes a plain leaf of type T' with rate
-    2**(r_T * W) / W; selectivities involving T are copied to T'.  The
-    returned synthetics record the substitution so plan finalization can
-    restore the Kleene markers.
-    """
-    window = pattern.window
-    if not window > 0:
-        raise UnsupportedPatternError("Kleene rewrite needs a positive window")
-    synthetics: list[SyntheticType] = []
-    new_children = []
-    for child in pattern.root.children:
-        if isinstance(child, Leaf) and child.kleene:
-            origin = child.type_name
-            name = synthetic_name(origin)
-            rate_window = stats.rate(origin) * window
-            synthetics.append(SyntheticType(origin, name, rate_window, window))
-            unary = tuple(u for u in child.unary if u != KLEENE)
-            new_children.append(Leaf(name, child.alias, unary))
-        else:
-            new_children.append(child)
-    if not synthetics:
-        return KleeneRewrite(pattern, stats, ())
-
-    new_stats = stats
-    for synthetic in synthetics:
-        sel_updates = {}
-        for key, value in stats.selectivities.items():
-            if synthetic.origin in key:
-                new_key = tuple(
-                    synthetic.name if part == synthetic.origin else part for part in key
-                )
-                sel_updates[new_key if len(new_key) > 1 else (new_key[0],)] = value
-        if synthetic.log2_rate_window <= 1020.0:
-            new_stats = new_stats.with_entries(
-                rates={synthetic.name: synthetic.rate}, selectivities=sel_updates
-            )
-        else:
-            new_stats = new_stats.with_entries(
-                log2_rates={synthetic.name: synthetic.log2_rate},
-                selectivities=sel_updates,
-            )
-    rewritten = replace(pattern, root=OperatorNode(pattern.root.op, tuple(new_children)))
-    return KleeneRewrite(rewritten, new_stats, tuple(synthetics))
 
 
 # ---------------------------------------------------------------------------
@@ -489,27 +398,14 @@ class NormalizedConjunct:
     def runtime_types(self) -> tuple[str, ...]:
         return tuple(l.type_name for l in self.core.leaves())
 
-    def planning_types(self) -> tuple[str, ...]:
-        kl = self.kl_types()
-        return tuple(
-            synthetic_name(t) if t in kl else t for t in self.runtime_types()
-        )
-
-    def planning_to_runtime(self) -> dict[str, str]:
-        kl = self.kl_types()
-        return {
-            (synthetic_name(t) if t in kl else t): t for t in self.runtime_types()
-        }
-
-    def last_planning_type(self) -> str | None:
-        """Planning name of the pattern-final positive type, if sequential."""
+    def last_type(self) -> str | None:
+        """The pattern-final positive type, if the conjunct was a sequence."""
         if not self.seq_aliases:
             return None
         alias_types = self.core.alias_types()
         for alias in reversed(self.seq_aliases):
             if alias in alias_types:
-                name = alias_types[alias]
-                return synthetic_name(name) if name in self.kl_types() else name
+                return alias_types[alias]
         return None
 
 
@@ -545,15 +441,17 @@ def normalize_pattern(pattern: Pattern) -> NormalizedPattern:
 
 
 def planning_catalog(
-    conjunct: NormalizedConjunct,
-    stats: StatisticsCatalog,
-    temporal_selectivity: float = DEFAULT_TEMPORAL_SELECTIVITY,
-) -> tuple[StatisticsCatalog, tuple[SyntheticType, ...]]:
-    """Statistics for planning one conjunct: synthetic Kleene rates plus
-    the default selectivity of every rewritten timestamp-order predicate
-    multiplied into its pair entry."""
+    conjunct: NormalizedConjunct, stats: StatisticsCatalog
+) -> StatisticsCatalog:
+    """Statistics for planning one conjunct.
+
+    Every rewritten timestamp-order predicate multiplies the default
+    temporal selectivity into its pair entry.  A Kleene position KL(T)
+    keeps its type name and takes the rate 2**(r*W)/W: the non-empty
+    subsets of the expected r*W events of T per window (exact whenever
+    r*W is integral).  Past the float range that rate is given in log2.
+    """
     core = conjunct.core
-    catalog = stats
     sel_updates: dict[tuple[str, ...], float] = {}
     alias_types = core.alias_types()
     for pred in core.predicates:
@@ -563,19 +461,20 @@ def planning_catalog(
         if len(names) != 2:
             continue
         key = tuple(names)
-        current = sel_updates.get(key, catalog.sel(*key))
-        sel_updates[key] = current * temporal_selectivity
-    if sel_updates:
-        catalog = catalog.with_entries(selectivities=sel_updates)
+        current = sel_updates.get(key, stats.sel(*key))
+        sel_updates[key] = current * DEFAULT_TEMPORAL_SELECTIVITY
 
-    kl = conjunct.kl_types()
-    if not kl:
-        return catalog, ()
     window = core.window
-    planning_pattern = Pattern(
-        root=OperatorNode(AND, tuple(core.leaves())),
-        predicates=(),
-        window=window,
+    rates: dict[str, float] = {}
+    log2_rates: dict[str, float] = {}
+    for leaf in core.leaves():
+        if not leaf.kleene:
+            continue
+        rate_window = stats.rate(leaf.type_name) * window
+        if rate_window <= LOG2_LINEAR_MAX:
+            rates[leaf.type_name] = 2.0 ** rate_window / window
+        else:
+            log2_rates[leaf.type_name] = rate_window - math.log2(window)
+    return stats.with_entries(
+        rates=rates, selectivities=sel_updates, log2_rates=log2_rates
     )
-    rewrite = rewrite_kleene(planning_pattern, catalog)
-    return rewrite.stats, rewrite.synthetics

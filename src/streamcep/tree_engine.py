@@ -63,7 +63,7 @@ class TreeStructure:
             li, ri = index_of[id(node.left)], index_of[id(node.right)]
             self.parent[li] = self.parent[ri] = i
             self.sibling[li], self.sibling[ri] = ri, li
-        self.labels = [self._label(node) for node in self.nodes]
+        self.labels = [node.label() for node in self.nodes]
         self.leaf_index = {
             node.type_name: i
             for i, node in enumerate(self.nodes) if node.is_leaf
@@ -87,11 +87,6 @@ class TreeStructure:
             cover = {leaf_of_alias[a] for a in pred.aliases()}
             self.node_predicates[self._lowest_covering(cover)].append(pred)
         self.checkpoint_slot = checkpoint_slots(plan, conjunct.negations)
-
-    def _label(self, node) -> str:
-        if node.is_leaf:
-            return node.type_name
-        return f"({self._label(node.left)},{self._label(node.right)})"
 
     def _lowest_covering(self, leaf_indices: set[int]) -> int:
         paths = []

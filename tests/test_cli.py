@@ -1,0 +1,46 @@
+"""Command-line exit codes."""
+import json
+
+import pytest
+
+from streamcep import cli
+
+PATTERN = "PATTERN SEQ(A a, B b) WITHIN 10 seconds"
+STREAM = "A,0,1.0\nB,1,2.0\n"
+
+
+def run_with_plan(tmp_path, plan_doc):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_doc))
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(PATTERN)
+    stream = tmp_path / "stream.csv"
+    stream.write_text(STREAM)
+    out = tmp_path / "matches.txt"
+    return cli.main(["run", str(plan), str(pattern), str(stream), "--out", str(out)])
+
+
+def test_run_with_a_wellformed_plan_succeeds(tmp_path):
+    doc = {"conjuncts": [{"order": ["A", "B"]}]}
+    assert run_with_plan(tmp_path, doc) == cli.EXIT_OK
+    assert (tmp_path / "matches.txt").read_text() == "0,1\n"
+
+
+@pytest.mark.parametrize(
+    "doc, member",
+    [
+        ([], "JSON object"),
+        ({"conjuncts": {}}, "'conjuncts'"),
+        ({"conjuncts": [{"kl": []}]}, "conjuncts[0]"),
+        (
+            {"conjuncts": [{"order": ["A", "B"], "checkpoints": [
+                {"type": "N", "position": 1, "deps": []}]}]},
+            "'alias'",
+        ),
+        ({"conjuncts": [{"tree": {"left": {"leaf": "A"}}}]}, "conjuncts[0].tree"),
+    ],
+)
+def test_malformed_plan_file_is_a_data_error(tmp_path, capsys, doc, member):
+    assert run_with_plan(tmp_path, doc) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: plan ") and member in err

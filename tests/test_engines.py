@@ -29,7 +29,7 @@ from streamcep.model import (
     TreePlan,
     left_deep_tree,
 )
-from streamcep.nfa import NfaChain, NfaEngine
+from streamcep.nfa import NfaChain
 from streamcep.oracle import oracle_match
 from streamcep.plangen import (
     PlanBundle,
@@ -345,14 +345,6 @@ class TestMetrics:
         assert result.matches == metrics.matches == 1
         assert len(metrics.latency_samples) == 1
         assert metrics.latency_samples[0] >= 0.0
-
-    def test_latency_measurement_can_be_disabled(self):
-        p = seq_pattern(("A", "B"), 10.0)
-        events = [ev("A", 0.0, 0), ev("B", 1.0, 1)]
-        runner = PatternRunner(p, bundle_for(p), measure_latency=False)
-        result = runner.run(events)
-        assert result.mean_latency == 0.0
-        assert result.matches == 1
 
     def test_tree_counts_lone_leaves_as_buffered(self):
         p = Pattern(OperatorNode(AND, (Leaf("A", "a"), Leaf("B", "b"))), (), 10.0)

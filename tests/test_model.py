@@ -9,7 +9,6 @@ from streamcep.model import (
     ContractError,
     DataError,
     Event,
-    EventType,
     KLEENE,
     Leaf,
     Literal,
@@ -62,10 +61,6 @@ class TestEvent:
         with pytest.raises(DataError):
             ev("A", 0.0, 0).value("nope")
 
-    def test_event_type_always_carries_timestamp(self):
-        t = EventType("A", (("temp", "float"),))
-        assert ("timestamp", "timestamp") in t.attributes
-
 
 class TestPatternStructure:
     def test_leaves_in_document_order(self):
@@ -86,7 +81,6 @@ class TestPatternStructure:
         p = Pattern(root, (), 5.0)
         flags = {l.alias: (l.negated, l.kleene) for l in p.leaves()}
         assert flags == {"a": (False, False), "b": (True, False), "c": (False, True)}
-        assert [l.alias for l in p.positive_leaves()] == ["a", "c"]
         assert validate_pattern(p) == []
 
     def test_iter_nodes_covers_every_operator(self):
@@ -299,12 +293,6 @@ class TestStatisticsCatalog:
 
 
 class TestPlanShapes:
-    def test_order_plan_step_lookup(self):
-        plan = OrderPlan(("B", "A", "C"))
-        assert plan.step_of("B") == 1
-        assert plan.step_of("A") == 2
-        assert plan.step_of("C") == 3
-
     def test_order_plan_rejects_duplicates(self):
         with pytest.raises(ContractError):
             OrderPlan(("A", "A"))
@@ -320,6 +308,10 @@ class TestPlanShapes:
         tree = join(leaf("A"), join(leaf("B"), leaf("C")))
         names = [n.type_name if n.is_leaf else "*" for n in tree.postorder()]
         assert names == ["A", "B", "C", "*", "*"]
+
+    def test_tree_label_shows_the_shape(self):
+        assert leaf("A").label() == "A"
+        assert join(leaf("A"), join(leaf("B"), leaf("C"))).label() == "(A,(B,C))"
 
     def test_tree_node_shape_invariants(self):
         with pytest.raises(ContractError):

@@ -144,7 +144,7 @@ class TestKleene:
             ev("B", 3.0, 3),
         ]
         reports = oracle_match(self.P, events)
-        groups = {r.serials: r.group_map()["k"] for r in reports}
+        groups = {r.serials: dict(r.groups)["k"] for r in reports}
         assert groups[(0, 1, 2, 3)] == (1, 2)
         assert groups[(0, 1, 3)] == (1,)
 

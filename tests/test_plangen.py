@@ -35,7 +35,6 @@ from streamcep.plangen import (
     DP_LD_LIMIT,
     ORDER_ALGORITHMS,
     TREE_ALGORITHMS,
-    PlanBundle,
     brute_force_order,
     brute_force_tree,
     bundle_from_json,
@@ -225,6 +224,18 @@ class TestLimits:
 
 
 class TestFinalization:
+    def test_kleene_position_is_planned_under_its_own_name(self):
+        p = seq_pattern(Leaf("A", "a"), Leaf("C", "c", (KLEENE,)), Leaf("B", "b"))
+        stats = StatisticsCatalog(rates={"A": 1.0, "C": 0.4, "B": 2.0})
+        model = conjunct_model(normalize_pattern(p).conjuncts[0], stats)
+        assert model.types == ("A", "C", "B")
+
+    def test_two_kleene_positions_keep_their_pair_selectivity(self):
+        root = OperatorNode(AND, (Leaf("A", "a", (KLEENE,)), Leaf("B", "b", (KLEENE,))))
+        stats = StatisticsCatalog(rates={"A": 0.1, "B": 0.1}, selectivities={("A", "B"): 0.5})
+        # each Kleene type holds 2**(0.1*10) = 2 subsets per window
+        assert plan_cost(OrderPlan(("A", "B")), Pattern(root, (), W), stats) == 4.0
+
     def test_kleene_markers_are_restored(self):
         p = seq_pattern(Leaf("A", "a"), Leaf("K", "k", (KLEENE,)), Leaf("B", "b"))
         stats = StatisticsCatalog(rates={"A": 1.0, "K": 0.3, "B": 2.0})
@@ -281,6 +292,19 @@ class TestEvaluationHelpers:
             bundle = generate_plan(P_ABC, STATS, algorithm)
             (planned,) = bundle.conjuncts
             assert plan_cost(planned.plan, P_ABC, STATS) == planned.report.cost
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            OrderPlan(("A",)),
+            OrderPlan(("A", "B", "Z")),
+            TreePlan(join(leaf("A"), leaf("C"))),
+            TreePlan(join(join(leaf("A"), leaf("B")), join(leaf("C"), leaf("Z")))),
+        ],
+    )
+    def test_plan_cost_rejects_plans_that_do_not_cover_the_pattern(self, plan):
+        with pytest.raises(ContractError, match="do not match"):
+            plan_cost(plan, P_ABC, STATS)
 
     def test_bundle_total_cost_sums_conjuncts(self):
         p = Pattern(
@@ -340,3 +364,7 @@ class TestSerialization:
 def test_algorithm_registry_is_partitioned():
     assert set(ORDER_ALGORITHMS) | set(TREE_ALGORITHMS) == set(ALGORITHM_NAMES)
     assert not set(ORDER_ALGORITHMS) & set(TREE_ALGORITHMS)
+    assert ALGORITHM_NAMES == ORDER_ALGORITHMS + TREE_ALGORITHMS == (
+        "trivial", "efreq", "greedy", "ii-random", "ii-greedy", "dp-ld",
+        "zstream", "zstream-ord", "dp-b",
+    )

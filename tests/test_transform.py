@@ -1,4 +1,4 @@
-"""Pattern rewrites: sequence flattening, Kleene substitution, negation
+"""Pattern rewrites: sequence flattening, Kleene subset rates, negation
 split, disjunctive normal form, contiguity predicates, and the pipeline."""
 import math
 
@@ -10,7 +10,6 @@ from streamcep.model import (
     Event,
     KLEENE,
     Leaf,
-    Literal,
     NOT,
     OperatorNode,
     OR,
@@ -27,15 +26,12 @@ from streamcep.oracle import oracle_match
 from streamcep.transform import (
     CONTIGUITY_ORIGIN,
     DEFAULT_TEMPORAL_SELECTIVITY,
-    NegationSpec,
     TEMPORAL_ORIGIN,
     add_contiguity_predicates,
     normalize_pattern,
     planning_catalog,
-    rewrite_kleene,
     seq_to_and,
     split_negation,
-    synthetic_name,
     to_dnf,
 )
 
@@ -103,59 +99,49 @@ class TestSeqToAnd:
 
 
 class TestKleeneRewrite:
+    """KL(T) is planned under T's own name with the subset rate 2**(r*W)/W."""
+
     STATS = StatisticsCatalog(
         rates={"A": 1.0, "C": 0.4},
         selectivities={("A", "C"): 0.3, ("C",): 0.8},
     )
 
-    def pattern(self):
-        return Pattern(
+    def catalog(self, stats):
+        p = Pattern(
             OperatorNode(AND, (Leaf("A", "a"), Leaf("C", "c", (KLEENE,)))),
             (),
             10.0,
         )
+        (conjunct,) = normalize_pattern(p).conjuncts
+        return planning_catalog(conjunct, stats)
 
-    def test_synthetic_type_replaces_kleene_leaf(self):
-        rewrite = rewrite_kleene(self.pattern(), self.STATS)
-        assert [l.type_name for l in rewrite.pattern.leaves()] == ["A", "C'"]
-        assert not rewrite.pattern.leaves()[1].kleene
-        (syn,) = rewrite.synthetics
-        assert syn.origin == "C" and syn.name == synthetic_name("C")
+    def test_kleene_type_takes_the_subset_rate(self):
+        catalog = self.catalog(self.STATS)
         # log2(r' * W) = r * W = 4
-        assert syn.log2_rate_window == 4.0
-        assert rewrite.stats.rate("C'") == 2.0 ** 4.0 / 10.0
+        assert catalog.rate("C") == 2.0 ** 4.0 / 10.0
+        assert catalog.rate("A") == 1.0
 
-    def test_selectivities_are_copied_to_the_synthetic(self):
-        rewrite = rewrite_kleene(self.pattern(), self.STATS)
-        assert rewrite.stats.sel("A", "C'") == 0.3
-        assert rewrite.stats.sel("C'") == 0.8
+    def test_kleene_type_keeps_its_selectivities(self):
+        catalog = self.catalog(self.STATS)
+        assert catalog.sel("A", "C") == 0.3
+        assert catalog.sel("C") == 0.8
 
     def test_rate_law_is_exact_for_the_integral_case(self):
-        stats = StatisticsCatalog(rates={"A": 1.0, "C": 5.0})
-        rewrite = rewrite_kleene(self.pattern(), stats)
-        (syn,) = rewrite.synthetics
-        assert math.log2(syn.rate * 10.0) == 50.0
-        assert syn.rate == 2.0 ** 50 / 10.0
+        catalog = self.catalog(StatisticsCatalog(rates={"A": 1.0, "C": 5.0}))
+        assert math.log2(catalog.rate("C") * 10.0) == 50.0
+        assert catalog.rate("C") == 2.0 ** 50 / 10.0
 
     def test_huge_rates_go_through_log_space(self):
-        stats = StatisticsCatalog(rates={"A": 1.0, "C": 200.0})
-        rewrite = rewrite_kleene(self.pattern(), stats)
-        (syn,) = rewrite.synthetics
-        assert syn.log2_rate_window == 2000.0
-        assert rewrite.stats.log2_rate("C'") == 2000.0 - math.log2(10.0)
-        assert rewrite.stats.rate("C'") == math.inf
+        catalog = self.catalog(StatisticsCatalog(rates={"A": 1.0, "C": 200.0}))
+        assert catalog.log2_rate("C") == 2000.0 - math.log2(10.0)
+        assert catalog.rate("C") == math.inf
 
     def test_without_kleene_nothing_changes(self):
-        p = Pattern(OperatorNode(AND, (Leaf("A", "a"),)), (), 10.0)
-        rewrite = rewrite_kleene(p, self.STATS)
-        assert rewrite.pattern is p and rewrite.synthetics == ()
-
-    def test_needs_positive_window(self):
-        p = Pattern(
-            OperatorNode(AND, (Leaf("C", "c", (KLEENE,)),)), (), 0.0
-        )
-        with pytest.raises(UnsupportedPatternError):
-            rewrite_kleene(p, self.STATS)
+        p = Pattern(OperatorNode(AND, (Leaf("A", "a"), Leaf("C", "c"))), (), 10.0)
+        (conjunct,) = normalize_pattern(p).conjuncts
+        catalog = planning_catalog(conjunct, self.STATS)
+        assert catalog.rates == self.STATS.rates
+        assert catalog.selectivities == self.STATS.selectivities
 
 
 class TestSplitNegation:
@@ -472,22 +458,20 @@ class TestNormalizePattern:
         (conjunct,) = normalize_pattern(p).conjuncts
         assert conjunct.kl_types() == frozenset({"C"})
         assert conjunct.runtime_types() == ("A", "C", "B")
-        assert conjunct.planning_types() == ("A", "C'", "B")
-        assert conjunct.planning_to_runtime()["C'"] == "C"
-        assert conjunct.last_planning_type() == "B"
+        assert conjunct.last_type() == "B"
 
-    def test_last_planning_type_reflects_sequence_order(self):
+    def test_last_type_reflects_sequence_order(self):
         p = seq(Leaf("A", "a"), Leaf("C", "c", (KLEENE,)))
         (conjunct,) = normalize_pattern(p).conjuncts
-        assert conjunct.last_planning_type() == "C'"
+        assert conjunct.last_type() == "C"
         and_p = Pattern(OperatorNode(AND, (Leaf("A", "a"), Leaf("B", "b"))), (), 5.0)
         (and_conjunct,) = normalize_pattern(and_p).conjuncts
-        assert and_conjunct.last_planning_type() is None
+        assert and_conjunct.last_type() is None
 
-    def test_trailing_negation_last_planning_type_skips_it(self):
+    def test_trailing_negation_last_type_skips_it(self):
         p = seq(Leaf("A", "a"), Leaf("B", "b"), Leaf("N", "n", (NOT,)))
         (conjunct,) = normalize_pattern(p).conjuncts
-        assert conjunct.last_planning_type() == "B"
+        assert conjunct.last_type() == "B"
 
     def test_contiguity_pipeline_injects_serial_predicates(self):
         p = seq(
@@ -525,25 +509,17 @@ class TestPlanningCatalog:
     def test_temporal_predicates_scale_pair_selectivities(self):
         p = seq(Leaf("A", "a"), Leaf("B", "b"), Leaf("C", "c"))
         (conjunct,) = normalize_pattern(p).conjuncts
-        catalog, synthetics = planning_catalog(conjunct, self.STATS)
-        assert synthetics == ()
+        catalog = planning_catalog(conjunct, self.STATS)
+        assert catalog.rates == self.STATS.rates
         assert catalog.sel("A", "B") == 0.5 * DEFAULT_TEMPORAL_SELECTIVITY
         assert catalog.sel("B", "C") == DEFAULT_TEMPORAL_SELECTIVITY
         # non-adjacent pair untouched
         assert catalog.sel("A", "C") == 0.3
 
-    def test_temporal_selectivity_is_configurable(self):
-        p = seq(Leaf("A", "a"), Leaf("B", "b"))
-        (conjunct,) = normalize_pattern(p).conjuncts
-        catalog, _ = planning_catalog(conjunct, self.STATS, temporal_selectivity=0.25)
-        assert catalog.sel("A", "B") == 0.5 * 0.25
-
-    def test_kleene_synthetics_enter_the_catalog(self):
+    def test_kleene_rates_enter_the_catalog(self):
         p = seq(Leaf("A", "a"), Leaf("C", "c", (KLEENE,)))
         (conjunct,) = normalize_pattern(p).conjuncts
-        catalog, synthetics = planning_catalog(conjunct, self.STATS)
-        (syn,) = synthetics
-        assert syn.name == "C'"
-        assert catalog.rate("C'") == 2.0 ** 4.0 / 10.0
-        # pair selectivity copied, then the temporal factor applies to A-C'
-        assert catalog.sel("A", "C'") == 0.3 * DEFAULT_TEMPORAL_SELECTIVITY
+        catalog = planning_catalog(conjunct, self.STATS)
+        assert catalog.rate("C") == 2.0 ** 4.0 / 10.0
+        # the temporal factor applies to the Kleene type's own pair entry
+        assert catalog.sel("A", "C") == 0.3 * DEFAULT_TEMPORAL_SELECTIVITY
