@@ -13,11 +13,11 @@ plan's left-deep tree.
 """
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass
 from functools import partial
+from typing import Sequence
 
 from .cost import CostModel, CostObjective, FAMILY_ANY, FAMILY_NEXT
 from .matching import checkpoint_slots
@@ -116,26 +116,57 @@ def _search_greedy(model: CostModel) -> tuple[list[int], float, int]:
 
 
 def _neighbors(order: list[int]):
+    """Swaps, then forward and backward 3-cycles, each as (first moved
+    position, the moved span as it reads after the move)."""
     n = len(order)
     for i in range(n):
         for j in range(i + 1, n):
-            nxt = list(order)
-            nxt[i], nxt[j] = nxt[j], nxt[i]
-            yield nxt
+            span = order[i:j + 1]
+            span[0], span[-1] = span[-1], span[0]
+            yield i, span
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                forward = list(order)
-                forward[i], forward[j], forward[k] = order[j], order[k], order[i]
-                yield forward
-                backward = list(order)
-                backward[i], backward[j], backward[k] = order[k], order[i], order[j]
-                yield backward
+                forward = order[i:k + 1]
+                forward[0], forward[j - i], forward[-1] = order[j], order[k], order[i]
+                yield i, forward
+                backward = order[i:k + 1]
+                backward[0], backward[j - i], backward[-1] = order[k], order[i], order[j]
+                yield i, backward
+
+
+def _order_steps(
+    model: CostModel, order: list[int]
+) -> tuple[list[float], list[float], list[int]]:
+    """Step values, running totals and prefix sets of an order.
+
+    ``totals[k]`` and ``prefixes[k]`` hold the first k steps; the totals
+    add left to right, as ``order_total`` does.
+    """
+    steps: list[float] = []
+    totals = [model.zero]
+    prefixes = [0]
+    for i in order:
+        bit = 1 << i
+        step = model.step_cost(prefixes[-1], bit)
+        steps.append(step)
+        totals.append(model.add(totals[-1], step))
+        prefixes.append(prefixes[-1] | bit)
+    return steps, totals, prefixes
 
 
 def _search_ii(
     model: CostModel, seed: int, restarts: int, init: str
 ) -> tuple[list[int], float, int]:
+    """Iterative improvement: move to the cheapest neighbour until none is
+    cheaper.
+
+    A neighbour is priced from the current order's cached steps: the
+    running total before its first moved position, fresh steps over the
+    moved span, then the cached steps after it, whose prefix sets the move
+    leaves alone.  The additions run left to right, so every price equals
+    ``order_total`` of the neighbour.
+    """
     n = len(model.types)
     rng = random.Random(seed)
     candidates = 0
@@ -152,20 +183,31 @@ def _search_ii(
         else:
             order = list(range(n))
             rng.shuffle(order)
-        cost = model.order_total(_order_names(model, order))
+        steps, totals, prefixes = _order_steps(model, order)
+        cost = totals[-1]
         candidates += 1
         improved = True
         while improved:
             improved = False
-            move_order = None
+            move = None
             move_cost = cost
-            for neighbor in _neighbors(order):
-                c = model.order_total(_order_names(model, neighbor))
+            for first, span in _neighbors(order):
+                c = totals[first]
+                bits = prefixes[first]
+                for i in span:
+                    bit = 1 << i
+                    c = model.add(c, model.step_cost(bits, bit))
+                    bits |= bit
+                for step in steps[first + len(span):]:
+                    c = model.add(c, step)
                 candidates += 1
                 if c < move_cost:
-                    move_order, move_cost = neighbor, c
-            if move_order is not None:
-                order, cost = move_order, move_cost
+                    move, move_cost = (first, span), c
+            if move is not None:
+                first, span = move
+                order = order[:first] + span + order[first + len(span):]
+                steps, totals, prefixes = _order_steps(model, order)
+                cost = move_cost
                 improved = True
         if best_cost is None or cost < best_cost:
             best_order, best_cost = order, cost
@@ -200,42 +242,46 @@ def _search_dp_ld(model: CostModel, limit: int = DP_LD_LIMIT) -> tuple[list[int]
     return list(dp_order[full]), dp_cost[full], candidates
 
 
-def _interval_trees(
-    lo: int, hi: int, leaves: list[TreeNode], memo: dict
-) -> list[TreeNode]:
-    if (lo, hi) in memo:
-        return memo[(lo, hi)]
-    if hi - lo == 1:
-        out = [leaves[lo]]
-    else:
-        out = []
-        for split in range(lo + 1, hi):
-            for left in _interval_trees(lo, split, leaves, memo):
-                for right in _interval_trees(split, hi, leaves, memo):
-                    out.append(join(left, right))
-    memo[(lo, hi)] = out
-    return out
-
-
 def _search_zstream(
-    model: CostModel, leaf_names: tuple[str, ...]
+    model: CostModel, leaves: Sequence[int]
 ) -> tuple[TreeNode, float, int]:
-    leaves = [leaf(name) for name in leaf_names]
-    best = None
-    best_cost = None
-    count = 0
-    for tree in _interval_trees(0, len(leaves), leaves, {}):
-        count += 1
-        cost = model.tree_total(tree)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = tree, cost
-    return best, best_cost, count
+    """ZStream: the cheapest tree over a fixed leaf sequence, by an O(n^3)
+    dynamic program over its intervals.
+
+    Each interval keeps its first split of strictly lowest cost, priced as
+    ``tree_total`` associates it, so the tree and cost are the first
+    minimum among all trees over the sequence.  The count is the number
+    of splits priced.
+    """
+    n = len(leaves)
+    # (lo, hi) -> (cost, tree, leaf bits) of the best tree over leaves[lo:hi]
+    best = {
+        (lo, lo + 1): (model.node_pm(1 << i), leaf(model.types[i]), 1 << i)
+        for lo, i in enumerate(leaves)
+    }
+    candidates = 0
+    for width in range(2, n + 1):
+        for lo in range(n - width + 1):
+            hi = lo + width
+            choice = None
+            for split in range(lo + 1, hi):
+                left_cost, left_tree, left_bits = best[lo, split]
+                right_cost, right_tree, right_bits = best[split, hi]
+                cost = model.add(
+                    model.add(left_cost, right_cost), model.join_cost(left_bits, right_bits)
+                )
+                candidates += 1
+                if choice is None or cost < choice[0]:
+                    choice = (cost, join(left_tree, right_tree), left_bits | right_bits)
+            best[lo, hi] = choice
+    cost, tree, _ = best[0, n]
+    return tree, cost, candidates
 
 
 def _search_zstream_ord(model: CostModel) -> tuple[TreeNode, float, int]:
     """ZStream over the leaf sequence of the greedy order."""
     order, _, greedy_count = _search_greedy(model)
-    tree, cost, count = _search_zstream(model, _order_names(model, order))
+    tree, cost, count = _search_zstream(model, order)
     return tree, cost, count + greedy_count
 
 
@@ -295,7 +341,7 @@ _PLANNERS = {
         "order", partial(_search_ii, restarts=II_GREEDY_RESTARTS, init="greedy"), True
     ),
     "dp-ld": ("order", _search_dp_ld, False),
-    "zstream": ("tree", lambda model: _search_zstream(model, model.types), False),
+    "zstream": ("tree", lambda model: _search_zstream(model, range(len(model.types))), False),
     "zstream-ord": ("tree", _search_zstream_ord, False),
     "dp-b": ("tree", _search_dp_b, False),
 }
@@ -303,47 +349,6 @@ _PLANNERS = {
 ALGORITHM_NAMES = tuple(_PLANNERS)
 ORDER_ALGORITHMS = tuple(n for n, (kind, *_) in _PLANNERS.items() if kind == "order")
 TREE_ALGORITHMS = tuple(n for n, (kind, *_) in _PLANNERS.items() if kind == "tree")
-
-
-# ---------------------------------------------------------------------------
-# Brute-force references for the test suite's optimality checks
-
-
-def brute_force_order(model: CostModel) -> tuple[tuple[str, ...], float]:
-    best = None
-    best_cost = None
-    for perm in itertools.permutations(model.types):
-        cost = model.order_total(perm)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = perm, cost
-    return best, best_cost
-
-
-def _all_trees(bits: int, model: CostModel, memo: dict) -> list[tuple[TreeNode, int]]:
-    if bits in memo:
-        return memo[bits]
-    if bin(bits).count("1") == 1:
-        index = bits.bit_length() - 1
-        out = [(leaf(model.types[index]), bits)]
-    else:
-        out = []
-        for left_bits, right_bits in _submask_splits(bits):
-            for lt, _ in _all_trees(left_bits, model, memo):
-                for rt, _ in _all_trees(right_bits, model, memo):
-                    out.append((join(lt, rt), bits))
-    memo[bits] = out
-    return out
-
-
-def brute_force_tree(model: CostModel) -> tuple[TreeNode, float]:
-    full = (1 << len(model.types)) - 1
-    best = None
-    best_cost = None
-    for tree, _ in _all_trees(full, model, {}):
-        cost = model.tree_total(tree)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = tree, cost
-    return best, best_cost
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +558,8 @@ def _tree_to_json(node: TreeNode) -> dict:
 def _tree_from_json(data, where: str) -> TreeNode:
     if isinstance(data, dict):
         if "leaf" in data:
+            if not isinstance(data["leaf"], str):
+                raise DataError(f"plan {where}.leaf must be a string")
             return leaf(data["leaf"])
         if "left" in data and "right" in data:
             return join(
@@ -562,17 +569,29 @@ def _tree_from_json(data, where: str) -> TreeNode:
     raise DataError(f"plan {where} has neither 'leaf' nor both 'left' and 'right'")
 
 
+def _names_from_json(data, where: str) -> tuple[str, ...]:
+    if not isinstance(data, list) or not all(isinstance(n, str) for n in data):
+        raise DataError(f"plan {where} must be a list of strings")
+    return tuple(data)
+
+
 def _checkpoint_from_json(data, where: str) -> NegationCheckpoint:
     if not isinstance(data, dict):
         raise DataError(f"plan {where} must be an object")
     missing = [m for m in ("type", "alias", "position", "deps") if m not in data]
     if missing:
         raise DataError(f"plan {where} lacks {', '.join(map(repr, missing))}")
+    for member in ("type", "alias"):
+        if not isinstance(data[member], str):
+            raise DataError(f"plan {where}.{member} must be a string")
+    position = data["position"]
+    if type(position) is not int or position < 0:
+        raise DataError(f"plan {where}.position must be a non-negative integer")
     return NegationCheckpoint(
         type_name=data["type"],
         alias=data["alias"],
-        position=data["position"],
-        dependencies=tuple(data["deps"]),
+        position=position,
+        dependencies=_names_from_json(data["deps"], where + ".deps"),
     )
 
 
@@ -619,14 +638,16 @@ def bundle_from_json(data) -> PlanBundle:
         where = f"conjuncts[{index}]"
         if not isinstance(entry, dict):
             raise DataError(f"plan {where} must be an object")
-        kl = frozenset(entry.get("kl", ()))
+        kl = frozenset(_names_from_json(entry.get("kl", []), where + ".kl"))
         checkpoints = tuple(
             _checkpoint_from_json(c, f"{where}.checkpoints[{i}]")
             for i, c in enumerate(entry.get("checkpoints", ()))
         )
         if "order" in entry:
             plan: Plan = OrderPlan(
-                order=tuple(entry["order"]), kl_types=kl, checkpoints=checkpoints
+                order=_names_from_json(entry["order"], where + ".order"),
+                kl_types=kl,
+                checkpoints=checkpoints,
             )
         elif "tree" in entry:
             plan = TreePlan(

@@ -19,8 +19,10 @@ from .model import (
     Predicate,
     StatisticsCatalog,
     UnsupportedPatternError,
-    predicate_selectivity_key,
+    _NUMERIC,
+    _compare,
     evaluate_predicate,
+    predicate_selectivity_key,
 )
 from .transform import normalize_pattern
 
@@ -183,18 +185,59 @@ def generate_synthetic(config: SyntheticConfig) -> StreamSource:
 # Statistics estimation
 
 
-def _pairs_within(events_a: list[Event], events_b: list[Event], window: float):
-    """All (a, b) pairs whose timestamps differ by at most the window."""
-    start = 0
-    for a in events_a:
-        while start < len(events_b) and events_b[start].timestamp < a.timestamp - window:
+def _window_spans(events_a: list[Event], events_b: list[Event], window: float):
+    """Two-pointer walk: per event a, in order, ``(a, start, stop, own)``
+    where ``events_b[start:stop]`` are the events whose timestamps differ
+    from a's by at most the window.  ``own`` is a's index in events_b when
+    both lists are one type's events (a is never paired with itself; by
+    the stream contract serials are unique, so no other pair is lost),
+    else -1."""
+    same = events_a is events_b
+    size = len(events_b)
+    start = stop = 0
+    for index, a in enumerate(events_a):
+        while start < size and events_b[start].timestamp < a.timestamp - window:
             start += 1
-        i = start
-        while i < len(events_b) and events_b[i].timestamp <= a.timestamp + window:
-            b = events_b[i]
-            if b.serial != a.serial:
-                yield a, b
-            i += 1
+        stop = max(stop, start)
+        while stop < size and events_b[stop].timestamp <= a.timestamp + window:
+            stop += 1
+        yield a, start, stop, index if same else -1
+
+
+def _pairs_at(spans, events_b: list[Event], indices):
+    """The (a, b) pairs at the given ascending indices of the sequence the
+    spans enumerate: a's partners in window order, a after a."""
+    targets = iter(indices)
+    target = next(targets, None)
+    offset = 0
+    for a, start, stop, own in spans:
+        size = stop - start - (own >= 0)
+        while target is not None and target < offset + size:
+            j = start + target - offset
+            if 0 <= own <= j:
+                j += 1
+            yield a, events_b[j]
+            target = next(targets, None)
+        offset += size
+
+
+def _pair_test(predicate: Predicate):
+    """``evaluate_predicate`` of a two-alias predicate as a test that reads
+    the (left event, right event) pair directly: the same values, the
+    offset on numbers only, and ``_compare``'s semantics and errors."""
+    left_attr = predicate.left.attribute
+    right_attr = predicate.right.attribute
+    offset = predicate.right_offset
+    comparator = predicate.comparator
+
+    def test(a: Event, b: Event) -> bool:
+        lv = a.value(left_attr)
+        rv = b.value(right_attr)
+        if offset and isinstance(rv, _NUMERIC):
+            rv = rv + offset
+        return _compare(comparator, lv, rv)
+
+    return test
 
 
 def _type_resolved(predicate: Predicate, alias_types: dict[str, str]) -> tuple:
@@ -228,12 +271,14 @@ def estimate_statistics(
 
     The selectivity of a predicate is the satisfied fraction over sampled
     event pairs co-resident within the pattern's window (events of one
-    type for single-position filters).  Per catalog key, distinct
-    predicates multiply, matching the catalog's combined-selectivity
-    meaning; a repeated one counts once.  A predicate is identified by its
-    type-resolved form (each alias replaced by its type name), so a copy
-    in another pattern, under other aliases, is the same predicate; it is
-    measured under the window of the first pattern that names it.
+    type for single-position filters).  The in-window pairs are counted,
+    at most ``max_pairs`` of them drawn, and only those are built.  Per
+    catalog key, distinct predicates multiply, matching the catalog's
+    combined-selectivity meaning; a repeated one counts once.  A
+    predicate is identified by its type-resolved form (each alias
+    replaced by its type name), so a copy in another pattern, under other
+    aliases, is the same predicate; it is measured under the window of
+    the first pattern that names it.
     """
     if isinstance(patterns, Pattern):
         patterns = [patterns]
@@ -277,21 +322,20 @@ def estimate_statistics(
                 )
                 fraction = hits / len(sample)
             else:
-                first, second = aliases[0], aliases[1]
-                pairs = list(_pairs_within(
-                    by_type[alias_types[first]],
-                    by_type[alias_types[second]],
-                    pattern.window,
+                events_b = by_type[alias_types[aliases[1]]]
+                spans = list(_window_spans(
+                    by_type[alias_types[aliases[0]]], events_b, pattern.window
                 ))
-                if not pairs:
+                count = sum(stop - start - (own >= 0) for _, start, stop, own in spans)
+                if not count:
                     continue
-                if len(pairs) > max_pairs:
-                    pairs = rng.sample(pairs, max_pairs)
-                hits = sum(
-                    1 for a, b in pairs
-                    if evaluate_predicate(predicate, {first: a, second: b})
-                )
-                fraction = hits / len(pairs)
+                indices = range(count)
+                if count > max_pairs:
+                    # the same draw as sampling the materialised pair list
+                    indices = sorted(rng.sample(indices, max_pairs))
+                test = _pair_test(predicate)
+                hits = sum(1 for a, b in _pairs_at(spans, events_b, indices) if test(a, b))
+                fraction = hits / len(indices)
             sels[key] = sels.get(key, 1.0) * fraction
     return StatisticsCatalog(rates=rates, selectivities=sels)
 

@@ -1,6 +1,7 @@
 """Shared builders for the test suite: catalogs, patterns, streams, trees."""
 from __future__ import annotations
 
+import itertools
 import random
 
 from streamcep.model import (
@@ -113,6 +114,47 @@ def all_tree_shapes(names) -> list[TreeNode]:
             for right_node in all_tree_shapes(names[cut:]):
                 shapes.append(join(left_node, right_node))
     return shapes
+
+
+def first_minimum(candidates, price):
+    """The first candidate of least price, and that price."""
+    best = best_cost = None
+    for candidate in candidates:
+        cost = price(candidate)
+        if best_cost is None or cost < best_cost:
+            best, best_cost = candidate, cost
+    return best, best_cost
+
+
+def brute_force_order(model) -> tuple[tuple[str, ...], float]:
+    """The cheapest order of a CostModel's types, by enumeration."""
+    return first_minimum(itertools.permutations(model.types), model.order_total)
+
+
+def brute_force_tree(model) -> tuple[TreeNode, float]:
+    """The cheapest tree over a CostModel's types, by enumeration."""
+    trees = (
+        tree
+        for perm in itertools.permutations(model.types)
+        for tree in all_tree_shapes(perm)
+    )
+    return first_minimum(trees, model.tree_total)
+
+
+def pairs_within(events_a, events_b, window: float):
+    """All (a, b) pairs whose timestamps differ by at most the window, an
+    event never paired with itself: the pair list statistics estimation
+    samples from."""
+    start = 0
+    for a in events_a:
+        while start < len(events_b) and events_b[start].timestamp < a.timestamp - window:
+            start += 1
+        i = start
+        while i < len(events_b) and events_b[i].timestamp <= a.timestamp + window:
+            b = events_b[i]
+            if b.serial != a.serial:
+                yield a, b
+            i += 1
 
 
 def random_tree(names, rng: random.Random) -> TreeNode:

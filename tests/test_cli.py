@@ -7,6 +7,7 @@ from streamcep import cli
 
 PATTERN = "PATTERN SEQ(A a, B b) WITHIN 10 seconds"
 STREAM = "A,0,1.0\nB,1,2.0\n"
+CHECKPOINT = {"type": "N", "alias": "n", "position": 1, "deps": []}
 
 
 def run_with_plan(tmp_path, plan_doc):
@@ -38,6 +39,21 @@ def test_run_with_a_wellformed_plan_succeeds(tmp_path):
             "'alias'",
         ),
         ({"conjuncts": [{"tree": {"left": {"leaf": "A"}}}]}, "conjuncts[0].tree"),
+        ({"conjuncts": [{"order": "AB"}]}, "conjuncts[0].order"),
+        ({"conjuncts": [{"order": ["A", 2]}]}, "conjuncts[0].order"),
+        ({"conjuncts": [{"order": ["A", "B"], "kl": "B"}]}, "conjuncts[0].kl"),
+        ({"conjuncts": [{"order": ["A", "B"], "checkpoints": [CHECKPOINT | {"deps": "A"}]}]},
+         "conjuncts[0].checkpoints[0].deps"),
+        ({"conjuncts": [{"order": ["A", "B"], "checkpoints": [CHECKPOINT | {"position": "x"}]}]},
+         "conjuncts[0].checkpoints[0].position"),
+        ({"conjuncts": [{"order": ["A", "B"], "checkpoints": [CHECKPOINT | {"position": -1}]}]},
+         "conjuncts[0].checkpoints[0].position"),
+        ({"conjuncts": [{"order": ["A", "B"], "checkpoints": [CHECKPOINT | {"position": True}]}]},
+         "conjuncts[0].checkpoints[0].position"),
+        ({"conjuncts": [{"order": ["A", "B"], "checkpoints": [CHECKPOINT | {"alias": 1}]}]},
+         "conjuncts[0].checkpoints[0].alias"),
+        ({"conjuncts": [{"tree": {"left": {"leaf": "A"}, "right": {"leaf": ["B"]}}}]},
+         "conjuncts[0].tree.right.leaf"),
     ],
 )
 def test_malformed_plan_file_is_a_data_error(tmp_path, capsys, doc, member):

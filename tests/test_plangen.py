@@ -4,7 +4,9 @@ The three-type catalog is the same worked example as in the cost tests
 (W = 10, rates 1/2/4, selectivities AB 0.5, AC 0.1, BC 1.0), so the
 expected orders, trees, and totals are hand-checkable.
 """
+import itertools
 import json
+import math
 import random
 
 import pytest
@@ -33,20 +35,27 @@ from streamcep.plangen import (
     ALGORITHM_NAMES,
     DP_B_LIMIT,
     DP_LD_LIMIT,
+    II_GREEDY_RESTARTS,
+    II_RANDOM_RESTARTS,
     ORDER_ALGORITHMS,
     TREE_ALGORITHMS,
-    brute_force_order,
-    brute_force_tree,
     bundle_from_json,
     bundle_to_json,
     conjunct_model,
+    family_for,
     finalize_plan,
     generate_plan,
     plan_cost,
 )
 from streamcep.transform import normalize_pattern
 
-from helpers import all_tree_shapes, random_catalog
+from helpers import (
+    all_tree_shapes,
+    brute_force_order,
+    brute_force_tree,
+    first_minimum,
+    random_catalog,
+)
 
 W = 10.0
 STATS = StatisticsCatalog(
@@ -111,13 +120,6 @@ class TestWorkedExamplePlans:
             frozenset({"A", "B", "C"}),
         }
         assert plan_cost(plan, P_ABC, STATS) == 570.0
-
-    def test_zstream_candidate_count_is_shape_count(self):
-        for n in (3, 4, 5):
-            types = [chr(ord("A") + i) for i in range(n)]
-            stats = StatisticsCatalog(rates={t: 1.0 for t in types})
-            bundle = generate_plan(and_pattern(*types), stats, "zstream")
-            assert bundle.conjuncts[0].report.candidates == len(all_tree_shapes(types))
 
     def test_zstream_reordered_reaches_the_better_tree(self):
         plan = plan_of(P_ABC, STATS, "zstream-ord")
@@ -187,6 +189,117 @@ class TestSearchProperties:
             for algorithm in ("trivial", "efreq", "greedy", "ii-random", "ii-greedy"):
                 got = generate_plan(pattern, stats, algorithm, seed=9)
                 assert got.conjuncts[0].report.cost >= best - 1e-9 * abs(best)
+
+
+def reference_ii(model, seed, restarts, init_order=None):
+    """Iterative improvement that prices every neighbour with
+    ``order_total``; ``init_order`` starts each restart from a fixed order
+    in place of a seeded shuffle."""
+    rng = random.Random(seed)
+
+    def names(order):
+        return tuple(model.types[i] for i in order)
+
+    candidates = 0
+    best_order = best_cost = None
+    for _ in range(restarts):
+        if init_order is None:
+            order = list(range(len(model.types)))
+            rng.shuffle(order)
+        else:
+            order = list(init_order)
+        cost = model.order_total(names(order))
+        candidates += 1
+        while True:
+            neighbours = []
+            n = len(order)
+            for i, j in itertools.combinations(range(n), 2):
+                nxt = list(order)
+                nxt[i], nxt[j] = nxt[j], nxt[i]
+                neighbours.append(nxt)
+            for i, j, k in itertools.combinations(range(n), 3):
+                for a, b, c in ((j, k, i), (k, i, j)):
+                    nxt = list(order)
+                    nxt[i], nxt[j], nxt[k] = order[a], order[b], order[c]
+                    neighbours.append(nxt)
+            move, move_cost = None, cost
+            for nxt in neighbours:
+                c = model.order_total(names(nxt))
+                candidates += 1
+                if c < move_cost:
+                    move, move_cost = nxt, c
+            if move is None:
+                break
+            order, cost = move, move_cost
+        if best_cost is None or cost < best_cost:
+            best_order, best_cost = order, cost
+    return names(best_order), float(model.value(best_cost)), candidates
+
+
+def kleene_and_pattern(types, kleene_type):
+    leaves = tuple(
+        Leaf(t, t.lower(), (KLEENE,) if t == kleene_type else ()) for t in types
+    )
+    return Pattern(OperatorNode(AND, leaves), (), W)
+
+
+class TestSearchesAgainstReferences:
+    def cases(self):
+        """(pattern, stats) pairs: random catalogs of 4-7 types under both
+        cost families, and a Kleene catalog whose subset rate forces the
+        log2 path."""
+        rng = random.Random(21)
+        for n in (4, 5, 6, 7):
+            stats = random_catalog(rng, n)
+            pattern = and_pattern(*stats.type_names())
+            yield pattern, stats
+            yield pattern.with_strategy(SelectionStrategy(NEXT_MATCH)), stats
+        stats = random_catalog(rng, 6)
+        stats = StatisticsCatalog(
+            rates={**stats.rates, "C": 120.0}, selectivities=stats.selectivities
+        )
+        yield kleene_and_pattern(stats.type_names(), "C"), stats
+
+    def model_of(self, pattern, stats, alpha):
+        conjunct = normalize_pattern(pattern).conjuncts[0]
+        return conjunct_model(conjunct, stats, family_for(pattern.strategy), alpha)
+
+    def test_the_kleene_case_is_planned_in_log_space(self):
+        *_, (pattern, stats) = self.cases()
+        assert self.model_of(pattern, stats, 0.0).log_space
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_zstream_dp_is_the_first_minimum_of_all_trees(self, alpha):
+        rng = random.Random(17)
+        for n in range(3, 9):
+            for _ in range(3):
+                stats = random_catalog(rng, n)
+                for strategy in (SelectionStrategy(), SelectionStrategy(NEXT_MATCH)):
+                    pattern = and_pattern(*stats.type_names()).with_strategy(strategy)
+                    model = self.model_of(pattern, stats, alpha)
+                    best, best_cost = first_minimum(
+                        all_tree_shapes(model.types), model.tree_total
+                    )
+                    (planned,) = generate_plan(pattern, stats, "zstream", alpha).conjuncts
+                    assert planned.plan.root == best
+                    assert planned.report.cost == float(model.value(best_cost))
+                    assert planned.report.candidates == math.comb(n + 1, 3)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_incremental_ii_equals_full_repricing(self, alpha):
+        for pattern, stats in self.cases():
+            model = self.model_of(pattern, stats, alpha)
+            for seed in (0, 1, 7):
+                (got,) = generate_plan(pattern, stats, "ii-random", alpha, seed).conjuncts
+                want = reference_ii(model, seed, II_RANDOM_RESTARTS)
+                assert (got.plan.order, got.report.cost, got.report.candidates) == want
+            (greedy,) = generate_plan(pattern, stats, "greedy", alpha).conjuncts
+            init = [model.bit_of(t) for t in greedy.plan.order]
+            order, cost, count = reference_ii(model, 0, II_GREEDY_RESTARTS, init)
+            (got,) = generate_plan(pattern, stats, "ii-greedy", alpha).conjuncts
+            assert (got.plan.order, got.report.cost, got.report.candidates) == (
+                order, cost, count + greedy.report.candidates
+            )
 
 
 class TestLimits:

@@ -1,4 +1,6 @@
 """Event sources, measured statistics, and the arrival-order profiler."""
+import random
+
 import pytest
 
 from streamcep.model import (
@@ -14,6 +16,8 @@ from streamcep.model import (
     AND,
     OR,
     UnsupportedPatternError,
+    evaluate_predicate,
+    predicate_selectivity_key,
 )
 from streamcep.oracle import oracle_match
 from streamcep.stream import (
@@ -27,7 +31,7 @@ from streamcep.stream import (
     profile_output,
 )
 
-from helpers import seq_pattern
+from helpers import pairs_within, seq_pattern
 
 
 def ev(type_name, ts, serial, **attrs):
@@ -264,6 +268,88 @@ class TestEstimateStatistics:
         assert estimate_statistics(
             self.hand_stream(), [narrow, wide]
         ).sel("A", "B") == pytest.approx(3.0 / 5.0)
+
+
+def reference_selectivities(source, pattern, max_pairs, seed):
+    """Selectivities measured by materialising every in-window pair and
+    sampling that list, for a pattern whose predicates are distinct."""
+    by_type = {}
+    for event in source.events:
+        by_type.setdefault(event.type_name, []).append(event)
+    rng = random.Random(seed)
+    alias_types = pattern.alias_types()
+    sels = {}
+    for pred in pattern.predicates:
+        aliases = pred.aliases()
+        if len(aliases) == 1:
+            sample = by_type[alias_types[aliases[0]]]
+            if len(sample) > max_pairs:
+                sample = rng.sample(sample, max_pairs)
+            bindings = [{aliases[0]: e} for e in sample]
+        else:
+            first, second = aliases
+            pairs = list(pairs_within(
+                by_type[alias_types[first]], by_type[alias_types[second]], pattern.window
+            ))
+            if not pairs:
+                continue
+            if len(pairs) > max_pairs:
+                pairs = rng.sample(pairs, max_pairs)
+            bindings = [{first: a, second: b} for a, b in pairs]
+        hits = sum(1 for b in bindings if evaluate_predicate(pred, b))
+        key = predicate_selectivity_key(pattern, pred)
+        sels[key] = sels.get(key, 1.0) * (hits / len(bindings))
+    return sels
+
+
+class TestPairSampling:
+    def stream(self):
+        config = SyntheticConfig(
+            rates={"A": 3.0, "B": 2.0, "C": 1.0}, duration=60.0, seed=3,
+            attributes={"x": (0.0, 1.0), "y": (0.0, 1.0)},
+        )
+        return generate_synthetic(config)
+
+    def pattern(self):
+        # two positions of one type, an offset, a timestamp, and filters
+        preds = (
+            Predicate(AttrRef("a1", "x"), "<", AttrRef("b", "x")),
+            Predicate(AttrRef("a1", "x"), "<", AttrRef("a2", "x"), right_offset=0.1),
+            Predicate(AttrRef("b", "y"), ">=", AttrRef("c", "x")),
+            Predicate(AttrRef("a2", "ts"), "<", AttrRef("c", "ts")),
+            Predicate(AttrRef("c", "x"), ">", Literal(0.3)),
+            Predicate(AttrRef("a1", "x"), "!=", AttrRef("a1", "y")),
+        )
+        leaves = (Leaf("A", "a1"), Leaf("B", "b"), Leaf("A", "a2"), Leaf("C", "c"))
+        return Pattern(OperatorNode(SEQ, leaves), preds, 2.0)
+
+    @pytest.mark.parametrize("max_pairs", [7, 50, 100_000])
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_counted_sampling_equals_sampling_the_pair_list(self, max_pairs, seed):
+        source, pattern = self.stream(), self.pattern()
+        got = estimate_statistics(source, pattern, max_pairs=max_pairs, seed=seed)
+        want = reference_selectivities(source, pattern, max_pairs, seed)
+        assert got.selectivities == want
+        assert len(want) == 5  # (A, B), (A,), (B, C), (A, C) and (C,)
+
+    def hand_stream(self, b_attrs):
+        events = [ev("A", 0.0, 0, x=0.1), ev("B", 1.0, 1, **b_attrs)]
+        return from_events(events, duration=2.0)
+
+    def test_missing_attribute_on_a_pair_is_a_data_error(self):
+        p = seq_pattern(("A", "B"), 4.0, [Predicate(AttrRef("a", "x"), "<", AttrRef("b", "x"))])
+        with pytest.raises(DataError, match="no attribute 'x'"):
+            estimate_statistics(self.hand_stream({"y": 1.0}), p)
+
+    def test_text_ordering_on_a_pair_is_unsupported(self):
+        p = seq_pattern(("A", "B"), 4.0, [Predicate(AttrRef("a", "x"), "<", AttrRef("b", "x"))])
+        with pytest.raises(UnsupportedPatternError, match="text"):
+            estimate_statistics(self.hand_stream({"x": "up"}), p)
+
+    def test_text_equality_on_a_pair_is_measured(self):
+        p = seq_pattern(("A", "B"), 4.0, [Predicate(AttrRef("a", "x"), "!=", AttrRef("b", "x"))])
+        stats = estimate_statistics(self.hand_stream({"x": "up"}), p)
+        assert stats.sel("A", "B") == 1.0
 
 
 class TestProfileOutput:
