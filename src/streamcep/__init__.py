@@ -58,27 +58,16 @@ from .plangen import (
 )
 from .nfa import DEFAULT_KL_CAP, NfaEngine
 from .tree_engine import TreeEngine
-from .runner import PatternRunner, RunResult, run_pattern
+from .runner import PatternRunner, RunResult
 from .oracle import oracle_match
 from .stream import (
-    ArrivalOrderProfile,
     StreamSource,
     SyntheticConfig,
     estimate_statistics,
     from_events,
     generate_synthetic,
     ingest_csv,
-    profile_output,
 )
-from .bench import (
-    FAMILIES,
-    BenchmarkRow,
-    WorkloadSpec,
-    builtin_corpus,
-    corpus_stream,
-    generate_workload,
-    run_benchmark,
-    verify_pattern,
-)
+from .corpus import FAMILIES, builtin_corpus, corpus_stream, verify_pattern
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Command-line interface: optimize, run, bench, stats, verify.
+"""Command-line interface: optimize, run, stats, verify.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
 failure, 4 resource limit.
@@ -11,24 +11,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .bench import (
-    ENGINES,
-    FAMILIES,
-    WorkloadSpec,
-    aggregate_csv,
-    aggregate_rows,
-    aggregate_text,
-    bench_stream,
-    builtin_corpus,
-    corpus_stream,
-    generate_workload,
-    match_file_name,
-    plan_file_name,
-    plan_json_text,
-    rows_to_csv,
-    run_benchmark,
-    verify_pattern,
-)
+from .corpus import ENGINES, builtin_corpus, corpus_stream, verify_pattern
 from .model import (
     OrderPlan,
     ResourceLimitError,
@@ -73,20 +56,6 @@ def _strategy(text: str) -> SelectionStrategy:
         return SelectionStrategy(kind, key or None)
     except StreamCepError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _sizes(text: str) -> tuple[int, ...]:
-    out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            out.append(int(part))
-    if not out:
-        raise argparse.ArgumentTypeError("no sizes given")
-    return tuple(out)
 
 
 def _names(text: str, known, label: str) -> tuple[str, ...]:
@@ -141,6 +110,10 @@ def _plan_summary(bundle) -> str:
     return "\n".join(lines) + "\n"
 
 
+def plan_json_text(plan_json: dict) -> str:
+    return json.dumps(plan_json, sort_keys=True, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -186,77 +159,6 @@ def cmd_stats(args) -> int:
         source, patterns, max_pairs=args.max_pairs, seed=args.seed,
     )
     _write(args.out, catalog.to_json() + "\n")
-    return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    spec = WorkloadSpec(
-        families=args.families,
-        sizes=args.sizes,
-        patterns_per_size=args.patterns_per_size,
-        window=args.window if args.window is not None else 20.0,
-        strategy=args.strategy or SelectionStrategy(),
-        seed=args.seed,
-    )
-    if args.stream is not None:
-        source = ingest_csv(args.stream)
-        patterns = generate_workload(spec, universe=source.type_names())
-    else:
-        source = bench_stream(spec, duration=args.duration)
-        patterns = None
-    alphas = (0.0, 0.5, 1.0) if args.alpha_sweep else (args.alpha,)
-    out_dir = args.out
-    result = run_benchmark(
-        spec, source,
-        algorithms=args.algorithms,
-        engines=args.engines,
-        alphas=alphas,
-        kl_cap=args.kl_cap,
-        collect_matches=out_dir is not None,
-        patterns=patterns,
-    )
-    csv_text = rows_to_csv(result.rows)
-    sys.stdout.write(csv_text)
-    for group_by in ("family", "size"):
-        agg = aggregate_rows(result.rows, group_by)
-        sys.stderr.write(aggregate_text(agg, group_by))
-        sys.stderr.write("\n")
-    if out_dir is not None:
-        os.makedirs(os.path.join(out_dir, "plans"), exist_ok=True)
-        os.makedirs(os.path.join(out_dir, "matches"), exist_ok=True)
-        _write(os.path.join(out_dir, "rows.csv"), csv_text)
-        for group_by in ("family", "size"):
-            agg = aggregate_rows(result.rows, group_by)
-            _write(
-                os.path.join(out_dir, f"aggregate_{group_by}.csv"),
-                aggregate_csv(agg, group_by),
-            )
-            _write(
-                os.path.join(out_dir, f"aggregate_{group_by}.txt"),
-                aggregate_text(agg, group_by),
-            )
-        written = set()
-        for cell in result.cells:
-            row = cell.row
-            if cell.plan_json is not None:
-                name = plan_file_name(row.pattern_id, row.algorithm, row.alpha)
-                if name not in written:
-                    written.add(name)
-                    _write(
-                        os.path.join(out_dir, "plans", name),
-                        plan_json_text(cell.plan_json),
-                    )
-            if cell.match_lines is not None:
-                name = match_file_name(
-                    row.pattern_id, row.algorithm, row.engine, row.alpha
-                )
-                _write(
-                    os.path.join(out_dir, "matches", name),
-                    "".join(line + "\n" for line in cell.match_lines),
-                )
-    failures = sum(1 for row in result.rows if not row.ok)
-    if failures:
-        sys.stderr.write(f"{failures} cell(s) failed; see status column\n")
     return EXIT_OK
 
 
@@ -323,12 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, window=True, seed=True):
-        if window:
-            p.add_argument("--window", type=float, default=None,
-                           help="override the pattern's window (seconds)")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
+    def common(p):
+        p.add_argument("--window", type=float, default=None,
+                       help="override the pattern's window (seconds)")
+        p.add_argument("--seed", type=int, default=0)
 
     opt = sub.add_parser("optimize", help="plan a pattern against a statistics file")
     opt.add_argument("pattern", help="pattern file")
@@ -359,31 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--out", default=None, help="statistics file (default: stdout)")
     common(stats)
     stats.set_defaults(func=cmd_stats)
-
-    bench = sub.add_parser("bench", help="benchmark algorithms over a workload")
-    bench.add_argument("--families", type=lambda t: _names(t, FAMILIES, "family"),
-                       default=FAMILIES)
-    bench.add_argument("--sizes", type=_sizes, default=(3, 4, 5))
-    bench.add_argument("--patterns-per-size", type=int, default=1)
-    bench.add_argument("--strategy", type=_strategy, default=None)
-    bench.add_argument("--algorithm", dest="algorithms",
-                       type=lambda t: _names(t, ALGORITHM_NAMES, "algorithm"),
-                       default=ALGORITHM_NAMES)
-    bench.add_argument("--engine", dest="engines",
-                       type=lambda t: _names(t, ENGINES, "engine"),
-                       default=ENGINES)
-    bench.add_argument("--alpha", type=float, default=0.0)
-    bench.add_argument("--alpha-sweep", action="store_true",
-                       help="run alpha in {0, 0.5, 1}")
-    bench.add_argument("--duration", type=float, default=240.0,
-                       help="synthetic stream length (seconds)")
-    bench.add_argument("--stream", default=None,
-                       help="CSV stream to use instead of a synthetic one")
-    bench.add_argument("--kl-cap", type=int, default=DEFAULT_KL_CAP)
-    bench.add_argument("--out", default=None,
-                       help="directory for rows, aggregates, plans, matches")
-    common(bench)
-    bench.set_defaults(func=cmd_bench)
 
     verify = sub.add_parser("verify", help="compare engines against exhaustive matching")
     verify.add_argument("pattern", nargs="?", default=None, help="pattern file")

@@ -7,8 +7,8 @@ step their type enters.  Trees are charged per node: a leaf holds ``W*r``
 events, an internal node ``PM(left)*PM(right)*SEL`` where SEL multiplies the
 selectivities of every predicate crossing the two subtrees.
 
-``CostModel`` is the one evaluator: every planner, ``plan_cost`` and the
-bench charge plans through it.  Its ``CostObjective`` selects the
+``CostModel`` is the one evaluator: every planner and ``plan_cost``
+charge plans through it.  Its ``CostObjective`` selects the
 skip-till-any-match or skip-till-next-match partial-match model and an
 optional detection-latency term (the hybrid cost).  ``cost_ldj`` and
 ``cost_bj`` are the relational references, left-deep and bushy join cost

@@ -174,9 +174,3 @@ class PatternRunner:
             engine_metrics=[e.metrics for e in self.engines],
             wall_time=wall,
         )
-
-
-def run_pattern(pattern: Pattern, bundle: PlanBundle, events,
-                engine: str = "auto", kl_cap: int = DEFAULT_KL_CAP) -> RunResult:
-    """One-shot convenience wrapper around :class:`PatternRunner`."""
-    return PatternRunner(pattern, bundle, engine=engine, kl_cap=kl_cap).run(events)

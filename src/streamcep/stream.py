@@ -1,4 +1,4 @@
-"""Event sources, statistics estimation, and the arrival-order profiler.
+"""Event sources, synthetic streams, and statistics estimation.
 
 Sources materialize their events (desk scale) and guarantee the stream
 contract: non-decreasing timestamps, strictly increasing serials.
@@ -14,17 +14,14 @@ from .model import (
     DataError,
     Event,
     Literal,
-    MatchReport,
     Pattern,
     Predicate,
     StatisticsCatalog,
-    UnsupportedPatternError,
     _NUMERIC,
     _compare,
     evaluate_predicate,
     predicate_selectivity_key,
 )
-from .transform import normalize_pattern
 
 CSV_COLUMNS = ("identifier", "timestamp", "price")
 
@@ -44,9 +41,6 @@ class StreamSource:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def type_names(self) -> tuple[str, ...]:
-        return tuple(sorted({e.type_name for e in self.events}))
 
 
 def _check_monotone(events: list[Event], origin: str) -> None:
@@ -80,13 +74,12 @@ def from_events(events, duration: float | None = None,
 # CSV ingestion
 
 
-def ingest_csv(path: str, schema: set[str] | None = None) -> StreamSource:
+def ingest_csv(path: str) -> StreamSource:
     """Read an ``identifier,timestamp,price`` file into typed events.
 
     Each identifier becomes an event type; a ``difference`` attribute
     carries the price change against the previous event of the same
-    identifier (0 for the first).  ``schema`` optionally restricts which
-    identifiers are kept.
+    identifier (0 for the first).
     """
     events: list[Event] = []
     last_price: dict[str, float] = {}
@@ -108,8 +101,6 @@ def ingest_csv(path: str, schema: set[str] | None = None) -> StreamSource:
                 price = float(row[2])
             except ValueError as exc:
                 raise DataError(f"{path}:{line}: {exc}") from None
-            if schema is not None and identifier not in schema:
-                continue
             previous = last_price.get(identifier)
             difference = 0.0 if previous is None else price - previous
             last_price[identifier] = price
@@ -134,7 +125,7 @@ class SyntheticConfig:
     """Poisson arrivals per type with uniform attribute values.
 
     ``attributes`` maps attribute name to a uniform (low, high) range,
-    shared by all types unless overridden per type in ``type_attributes``.
+    shared by all types.
     """
 
     rates: dict[str, float]
@@ -142,9 +133,6 @@ class SyntheticConfig:
     seed: int = 0
     attributes: dict[str, tuple[float, float]] = field(
         default_factory=lambda: {"x": (0.0, 1.0)}
-    )
-    type_attributes: dict[str, dict[str, tuple[float, float]]] = field(
-        default_factory=dict
     )
 
     def __post_init__(self) -> None:
@@ -161,8 +149,6 @@ def generate_synthetic(config: SyntheticConfig) -> StreamSource:
     pending: list[tuple[float, str, dict]] = []
     for type_name in sorted(config.rates):
         rate = config.rates[type_name]
-        specs = dict(config.attributes)
-        specs.update(config.type_attributes.get(type_name, {}))
         ts = 0.0
         while True:
             ts += rng.expovariate(rate)
@@ -170,7 +156,7 @@ def generate_synthetic(config: SyntheticConfig) -> StreamSource:
                 break
             attrs = {
                 name: rng.uniform(lo, hi)
-                for name, (lo, hi) in sorted(specs.items())
+                for name, (lo, hi) in sorted(config.attributes.items())
             }
             pending.append((ts, type_name, attrs))
     pending.sort(key=lambda item: (item[0], item[1]))
@@ -338,53 +324,3 @@ def estimate_statistics(
                 fraction = hits / len(indices)
             sels[key] = sels.get(key, 1.0) * fraction
     return StatisticsCatalog(rates=rates, selectivities=sels)
-
-
-# ---------------------------------------------------------------------------
-# Output profiler
-
-
-@dataclass(frozen=True)
-class ArrivalOrderProfile:
-    """Frequency of each temporal arrival order among full matches."""
-
-    counts: dict[tuple[str, ...], int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def mode(self) -> tuple[str, ...] | None:
-        """Most frequent arrival order; ties break lexicographically."""
-        if not self.counts:
-            return None
-        return min(self.counts, key=lambda k: (-self.counts[k], k))
-
-
-def profile_output(reports: list[MatchReport], pattern: Pattern) -> ArrivalOrderProfile:
-    """Count, per full match, the order in which its types arrived.
-
-    Arrival order is serial order (the stream contract ties serials to
-    non-decreasing time); a type appears at its first contributing event.
-    """
-    norm = normalize_pattern(pattern)
-    if len(norm.conjuncts) != 1:
-        raise UnsupportedPatternError(
-            "arrival profiles are defined for conjunctive patterns"
-        )
-    alias_types = norm.conjuncts[0].core.alias_types()
-    counts: dict[tuple[str, ...], int] = {}
-    for report in reports:
-        serial_alias: dict[int, str] = {}
-        for alias, serials in report.groups:
-            for serial in serials:
-                serial_alias[serial] = alias
-        order: list[str] = []
-        for serial in sorted(serial_alias):
-            name = alias_types.get(serial_alias[serial])
-            if name is not None and name not in order:
-                order.append(name)
-        key = tuple(order)
-        counts[key] = counts.get(key, 0) + 1
-    return ArrivalOrderProfile(counts=counts)

@@ -1,4 +1,5 @@
-"""Command-line exit codes."""
+"""Command-line subcommands and exit codes."""
+import argparse
 import json
 
 import pytest
@@ -60,3 +61,21 @@ def test_malformed_plan_file_is_a_data_error(tmp_path, capsys, doc, member):
     assert run_with_plan(tmp_path, doc) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: plan ") and member in err
+
+
+def test_subcommands_are_optimize_run_stats_verify():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == ["optimize", "run", "stats", "verify"]
+
+
+def test_bench_is_not_a_subcommand(capsys):
+    assert cli.main(["bench"]) == cli.EXIT_USAGE
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_verify_corpus_passes_every_cell(capsys):
+    assert cli.main(["verify", "--corpus"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 225
+    assert all(line.startswith("PASS ") for line in lines)

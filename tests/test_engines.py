@@ -37,7 +37,7 @@ from streamcep.plangen import (
     PlanSearchReport,
     generate_plan,
 )
-from streamcep.runner import PatternRunner, run_pattern
+from streamcep.runner import PatternRunner
 from streamcep.transform import normalize_pattern
 from streamcep.tree_engine import TreeStructure
 
@@ -66,7 +66,7 @@ def bundle_for(pattern, algorithm="trivial", stats=None, **kwargs):
 
 def run_keys(pattern, events, algorithm="trivial", engine="auto", **kwargs):
     bundle = bundle_for(pattern, algorithm)
-    return match_keys(run_pattern(pattern, bundle, events, engine=engine, **kwargs).reports)
+    return match_keys(PatternRunner(pattern, bundle, engine=engine, **kwargs).run(events).reports)
 
 
 class TestBasicAgreement:
@@ -94,7 +94,7 @@ class TestBasicAgreement:
         events = [ev("A", 0.0, 0)] + [
             ev("A", 5.0 + i, 1 + i) for i in range(3)
         ] + [ev("B", 7.8, 4)]
-        result = run_pattern(p, bundle_for(p), events)
+        result = PatternRunner(p, bundle_for(p)).run(events)
         # only the A at 7.0 is within 1.0 of the B at 7.8
         assert match_keys(result.reports) == {(3, 4)}
         # the three stale opens must not survive until the end
@@ -238,7 +238,7 @@ class TestKleene:
         events = [ev("A", 0.0, 0), ev("K", 1.0, 1), ev("K", 2.0, 2), ev("B", 3.0, 3)]
         expected = {(0, 1, 3), (0, 2, 3), (0, 1, 2, 3)}
         for engine in ("auto", "tree"):
-            result = run_pattern(self.P, bundle_for(self.P), events, engine=engine)
+            result = PatternRunner(self.P, bundle_for(self.P), engine=engine).run(events)
             assert match_keys(result.reports) == expected
             assert grouped_keys(result.reports) == grouped_keys(oracle_match(self.P, events))
 
@@ -246,8 +246,8 @@ class TestKleene:
         events = [ev("A", 0.0, 0)]
         events += [ev("K", 1.0 + 0.1 * i, 1 + i) for i in range(5)]
         events += [ev("B", 2.0, 6)]
-        capped = run_pattern(self.P, bundle_for(self.P), events, kl_cap=3)
-        full = run_pattern(self.P, bundle_for(self.P), events, kl_cap=16)
+        capped = PatternRunner(self.P, bundle_for(self.P), kl_cap=3).run(events)
+        full = PatternRunner(self.P, bundle_for(self.P), kl_cap=16).run(events)
         assert capped.kl_overflows > 0
         assert capped.matches < full.matches
         assert full.kl_overflows == 0
@@ -267,15 +267,15 @@ class TestPlanInvariance:
                 ("zstream", "tree"), ("dp-b", "tree"),
             ):
                 bundle = generate_plan(pattern, stats, algorithm)
-                result = run_pattern(pattern, bundle, events, engine=engine)
+                result = PatternRunner(pattern, bundle, engine=engine).run(events)
                 assert grouped_keys(result.reports) == expected, (trial, algorithm)
 
     def test_order_plan_runs_on_the_tree_engine(self):
         p = seq_pattern(("A", "B", "C"), 10.0)
         events = [ev("A", 0.0, 0), ev("B", 1.0, 1), ev("C", 2.0, 2), ev("B", 2.5, 3), ev("C", 3.0, 4)]
         bundle = bundle_for(p, "dp-ld")
-        nfa_result = run_pattern(p, bundle, events, engine="nfa")
-        tree_result = run_pattern(p, bundle, events, engine="tree")
+        nfa_result = PatternRunner(p, bundle, engine="nfa").run(events)
+        tree_result = PatternRunner(p, bundle, engine="tree").run(events)
         assert match_keys(nfa_result.reports) == match_keys(tree_result.reports)
 
     def test_nfa_refuses_tree_plans(self):
@@ -338,7 +338,7 @@ class TestMetrics:
     def test_event_and_match_counts(self):
         p = seq_pattern(("A", "B"), 10.0)
         events = [ev("A", 0.0, 0), ev("B", 1.0, 1)]
-        result = run_pattern(p, bundle_for(p), events)
+        result = PatternRunner(p, bundle_for(p)).run(events)
         metrics = result.engine_metrics[0]
         assert result.events == 2
         assert metrics.events == 2
@@ -348,7 +348,7 @@ class TestMetrics:
 
     def test_tree_counts_lone_leaves_as_buffered(self):
         p = Pattern(OperatorNode(AND, (Leaf("A", "a"), Leaf("B", "b"))), (), 10.0)
-        result = run_pattern(p, bundle_for(p, "dp-b"), [ev("A", 0.0, 0)], engine="tree")
+        result = PatternRunner(p, bundle_for(p, "dp-b"), engine="tree").run([ev("A", 0.0, 0)])
         metrics = result.engine_metrics[0]
         assert metrics.buffered >= 1
         assert metrics.live_partials == 0
@@ -358,13 +358,13 @@ class TestMetrics:
     def test_memory_peak_tracks_joint_state(self):
         p = seq_pattern(("A", "B"), 4.0)
         events = [ev("A", 0.0, i) for i in range(4)] + [ev("B", 1.0, 4)]
-        result = run_pattern(p, bundle_for(p), events)
+        result = PatternRunner(p, bundle_for(p)).run(events)
         assert result.memory_peak >= 4
         assert result.engine_metrics[0].peak_partials >= 4
 
     def test_wall_time_and_throughput(self):
         p = seq_pattern(("A", "B"), 10.0)
         events = [ev("A", 0.0, 0), ev("B", 1.0, 1)]
-        result = run_pattern(p, bundle_for(p), events)
+        result = PatternRunner(p, bundle_for(p)).run(events)
         assert result.wall_time > 0.0
         assert result.throughput == result.events / result.wall_time

@@ -1,4 +1,4 @@
-"""Event sources, measured statistics, and the arrival-order profiler."""
+"""Event sources, synthetic streams, and measured statistics."""
 import random
 
 import pytest
@@ -13,22 +13,17 @@ from streamcep.model import (
     Pattern,
     Predicate,
     SEQ,
-    AND,
-    OR,
     UnsupportedPatternError,
     evaluate_predicate,
     predicate_selectivity_key,
 )
-from streamcep.oracle import oracle_match
 from streamcep.stream import (
-    ArrivalOrderProfile,
     SyntheticConfig,
     StreamSource,
     estimate_statistics,
     from_events,
     generate_synthetic,
     ingest_csv,
-    profile_output,
 )
 
 from helpers import pairs_within, seq_pattern
@@ -43,7 +38,7 @@ class TestFromEvents:
         source = from_events([ev("A", 1.0, 0), ev("B", 4.5, 1)])
         assert len(source) == 2
         assert source.duration == 3.5
-        assert source.type_names() == ("A", "B")
+        assert sorted({e.type_name for e in source}) == ["A", "B"]
         assert [e.serial for e in source] == [0, 1]
 
     def test_explicit_duration_wins(self):
@@ -79,7 +74,7 @@ class TestCsvIngestion:
             "GOOG,3.0,199.0\n",
         )
         source = ingest_csv(path)
-        assert source.type_names() == ("GOOG", "MSFT")
+        assert sorted({e.type_name for e in source}) == ["GOOG", "MSFT"]
         assert len(source) == 4
         assert source.duration == 3.0
         msft = [e for e in source if e.type_name == "MSFT"]
@@ -88,15 +83,6 @@ class TestCsvIngestion:
         goog = [e for e in source if e.type_name == "GOOG"]
         assert goog[1].value("difference") == pytest.approx(-1.0)
         assert [e.serial for e in source] == [0, 1, 2, 3]
-
-    def test_schema_filter_keeps_serials_dense(self, tmp_path):
-        path = self.write(
-            tmp_path,
-            "MSFT,0.0,100.0\nGOOG,1.0,200.0\nMSFT,2.0,99.0\n",
-        )
-        source = ingest_csv(path, schema={"MSFT"})
-        assert source.type_names() == ("MSFT",)
-        assert [e.serial for e in source] == [0, 1]
 
     def test_errors_carry_line_numbers(self, tmp_path):
         path = self.write(tmp_path, "MSFT,0.0\n")
@@ -150,8 +136,7 @@ class TestSynthetic:
             rates={"A": 4.0},
             duration=30.0,
             seed=2,
-            attributes={"x": (0.0, 1.0)},
-            type_attributes={"A": {"level": (5.0, 6.0)}},
+            attributes={"x": (0.0, 1.0), "level": (5.0, 6.0)},
         )
         for event in generate_synthetic(config):
             assert 0.0 <= event.value("x") <= 1.0
@@ -350,36 +335,3 @@ class TestPairSampling:
         p = seq_pattern(("A", "B"), 4.0, [Predicate(AttrRef("a", "x"), "!=", AttrRef("b", "x"))])
         stats = estimate_statistics(self.hand_stream({"x": "up"}), p)
         assert stats.sel("A", "B") == 1.0
-
-
-class TestProfileOutput:
-    def test_counts_arrival_orders(self):
-        p = Pattern(
-            OperatorNode(AND, (Leaf("A", "a"), Leaf("B", "b"))), (), 10.0
-        )
-        events = [
-            ev("A", 0.0, 0), ev("B", 1.0, 1),   # A before B
-            ev("B", 20.0, 2), ev("A", 21.0, 3), # B before A
-            ev("B", 40.0, 4), ev("A", 41.0, 5), # B before A
-        ]
-        profile = profile_output(oracle_match(p, events), p)
-        assert profile.counts == {("A", "B"): 1, ("B", "A"): 2}
-        assert profile.total == 3
-        assert profile.mode == ("B", "A")
-
-    def test_empty_reports(self):
-        p = seq_pattern(("A", "B"), 10.0)
-        profile = profile_output([], p)
-        assert profile.total == 0
-        assert profile.mode is None
-
-    def test_mode_ties_break_lexicographically(self):
-        profile = ArrivalOrderProfile({("B", "A"): 2, ("A", "B"): 2})
-        assert profile.mode == ("A", "B")
-
-    def test_disjunctions_are_not_profiled(self):
-        p = Pattern(
-            OperatorNode(OR, (Leaf("A", "a"), Leaf("B", "b"))), (), 10.0
-        )
-        with pytest.raises(UnsupportedPatternError):
-            profile_output([], p)
