@@ -7,14 +7,30 @@ extensions: candidate identity and ordering, the absence test for negated
 positions, the absence tracker (checkpoint, completion and pending tests,
 blocker buffers, pending matches), the selection-strategy replay, and the
 metrics snapshot.
+
+It also holds the engines' time index.  Events arrive in time order, so
+every per-type buffer is sorted by timestamp.  ``ts_order`` reads the
+strict ``x.ts < y.ts`` predicates of a conjunct once, and ``TimeRange``
+turns them and the window into the timestamps the next alias to bind may
+take; the engines bisect their buffers to that range and test only what
+lies inside, still through the module-level ``evaluate_predicate`` and
+``blocks``.  The same order gives the dead-state rule: a later arrival
+has a timestamp at or after every bound event, so it can never bind an
+alias that must precede a bound one, and a partial that only such an
+arrival could extend is never stored.  ``evict_expired`` drops a time
+ordered prefix in one cut, with the span test's own comparison.
 """
 from __future__ import annotations
 
+import math
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .model import (
     ANY_MATCH,
+    AttrRef,
     ContractError,
     Event,
     MatchReport,
@@ -24,6 +40,9 @@ from .model import (
 from .transform import NegationSpec
 
 Bindings = dict[str, object]  # alias -> Event | tuple[Event, ...]
+
+TIMESTAMP = attrgetter("timestamp")
+TS_ATTRIBUTES = ("ts", "timestamp")
 
 
 def binding_events(bindings: Bindings) -> list[Event]:
@@ -36,28 +55,27 @@ def binding_events(bindings: Bindings) -> list[Event]:
     return out
 
 
-def binding_serials(bindings: Bindings) -> tuple[int, ...]:
-    return tuple(sorted(e.serial for e in binding_events(bindings)))
-
-
 def binding_span(bindings: Bindings) -> tuple[float, float]:
     events = binding_events(bindings)
     ts = [e.timestamp for e in events]
     return min(ts), max(ts)
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     """A full match of one conjunct awaiting strategy replay.
 
     ``emission_serial`` is the stream serial at which the match may be
     reported: the completing event's serial, or, when absence of a
     negated type is only certain later, the serial of the first event
-    whose timestamp passes the absence deadline.
+    whose timestamp passes the absence deadline.  ``groups``, ``ts_min``
+    and ``ts_max`` are the report's contents, built with the serials.
     """
 
-    bindings: Bindings
     serials: tuple[int, ...]
+    groups: tuple[tuple[str, tuple[int, ...]], ...]
+    ts_min: float
+    ts_max: float
     completion_serial: int
     emission_serial: int
     conjunct: int = 0
@@ -67,17 +85,113 @@ class Candidate:
         return (self.emission_serial, self.completion_serial, self.serials)
 
 
-def make_candidate(bindings: Bindings, emission_serial: int | None = None,
-                   conjunct: int = 0) -> Candidate:
-    serials = binding_serials(bindings)
+def make_candidate(bindings: Bindings, alias_order: tuple[str, ...],
+                   emission_serial: int | None = None) -> Candidate:
+    """One pass over the bindings, in ``alias_order``: serials, groups, span."""
+    serials: list[int] = []
+    groups = []
+    lo, hi = math.inf, -math.inf
+    for alias in alias_order:
+        value = bindings[alias]
+        if isinstance(value, Event):
+            group = (value.serial,)
+            ts = value.timestamp
+            lo = ts if ts < lo else lo
+            hi = ts if ts > hi else hi
+        else:
+            group = tuple(sorted(e.serial for e in value))
+            for e in value:
+                ts = e.timestamp
+                lo = ts if ts < lo else lo
+                hi = ts if ts > hi else hi
+        serials.extend(group)
+        groups.append((alias, group))
+    serials.sort()
     completion = serials[-1]
     return Candidate(
-        bindings=dict(bindings),
-        serials=serials,
+        serials=tuple(serials),
+        groups=tuple(groups),
+        ts_min=lo,
+        ts_max=hi,
         completion_serial=completion,
         emission_serial=completion if emission_serial is None else emission_serial,
-        conjunct=conjunct,
     )
+
+
+def ts_order(predicates) -> frozenset[tuple[str, str]]:
+    """Alias pairs ``(earlier, later)`` the predicates order strictly in time.
+
+    ``x.ts < y.ts`` and ``y.ts > x.ts`` with no offset each give
+    ``(x, y)``, whether ``seq_to_and`` or the user wrote them; the set is
+    closed transitively.  A Kleene alias meets such a bound only if every
+    member does, so each pair orders every event bound to ``earlier``
+    before every event bound to ``later``.
+    """
+    pairs = set()
+    for pred in predicates:
+        left, right = pred.left, pred.right
+        if (not isinstance(right, AttrRef) or pred.right_offset
+                or left.attribute not in TS_ATTRIBUTES
+                or right.attribute not in TS_ATTRIBUTES
+                or left.alias == right.alias):
+            continue
+        if pred.comparator == "<":
+            pairs.add((left.alias, right.alias))
+        elif pred.comparator == ">":
+            pairs.add((right.alias, left.alias))
+    aliases = {alias for pair in pairs for alias in pair}
+    for via in aliases:  # Warshall's closure
+        earlier = [a for a in aliases if (a, via) in pairs]
+        later = [b for b in aliases if (via, b) in pairs]
+        pairs.update((a, b) for a in earlier for b in later)
+    return frozenset(pairs)
+
+
+class TimeRange:
+    """Where the events of the next alias to bind may fall in time.
+
+    Given the aliases already bound, ``ts_order`` pins the next alias
+    strictly after the latest event of each alias in ``after`` and
+    strictly before the earliest event of each alias in ``before``; the
+    window keeps it within ``window`` of every bound event.  ``bisect``
+    cuts a time-ordered list down to that range.  The window edges are
+    found with the engines' own span test, so no float rounding can
+    make the cut disagree with it.
+    """
+
+    __slots__ = ("after", "before", "window")
+
+    def __init__(self, alias: str, bound, order: frozenset, window: float):
+        self.after = tuple(b for b in bound if (b, alias) in order)
+        self.before = tuple(b for b in bound if (alias, b) in order)
+        self.window = window
+
+    def bisect(self, items: list, key, bindings: Bindings, min_ts: float,
+               max_ts: float) -> list:
+        lo, hi = 0, len(items)
+        if self.after:
+            floor = max(_alias_ts_bounds(bindings[a])[1] for a in self.after)
+            lo = bisect_right(items, floor, key=key)
+        if self.before:
+            ceiling = min(_alias_ts_bounds(bindings[a])[0] for a in self.before)
+            hi = bisect_left(items, ceiling, lo, hi, key=key)
+        window = self.window
+        lo = bisect_left(items, True, lo, hi,
+                         key=lambda item: max_ts - key(item) <= window)
+        hi = bisect_left(items, True, lo, hi,
+                         key=lambda item: key(item) - min_ts > window)
+        return items[lo:hi]
+
+
+def evict_expired(events: list[Event], latest: float, window: float) -> None:
+    """Drop the prefix of a time-ordered list that no later span can reach.
+
+    An event has expired once ``latest - ts > window``, the span test's
+    own comparison; ``ts < latest - window`` can round the other way and
+    drop an event a later span would still accept.
+    """
+    del events[:bisect_left(events, True,
+                            key=lambda e: latest - e.timestamp <= window)]
 
 
 def _alias_ts_bounds(value) -> tuple[float, float]:
@@ -94,7 +208,9 @@ def blocks(spec: NegationSpec, blocker: Event, bindings: Bindings,
     The blocker must satisfy the spec's predicates and fall inside the
     absence interval: strictly between the predecessor and successor for
     sequences (window edges when the position borders the pattern), or
-    anywhere inside the match window for conjunctions.
+    anywhere inside the match window for conjunctions.  A window edge is
+    the span test's own comparison, the blocker's distance to the far end
+    of the match, so it rounds as every other window test does.
     """
     lo, hi = binding_span(bindings)
     ts = blocker.timestamp
@@ -102,25 +218,18 @@ def blocks(spec: NegationSpec, blocker: Event, bindings: Bindings,
         if spec.predecessor is not None:
             if ts <= _alias_ts_bounds(bindings[spec.predecessor])[1]:
                 return False
-        elif ts < hi - window:
+        elif hi - ts > window:
             return False
         if spec.successor is not None:
             if ts >= _alias_ts_bounds(bindings[spec.successor])[0]:
                 return False
-        elif ts > lo + window:
+        elif ts - lo > window:
             return False
-    else:
-        if ts < hi - window or ts > lo + window:
-            return False
+    elif hi - ts > window or ts - lo > window:
+        return False
     probe = dict(bindings)
     probe[spec.alias] = blocker
     return all(evaluate_predicate(p, probe) for p in spec.predicates)
-
-
-def absence_deadline(bindings: Bindings, window: float) -> float:
-    """Timestamp after which no further blocker can invalidate the match."""
-    lo, _ = binding_span(bindings)
-    return lo + window
 
 
 def final_at_checkpoint(spec: NegationSpec) -> bool:
@@ -161,17 +270,19 @@ def checkpoint_slots(plan: Plan, negations, base: int = 0) -> dict[str, int]:
 
 
 class _PendingMatch:
-    """A full match whose absence test stays open until its deadline.
+    """A full match whose absence test stays open until its deadline: the
+    first arrival more than a window after the match's earliest event
+    ``start``, which no blocker can reach.
 
     Blockers that could still invalidate it are applied as they arrive,
     so resolution itself needs no buffer scan.
     """
 
-    __slots__ = ("bindings", "deadline")
+    __slots__ = ("bindings", "start")
 
-    def __init__(self, bindings: Bindings, deadline: float):
+    def __init__(self, bindings: Bindings, start: float):
         self.bindings = bindings
-        self.deadline = deadline
+        self.start = start
 
 
 class AbsenceTracker:
@@ -182,12 +293,15 @@ class AbsenceTracker:
     checked on the full match, and when blockers may still arrive after
     completion the match waits as pending until its deadline.  The engine
     passes the blocker test ``blocks`` into each call, so every engine's
-    tests are counted under its own module's name.
+    tests are counted under its own module's name.  Blocker buffers are
+    in arrival order, so each test bisects a buffer down to the blockers
+    inside the absence interval and calls ``blocks`` on those alone.
     """
 
     def __init__(self, negations, slot_of: dict[str, int], slots: int,
-                 window: float):
+                 window: float, alias_order: tuple[str, ...]):
         self.window = window
+        self.alias_order = alias_order
         self.at_slot: list[list[NegationSpec]] = [[] for _ in range(slots)]
         completion: list[NegationSpec] = []
         for spec in negations:
@@ -207,27 +321,55 @@ class AbsenceTracker:
     def buffered(self) -> int:
         return sum(len(b) for b in self.buffers.values())
 
-    def blocked_at(self, slot: int, bindings: Bindings, blocks) -> bool:
-        """Whether a buffered blocker rules out a partial match at ``slot``."""
-        for spec in self.at_slot[slot]:
-            for blocker in self.buffers[spec.type_name]:
+    def _blocked(self, specs, bindings: Bindings, blocks) -> bool:
+        for spec in specs:
+            for blocker in self._interval(spec, bindings):
                 if blocks(spec, blocker, bindings, self.window):
                     return True
         return False
 
+    def _interval(self, spec: NegationSpec, bindings: Bindings) -> list[Event]:
+        """The buffered blockers inside the absence interval ``blocks`` tests.
+
+        Each edge is cut with ``blocks``'s own comparison: strictly after
+        the predecessor and before the successor, or on or inside the
+        window edges where the position borders the pattern or the
+        pattern is a conjunction.
+        """
+        buffer = self.buffers[spec.type_name]
+        seq = spec.mode == "seq"
+        predecessor = spec.predecessor if seq else None
+        successor = spec.successor if seq else None
+        if predecessor is None or successor is None:
+            lo, hi = binding_span(bindings)
+        window = self.window
+        if predecessor is not None:
+            floor = _alias_ts_bounds(bindings[predecessor])[1]
+            start = bisect_right(buffer, floor, key=TIMESTAMP)
+        else:
+            start = bisect_left(buffer, True,
+                                key=lambda e: hi - e.timestamp <= window)
+        if successor is not None:
+            ceiling = _alias_ts_bounds(bindings[successor])[0]
+            stop = bisect_left(buffer, ceiling, start, key=TIMESTAMP)
+        else:
+            stop = bisect_left(buffer, True, start,
+                               key=lambda e: e.timestamp - lo > window)
+        return buffer[start:stop]
+
+    def blocked_at(self, slot: int, bindings: Bindings, blocks) -> bool:
+        """Whether a buffered blocker rules out a partial match at ``slot``."""
+        return self._blocked(self.at_slot[slot], bindings, blocks)
+
     def complete(self, bindings: Bindings, out: list[Candidate],
                  emission_serial: int, blocks) -> None:
         """Emit a full match, hold it as pending, or drop it as blocked."""
-        for spec in self.on_completion:
-            for blocker in self.buffers[spec.type_name]:
-                if blocks(spec, blocker, bindings, self.window):
-                    return
-        if self.pending_specs:
-            self.pending.append(_PendingMatch(
-                bindings, absence_deadline(bindings, self.window)
-            ))
+        if self._blocked(self.on_completion, bindings, blocks):
             return
-        out.append(make_candidate(bindings, emission_serial))
+        if self.pending_specs:
+            self.pending.append(_PendingMatch(bindings, binding_span(bindings)[0]))
+            return
+        out.append(make_candidate(bindings, self.alias_order, emission_serial))
 
     def arrive(self, event: Event, out: list[Candidate], blocks) -> None:
         """Release the pending matches whose deadline ``event`` passes,
@@ -247,10 +389,9 @@ class AbsenceTracker:
         if buffer is not None:
             buffer.append(event)
 
-    def evict(self, horizon: float) -> None:
+    def evict(self, latest: float) -> None:
         for buffer in self.buffers.values():
-            while buffer and buffer[0].timestamp < horizon:
-                buffer.pop(0)
+            evict_expired(buffer, latest, self.window)
 
     def end(self, max_serial: int) -> list[Candidate]:
         """Release every pending match once the stream has ended."""
@@ -262,8 +403,10 @@ class AbsenceTracker:
                  out: list[Candidate]) -> None:
         keep = []
         for entry in self.pending:
-            if now_ts > entry.deadline:
-                out.append(make_candidate(entry.bindings, emission_serial))
+            if now_ts - entry.start > self.window:
+                out.append(make_candidate(
+                    entry.bindings, self.alias_order, emission_serial
+                ))
             else:
                 keep.append(entry)
         self.pending = keep
@@ -299,23 +442,13 @@ class SelectionReplay:
         return accepted
 
 
-def make_report(candidate: Candidate, alias_order: tuple[str, ...],
-                detected_at: float = 0.0, latency: float = 0.0) -> MatchReport:
-    groups = []
-    for alias in alias_order:
-        value = candidate.bindings.get(alias)
-        if value is None:
-            continue
-        if isinstance(value, Event):
-            groups.append((alias, (value.serial,)))
-        else:
-            groups.append((alias, tuple(sorted(e.serial for e in value))))
-    lo, hi = binding_span(candidate.bindings)
+def make_report(candidate: Candidate, detected_at: float = 0.0,
+                latency: float = 0.0) -> MatchReport:
     return MatchReport(
         serials=candidate.serials,
-        groups=tuple(groups),
-        ts_min=lo,
-        ts_max=hi,
+        groups=candidate.groups,
+        ts_min=candidate.ts_min,
+        ts_max=candidate.ts_max,
         emit_serial=candidate.emission_serial,
         completion_serial=candidate.completion_serial,
         detected_at=detected_at,
@@ -341,7 +474,7 @@ class EngineMetrics:
     memory_peak: int = 0
     instances_created: int = 0
     kl_overflows: int = 0
-    latency_samples: list[float] = field(default_factory=list)
+    latency_total: float = 0.0
     per_node_peak: dict[str, int] = field(default_factory=dict)
 
     def note_usage(self) -> None:

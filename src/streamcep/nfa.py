@@ -7,17 +7,31 @@ created, and is extended directly by later arrivals.  Each full match is
 therefore materialized exactly once, at the arrival of its final (by
 serial) contributing event.  Absence of negated positions is decided by
 the shared ``AbsenceTracker``, with the chain's steps as its slots.
+
+Buffers are in time order.  A backlog fork bisects the buffer to the
+position's ``TimeRange``: after every bound alias the predicates order
+before it, before every one they order after it, and within the window.
+A position that must precede an alias bound earlier in the chain is
+dead: no later arrival can fill it, so its partials are forked over the
+backlog and never stored, and arrivals of its type probe nothing.
+Partials expire at the window edge; a per-state oldest ``min_ts`` lets
+eviction skip the states where nothing has expired.
 """
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 from .matching import (
+    TIMESTAMP,
     AbsenceTracker,
     Candidate,
     EngineMetrics,
+    TimeRange,
     blocks,
     checkpoint_slots,
+    evict_expired,
+    ts_order,
 )
 from .model import (
     AttrRef,
@@ -33,7 +47,8 @@ DEFAULT_KL_CAP = 8
 
 
 class NfaChain:
-    """Static structure of the chain: positions, conditions, checkpoints."""
+    """Static structure of the chain: positions, conditions, checkpoints,
+    and the time range each position's backlog fork may draw from."""
 
     def __init__(self, plan: OrderPlan, conjunct: NormalizedConjunct):
         core = conjunct.core
@@ -58,38 +73,30 @@ class NfaChain:
             self.conditions[last].append(pred)
         # Step k of the plan is position k - 1 of the chain.
         self.checkpoint_slot = checkpoint_slots(plan, conjunct.negations, base=1)
-        # When every consecutive pair of positions carries a strict
-        # timestamp chain, a buffered event can never join a partial
-        # created after it (stream timestamps are non-decreasing), so the
+        order = ts_order(core.predicates)
+        self.ranges = [
+            TimeRange(alias, self.aliases[:i], order, self.window)
+            for i, alias in enumerate(self.aliases)
+        ]
+        # A position that must precede an alias bound before it can take
+        # no later arrival (arrivals come in time order), only its
+        # backlog, which is forked over when the partial is made: such
+        # partials are never stored, and arrivals there probe nothing.
+        self.dead = [bool(r.before) for r in self.ranges]
+        # When every consecutive pair of positions is ordered in time, a
+        # buffered event can never join a partial created after it, so the
         # engine can run eagerly and keep nothing.  A full serial-adjacency
         # chain pins every next binding to the previous arrival, letting
         # stale partials be dropped immediately instead of at the window
         # edge.  Both flags are pure execution shortcuts; they change no
         # match set.
         pairs = list(zip(self.aliases, self.aliases[1:], range(1, len(self.order))))
-        self.eager = (
-            not self.kl_positions
-            and not conjunct.negations
-            and all(self._ts_chained(a, b, i) for a, b, i in pairs)
+        self.eager = not self.kl_positions and not conjunct.negations and all(
+            (a, b) in order for a, b, _ in pairs
         )
         self.prune_stale = bool(pairs) and not self.kl_positions and all(
             self._serial_adjacent(a, b, i) for a, b, i in pairs
         )
-
-    def _ts_chained(self, earlier: str, later: str, position: int) -> bool:
-        for pred in self.conditions[position]:
-            right = pred.right
-            if not isinstance(right, AttrRef) or pred.right_offset != 0.0:
-                continue
-            if (pred.comparator == "<" and pred.left.alias == earlier
-                    and pred.left.attribute == "ts"
-                    and right.alias == later and right.attribute == "ts"):
-                return True
-            if (pred.comparator == ">" and pred.left.alias == later
-                    and pred.left.attribute == "ts"
-                    and right.alias == earlier and right.attribute == "ts"):
-                return True
-        return False
 
     def _serial_adjacent(self, earlier: str, later: str, position: int) -> bool:
         for pred in self.conditions[position]:
@@ -125,16 +132,15 @@ class NfaEngine:
         self.by_state: list[list[_Partial]] = [
             [] for _ in range(len(self.chain.order))
         ]
+        # the oldest min_ts stored per state, so eviction rescans a state
+        # only when something in it has expired
+        self.oldest = [math.inf] * len(self.chain.order)
         self.absence = AbsenceTracker(
             conjunct.negations, self.chain.checkpoint_slot,
-            len(self.chain.order), self.window,
+            len(self.chain.order), self.window, self.chain.alias_order,
         )
         self.metrics = EngineMetrics()
         self._position_of = {t: i for i, t in enumerate(self.chain.order)}
-
-    @property
-    def alias_order(self) -> tuple[str, ...]:
-        return self.chain.alias_order
 
     # -- helpers -------------------------------------------------------------
 
@@ -168,11 +174,18 @@ class NfaEngine:
                 values.append(combo + (event,))
         return values
 
-    def _backlog_values(self, position: int) -> list:
-        """Creation-time fork values for a position, from buffered events."""
-        pool = self.buffers.get(self.chain.order[position], ())
+    def _backlog_values(self, partial: _Partial) -> list:
+        """Creation-time fork values for a partial's next position: the
+        buffered events inside its time range, or capped subsets of them."""
+        position = partial.state
+        pool = self.buffers[self.chain.order[position]]
+        if not pool:
+            return pool
+        pool = self.chain.ranges[position].bisect(
+            pool, TIMESTAMP, partial.bindings, partial.min_ts, partial.max_ts,
+        )
         if position not in self.chain.kl_positions:
-            return list(pool)
+            return pool
         if len(pool) > self.kl_cap:
             self.metrics.kl_overflows += 1
         values = []
@@ -199,8 +212,11 @@ class NfaEngine:
         if new.state == len(self.chain.order):
             self.absence.complete(bindings, out, emission_serial, blocks)
             return
-        self.by_state[new.state].append(new)
-        for value2 in self._backlog_values(new.state):
+        if not self.chain.dead[new.state]:
+            self.by_state[new.state].append(new)
+            if lo < self.oldest[new.state]:
+                self.oldest[new.state] = lo
+        for value2 in self._backlog_values(new):
             self._try_extend(new, new.state, value2, out, emission_serial)
 
     # -- public protocol -----------------------------------------------------
@@ -212,22 +228,23 @@ class NfaEngine:
         if event.type_name in self.buffers and not self.chain.eager:
             self.buffers[event.type_name].append(event)
         position = self._position_of.get(event.type_name)
-        if position is not None:
+        if position is not None and not self.chain.dead[position]:
             values = self._position_values(position, event)
             if position == 0:
-                root = _Partial({}, 0, float("inf"), float("-inf"))
+                root = _Partial({}, 0, math.inf, -math.inf)
                 for value in values:
                     self._try_extend(root, 0, value, out, event.serial)
             else:
-                for partial in list(self.by_state[position]):
+                for partial in self.by_state[position]:
                     for value in values:
                         self._try_extend(partial, position, value, out, event.serial)
         if self.chain.prune_stale:
             serial = event.serial
             for state in range(1, len(self.by_state)):
-                self.by_state[state] = [
-                    p for p in self.by_state[state] if p.max_serial == serial
-                ]
+                if self.by_state[state]:
+                    self.by_state[state] = [
+                        p for p in self.by_state[state] if p.max_serial == serial
+                    ]
         self._evict(event.timestamp)
         self.metrics.live_partials = (
             sum(len(s) for s in self.by_state) + len(self.absence.pending)
@@ -242,10 +259,12 @@ class NfaEngine:
         return self.absence.end(max_serial)
 
     def _evict(self, latest: float) -> None:
-        horizon = latest - self.window
+        window = self.window
         for buffer in self.buffers.values():
-            while buffer and buffer[0].timestamp < horizon:
-                buffer.pop(0)
-        self.absence.evict(horizon)
+            evict_expired(buffer, latest, window)
+        self.absence.evict(latest)
         for state, partials in enumerate(self.by_state):
-            self.by_state[state] = [p for p in partials if p.min_ts >= horizon]
+            if latest - self.oldest[state] > window:
+                kept = [p for p in partials if latest - p.min_ts <= window]
+                self.by_state[state] = kept
+                self.oldest[state] = min((p.min_ts for p in kept), default=math.inf)

@@ -159,12 +159,16 @@ class _Variant:
                             (k.alias for k in kids[index + 1 :] if not k.negated),
                             None,
                         )
+                        preds = tuple(
+                            p for p in self.predicates if kid.alias in p.aliases()
+                        )
+                        # a trailing position stays open unless a strict
+                        # ts bound by a member closes it at completion
                         self.not_contexts.append(
                             _NotContext(
-                                kid, "seq", prev, succ,
-                                tuple(p for p in self.predicates
-                                      if kid.alias in p.aliases()),
-                                pending=succ is None,
+                                kid, "seq", prev, succ, preds,
+                                pending=(succ is None
+                                         and not _has_upper_ts_bound(kid.alias, preds)),
                             )
                         )
             else:
@@ -222,21 +226,22 @@ class _Variant:
         for ctx in self.not_contexts:
             for blocker in by_type.get(ctx.leaf.type_name, ()):
                 ts = blocker.timestamp
+                # window edges as pairwise differences, like the span test
                 if ctx.mode == "seq":
                     lower_ok = (
                         ts > _ts_bounds(bindings[ctx.prev_alias])[1]
                         if ctx.prev_alias is not None
-                        else ts >= hi - self.window
+                        else hi - ts <= self.window
                     )
                     upper_ok = (
                         ts < _ts_bounds(bindings[ctx.succ_alias])[0]
                         if ctx.succ_alias is not None
-                        else ts <= lo + self.window
+                        else ts - lo <= self.window
                     )
                     if not (lower_ok and upper_ok):
                         continue
                 else:
-                    if ts < hi - self.window or ts > lo + self.window:
+                    if hi - ts > self.window or ts - lo > self.window:
                         continue
                 probe = dict(bindings)
                 probe[ctx.leaf.alias] = blocker
@@ -331,9 +336,9 @@ def oracle_match(
             completion = serials[-1]
             emission = completion
             if variant.has_pending:
-                deadline = min(e.timestamp for e in flat) + window
+                start = min(e.timestamp for e in flat)
                 emission = next(
-                    (e.serial for e in events if e.timestamp > deadline),
+                    (e.serial for e in events if e.timestamp - start > window),
                     max_serial + 1,
                 )
             candidates.append((emission, completion, serials, dict(bindings)))
@@ -353,8 +358,7 @@ def oracle_match(
         seen.add(serials)
         if strategy.kind != ANY_MATCH:
             claimed.update(serials)
-        cand = make_candidate(bindings, emission_serial=emission)
-        reports.append(make_report(cand, tuple(bindings.keys())))
+        reports.append(make_report(make_candidate(bindings, tuple(bindings), emission)))
     return reports
 
 

@@ -7,6 +7,7 @@ is identical for every plan and engine family.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -56,10 +57,9 @@ class RunResult:
 
     @property
     def mean_latency(self) -> float:
-        samples = [s for m in self.engine_metrics for s in m.latency_samples]
-        if not samples:
+        if not self.matches:
             return 0.0
-        return sum(samples) / len(samples)
+        return sum(m.latency_total for m in self.engine_metrics) / self.matches
 
     @property
     def kl_overflows(self) -> int:
@@ -93,6 +93,7 @@ class PatternRunner:
         self.events_seen = 0
         self.memory_peak = 0
         self.max_serial = -1
+        self.last_ts = -math.inf
 
     @staticmethod
     def _build_engine(plan, conjunct, engine: str, kl_cap: int):
@@ -120,9 +121,22 @@ class PatternRunner:
         return replace(event, attrs={**event.attrs, "pserial": index})
 
     def process(self, event: Event) -> list[MatchReport]:
+        """Feed one event; serials must increase and timestamps not fall.
+
+        The engines' time indexes, eviction and eager chains all rely on
+        that arrival order, so an event that breaks it is refused.
+        """
+        if self.events_seen and (
+            event.serial <= self.max_serial or event.timestamp < self.last_ts
+        ):
+            raise ContractError(
+                f"event #{event.serial} at {event.timestamp} arrives after "
+                f"#{self.max_serial} at {self.last_ts}"
+            )
         event = self._augment(event)
         self.events_seen += 1
-        self.max_serial = max(self.max_serial, event.serial)
+        self.max_serial = event.serial
+        self.last_ts = event.timestamp
         self.clock.stamp(event.serial)
         batch: list[Candidate] = []
         for index, engine in enumerate(self.engines):
@@ -151,12 +165,9 @@ class PatternRunner:
             metrics = self.engines[candidate.conjunct].metrics
             metrics.matches += 1
             latency = self.clock.latency_since(candidate.completion_serial)
-            metrics.latency_samples.append(latency)
+            metrics.latency_total += latency
             reports.append(make_report(
-                candidate,
-                self.engines[candidate.conjunct].alias_order,
-                detected_at=time.perf_counter(),
-                latency=latency,
+                candidate, detected_at=time.perf_counter(), latency=latency,
             ))
         return reports
 

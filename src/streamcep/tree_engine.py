@@ -7,17 +7,33 @@ instances of its sibling, cascading upward; a new root instance is a
 full match.  Joining on insert keeps every pair of child instances
 combined exactly once.  Absence of negated positions is decided by the
 shared ``AbsenceTracker``, with the tree's nodes as its slots.
+
+A new instance always holds the arrival that made it, the newest event
+of the stream so far.  From the conjunct's strict timestamp order the
+structure derives, per node, whether its instances can join any later
+sibling instance (if not, they are joined with the stored ones and never
+stored themselves), which arrivals can join no stored sibling instance
+(their probe loop is skipped), and, when the sibling is a singleton
+leaf, the ``TimeRange`` its time-ordered instances are bisected to before
+the probe.  Node lists are in ``max_ts`` order, not ``min_ts`` order, so
+eviction keeps each node's oldest ``min_ts`` and rescans a node only
+once something in it has expired.
 """
 from __future__ import annotations
 
+import math
 from itertools import combinations
+from operator import attrgetter
 
 from .matching import (
     AbsenceTracker,
     Candidate,
     EngineMetrics,
+    TimeRange,
     blocks,
     checkpoint_slots,
+    evict_expired,
+    ts_order,
 )
 from .model import (
     ContractError,
@@ -28,6 +44,9 @@ from .model import (
 )
 from .nfa import DEFAULT_KL_CAP
 from .transform import NormalizedConjunct
+
+
+MIN_TS = attrgetter("min_ts")
 
 
 class _Instance:
@@ -41,7 +60,8 @@ class _Instance:
 
 class TreeStructure:
     """Static shape of the tree: nodes in post-order, predicate and
-    checkpoint assignment, Kleene and negation bookkeeping."""
+    checkpoint assignment, Kleene and negation bookkeeping, and the
+    time-order rules per node."""
 
     def __init__(self, plan: TreePlan, conjunct: NormalizedConjunct):
         core = conjunct.core
@@ -87,6 +107,32 @@ class TreeStructure:
             cover = {leaf_of_alias[a] for a in pred.aliases()}
             self.node_predicates[self._lowest_covering(cover)].append(pred)
         self.checkpoint_slot = checkpoint_slots(plan, conjunct.negations)
+        # The dead-state, probe-skip and sibling-range rules of the
+        # module docstring, per node, from the aliases under each side.
+        order = ts_order(core.predicates)
+        under: list[set[str]] = []
+        for i, node in enumerate(self.nodes):  # post-order: children first
+            under.append(
+                {self.alias_at[i]} if node.is_leaf
+                else under[index_of[id(node.left)]] | under[index_of[id(node.right)]]
+            )
+        self.stored = [False] * len(self.nodes)
+        self.probe_skip: list[frozenset[str]] = [frozenset()] * len(self.nodes)
+        self.sibling_range: list[TimeRange | None] = [None] * len(self.nodes)
+        for i, sibling in enumerate(self.sibling):
+            if sibling == -1:
+                continue
+            own, other = under[i], under[sibling]
+            self.stored[i] = not all(
+                any((y, x) in order for x in own) for y in other
+            )
+            self.probe_skip[i] = frozenset(
+                x for x in own if any((x, y) in order for y in other)
+            )
+            if sibling in self.singleton_leaves:
+                self.sibling_range[i] = TimeRange(
+                    self.alias_at[sibling], own, order, self.window
+                )
 
     def _lowest_covering(self, leaf_indices: set[int]) -> int:
         paths = []
@@ -106,34 +152,46 @@ class TreeEngine:
         self.kl_cap = kl_cap
         self.window = self.tree.window
         self.instances: list[list[_Instance]] = [[] for _ in self.tree.nodes]
+        # the oldest min_ts stored per node: internal-node lists are in
+        # max_ts order, so eviction rescans a list only once it holds an
+        # expired instance
+        self.oldest = [math.inf] * len(self.tree.nodes)
         self.kl_pool: dict[int, list[Event]] = {i: [] for i in self.tree.kl_leaves}
         self.absence = AbsenceTracker(
             conjunct.negations, self.tree.checkpoint_slot,
-            len(self.tree.nodes), self.window,
+            len(self.tree.nodes), self.window, self.tree.alias_order,
         )
         self.metrics = EngineMetrics()
 
-    @property
-    def alias_order(self) -> tuple[str, ...]:
-        return self.tree.alias_order
-
     # -- instance propagation ------------------------------------------------
 
-    def _propagate(self, node_index: int, instance: _Instance,
+    def _propagate(self, node_index: int, instance: _Instance, arrival: str,
                    out: list[Candidate], emission_serial: int) -> None:
         self.metrics.instances_created += 1
-        if node_index == self.tree.root_index:
+        tree = self.tree
+        if node_index == tree.root_index:
             self.absence.complete(instance.bindings, out, emission_serial, blocks)
             return
-        slot = self.instances[node_index]
-        slot.append(instance)
-        self.metrics.note_node(self.tree.labels[node_index], len(slot))
-        parent = self.tree.parent[node_index]
-        for other in list(self.instances[self.tree.sibling[node_index]]):
-            self._try_join(parent, instance, other, out, emission_serial)
+        if tree.stored[node_index]:
+            slot = self.instances[node_index]
+            slot.append(instance)
+            if instance.min_ts < self.oldest[node_index]:
+                self.oldest[node_index] = instance.min_ts
+            self.metrics.note_node(tree.labels[node_index], len(slot))
+        if arrival in tree.probe_skip[node_index]:
+            return
+        parent = tree.parent[node_index]
+        others = self.instances[tree.sibling[node_index]]
+        time_range = tree.sibling_range[node_index]
+        if time_range is not None and others:
+            others = time_range.bisect(
+                others, MIN_TS, instance.bindings, instance.min_ts, instance.max_ts,
+            )
+        for other in others:
+            self._try_join(parent, instance, other, arrival, out, emission_serial)
 
     def _try_join(self, parent: int, left: _Instance, right: _Instance,
-                  out: list[Candidate], emission_serial: int) -> None:
+                  arrival: str, out: list[Candidate], emission_serial: int) -> None:
         lo = min(left.min_ts, right.min_ts)
         hi = max(left.max_ts, right.max_ts)
         if hi - lo > self.window:
@@ -146,7 +204,8 @@ class TreeEngine:
             return
         if self.absence.blocked_at(parent, bindings, blocks):
             return
-        self._propagate(parent, _Instance(bindings, lo, hi), out, emission_serial)
+        self._propagate(parent, _Instance(bindings, lo, hi), arrival, out,
+                        emission_serial)
 
     def _leaf_instances(self, node_index: int, event: Event) -> list[_Instance]:
         alias = self.tree.alias_at[node_index]
@@ -182,8 +241,9 @@ class TreeEngine:
         self.absence.arrive(event, out, blocks)
         leaf_index = self.tree.leaf_index.get(event.type_name)
         if leaf_index is not None:
+            arrival = self.tree.alias_at[leaf_index]
             for instance in self._leaf_instances(leaf_index, event):
-                self._propagate(leaf_index, instance, out, event.serial)
+                self._propagate(leaf_index, instance, arrival, out, event.serial)
         self._evict(event.timestamp)
         live = sum(
             len(slot) for i, slot in enumerate(self.instances)
@@ -202,11 +262,12 @@ class TreeEngine:
         return self.absence.end(max_serial)
 
     def _evict(self, latest: float) -> None:
-        horizon = latest - self.window
+        window = self.window
         for i, slot in enumerate(self.instances):
-            if slot and any(x.min_ts < horizon for x in slot):
-                self.instances[i] = [x for x in slot if x.min_ts >= horizon]
+            if latest - self.oldest[i] > window:
+                kept = [x for x in slot if latest - x.min_ts <= window]
+                self.instances[i] = kept
+                self.oldest[i] = min((x.min_ts for x in kept), default=math.inf)
         for pool in self.kl_pool.values():
-            while pool and pool[0].timestamp < horizon:
-                pool.pop(0)
-        self.absence.evict(horizon)
+            evict_expired(pool, latest, window)
+        self.absence.evict(latest)

@@ -12,6 +12,7 @@ import streamcep.nfa
 import streamcep.tree_engine
 from streamcep.model import (
     AND,
+    AttrRef,
     ContractError,
     Event,
     KLEENE,
@@ -25,10 +26,12 @@ from streamcep.model import (
     StatisticsCatalog,
     NEXT_MATCH,
     PARTITION_CONTIGUITY,
+    Predicate,
     STRICT_CONTIGUITY,
     TreePlan,
     left_deep_tree,
 )
+from streamcep.matching import TIMESTAMP, TimeRange, ts_order
 from streamcep.nfa import NfaChain
 from streamcep.oracle import oracle_match
 from streamcep.plangen import (
@@ -99,6 +102,29 @@ class TestBasicAgreement:
         assert match_keys(result.reports) == {(3, 4)}
         # the three stale opens must not survive until the end
         assert result.engine_metrics[0].live_partials <= 1
+
+    def test_eviction_rounds_like_the_span_test(self):
+        # 0.9 - 0.2 rounds to 0.7, inside the window, although 0.2 is
+        # below 0.9 - 0.7 = 0.20000000000000007; the A must outlive the
+        # first B for the second one
+        p = seq_pattern(("A", "B"), 0.7)
+        events = [ev("A", 0.2, 0), ev("B", 0.9, 1), ev("B", 0.9, 2)]
+        assert match_keys(oracle_match(p, events)) == {(0, 1), (0, 2)}
+        for engine in ("auto", "tree"):
+            assert run_keys(p, events, engine=engine) == {(0, 1), (0, 2)}
+
+    def test_out_of_order_events_are_refused(self):
+        # the engines' time indexes assume increasing serials and
+        # non-decreasing timestamps; ties in time are fine
+        p = seq_pattern(("A", "B"), 10.0)
+        for second in (ev("B", 2.0, 0), ev("B", 0.5, 1)):
+            runner = PatternRunner(p, bundle_for(p))
+            runner.process(ev("A", 1.0, 0))
+            with pytest.raises(ContractError):
+                runner.process(second)
+        runner = PatternRunner(p, bundle_for(p))
+        runner.process(ev("A", 1.0, 0))
+        assert [r.serials for r in runner.process(ev("B", 1.0, 1))] == []
 
 
 class TestStrategies:
@@ -212,6 +238,45 @@ class TestNegation:
         for engine in ("auto", "tree"):
             assert run_keys(p, events, engine=engine) == {(0, 1)}
 
+    def test_blockers_on_the_window_edges_block(self):
+        # AND(a, b, NOT n) within 2: a blocker exactly on either window edge
+        # of the match, buffered before the completing event, still blocks
+        p = Pattern(
+            OperatorNode(AND, (Leaf("A", "a"), Leaf("B", "b"), Leaf("N", "n", (NOT,)))),
+            (), 2.0,
+        )
+        late = [ev("A", 0.0, 0), ev("N", 2.0, 1), ev("B", 2.0, 2)]
+        early = [ev("N", 0.0, 0), ev("A", 0.0, 1), ev("B", 2.0, 2)]
+        for events in (late, early):
+            assert match_keys(oracle_match(p, events)) == set()
+            for algorithm in ("trivial", "dp-b"):
+                for engine in ("auto", "tree"):
+                    if engine == "auto" and algorithm == "dp-b":
+                        continue
+                    assert run_keys(p, events, algorithm, engine=engine) == set()
+
+    def test_blocker_inside_a_rounded_window_blocks(self):
+        # the blocker lies between a and b, so it blocks, although it is
+        # below 0.9 - 0.7; window edges are tested as differences
+        p = Pattern(self.BETWEEN.root, (), 0.7)
+        events = [ev("A", 0.2, 0), ev("N", 0.20000000000000004, 1),
+                  ev("C", 0.9, 2), ev("B", 0.9, 3)]
+        assert match_keys(oracle_match(p, events)) == set()
+        for engine in ("auto", "tree"):
+            assert run_keys(p, events, engine=engine) == set()
+
+    def test_trailing_absence_closed_by_a_strict_bound_is_not_deferred(self):
+        # n must precede a, so no blocker can follow the match's completion
+        p = Pattern(
+            OperatorNode(SEQ, (Leaf("A", "a"), Leaf("B", "b"), Leaf("N", "n", (NOT,)))),
+            (Predicate(AttrRef("a", "ts"), ">", AttrRef("n", "ts")),), 2.0,
+        )
+        events = [ev("A", 0.0, 0), ev("B", 1.0, 1), ev("C", 3.5, 2)]
+        assert [(r.serials, r.emit_serial) for r in oracle_match(p, events)] == [((0, 1), 1)]
+        for engine in ("auto", "tree"):
+            result = PatternRunner(p, bundle_for(p), engine=engine).run(events)
+            assert [(r.serials, r.emit_serial) for r in result.reports] == [((0, 1), 1)]
+
     def test_missing_checkpoint_is_a_contract_error(self):
         p = self.BETWEEN
         conjunct = normalize_pattern(p).conjuncts[0]
@@ -300,6 +365,26 @@ class TestPlanInvariance:
             PatternRunner(p, doubled)
 
 
+class TestTimeIndex:
+    def test_ts_order_reads_strict_offset_free_bounds_transitively(self):
+        def ts(a, op, b, offset=0.0):
+            return Predicate(AttrRef(a, "ts"), op, AttrRef(b, "ts"), right_offset=offset)
+
+        preds = [ts("a", "<", "b"), ts("c", ">", "b"), ts("c", "<=", "d"),
+                 ts("d", "<", "e", 1.0), offset_pred("a", "e", 0.0)]
+        assert ts_order(preds) == {("a", "b"), ("b", "c"), ("a", "c")}
+
+    def test_time_range_cuts_at_the_bounds_and_window_edges(self):
+        # b must follow a and precede c; the window is 2 around {a, c}
+        events = [ev("B", t, i) for i, t in enumerate((0.0, 1.0, 1.0, 2.0, 3.0, 3.0))]
+        span = TimeRange("b", ("a", "c"), {("a", "b"), ("b", "c")}, 2.0)
+        bound = {"a": ev("A", 1.0, 10), "c": ev("C", 3.0, 11)}
+        assert [e.serial for e in span.bisect(events, TIMESTAMP, bound, 1.0, 3.0)] == [3]
+        window_only = TimeRange("b", ("a", "c"), frozenset(), 2.0)
+        kept = window_only.bisect(events, TIMESTAMP, bound, 1.0, 3.0)
+        assert [e.serial for e in kept] == [1, 2, 3, 4, 5]
+
+
 class TestExecutionShortcuts:
     def test_plain_sequences_run_eagerly(self):
         p = seq_pattern(("A", "B", "C"), 10.0)
@@ -343,8 +428,8 @@ class TestMetrics:
         assert result.events == 2
         assert metrics.events == 2
         assert result.matches == metrics.matches == 1
-        assert len(metrics.latency_samples) == 1
-        assert metrics.latency_samples[0] >= 0.0
+        assert metrics.latency_total >= 0.0
+        assert result.mean_latency == metrics.latency_total
 
     def test_tree_counts_lone_leaves_as_buffered(self):
         p = Pattern(OperatorNode(AND, (Leaf("A", "a"), Leaf("B", "b"))), (), 10.0)
