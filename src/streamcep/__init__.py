@@ -56,7 +56,8 @@ from .plangen import (
     plan_cost,
     tree_plan_from_order,
 )
-from .nfa import DEFAULT_KL_CAP, NfaEngine
+from .matching import DEFAULT_KL_CAP
+from .nfa import NfaEngine
 from .tree_engine import TreeEngine
 from .runner import PatternRunner, RunResult
 from .oracle import oracle_match

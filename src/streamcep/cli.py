@@ -12,6 +12,7 @@ import sys
 from dataclasses import replace
 
 from .corpus import ENGINES, builtin_corpus, corpus_stream, verify_pattern
+from .matching import DEFAULT_KL_CAP
 from .model import (
     OrderPlan,
     ResourceLimitError,
@@ -19,7 +20,6 @@ from .model import (
     StatisticsCatalog,
     StreamCepError,
 )
-from .nfa import DEFAULT_KL_CAP
 from .oracle import DEFAULT_CORESIDENT_LIMIT
 from .parser import parse_pattern
 from .plangen import (

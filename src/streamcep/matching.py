@@ -10,15 +10,18 @@ metrics snapshot.
 
 It also holds the engines' time index.  Events arrive in time order, so
 every per-type buffer is sorted by timestamp.  ``ts_order`` reads the
-strict ``x.ts < y.ts`` predicates of a conjunct once, and ``TimeRange``
-turns them and the window into the timestamps the next alias to bind may
-take; the engines bisect their buffers to that range and test only what
-lies inside, still through the module-level ``evaluate_predicate`` and
-``blocks``.  The same order gives the dead-state rule: a later arrival
-has a timestamp at or after every bound event, so it can never bind an
-alias that must precede a bound one, and a partial that only such an
-arrival could extend is never stored.  ``evict_expired`` drops a time
-ordered prefix in one cut, with the span test's own comparison.
+strict ``x.ts < y.ts`` predicates of a conjunct, or of a negated
+position, once, and ``TimeRange`` turns them and the window into the
+timestamps the next alias to bind, or a blocker, may take; the engines
+and the absence tracker bisect their buffers to that range and test
+only what lies inside, still through the module-level
+``evaluate_predicate`` and ``blocks``.  A negated position's predicates
+are thus the only description of its absence interval.  The same order
+gives the dead-state rule: a later arrival has a timestamp at or after
+every bound event, so it can never bind an alias that must precede a
+bound one, and a partial that only such an arrival could extend is never
+stored.  ``evict_expired`` drops a time ordered prefix in one cut, with
+the span test's own comparison.
 """
 from __future__ import annotations
 
@@ -30,19 +33,19 @@ from operator import attrgetter
 
 from .model import (
     ANY_MATCH,
-    AttrRef,
     ContractError,
     Event,
     MatchReport,
     Plan,
     evaluate_predicate,
 )
-from .transform import NegationSpec
+from .transform import NegationSpec, ts_bound
 
 Bindings = dict[str, object]  # alias -> Event | tuple[Event, ...]
 
+DEFAULT_KL_CAP = 8  # the largest Kleene group either engine builds
+
 TIMESTAMP = attrgetter("timestamp")
-TS_ATTRIBUTES = ("ts", "timestamp")
 
 
 def binding_events(bindings: Bindings) -> list[Event]:
@@ -122,23 +125,16 @@ def ts_order(predicates) -> frozenset[tuple[str, str]]:
     """Alias pairs ``(earlier, later)`` the predicates order strictly in time.
 
     ``x.ts < y.ts`` and ``y.ts > x.ts`` with no offset each give
-    ``(x, y)``, whether ``seq_to_and`` or the user wrote them; the set is
-    closed transitively.  A Kleene alias meets such a bound only if every
-    member does, so each pair orders every event bound to ``earlier``
-    before every event bound to ``later``.
+    ``(x, y)`` (see ``ts_bound``), whether ``seq_to_and`` or the user
+    wrote them; the set is closed transitively.  A Kleene alias meets
+    such a bound only if every member does, so each pair orders every
+    event bound to ``earlier`` before every event bound to ``later``.
     """
     pairs = set()
     for pred in predicates:
-        left, right = pred.left, pred.right
-        if (not isinstance(right, AttrRef) or pred.right_offset
-                or left.attribute not in TS_ATTRIBUTES
-                or right.attribute not in TS_ATTRIBUTES
-                or left.alias == right.alias):
-            continue
-        if pred.comparator == "<":
-            pairs.add((left.alias, right.alias))
-        elif pred.comparator == ">":
-            pairs.add((right.alias, left.alias))
+        bound = ts_bound(pred)
+        if bound is not None and bound[2]:
+            pairs.add(bound[:2])
     aliases = {alias for pair in pairs for alias in pair}
     for via in aliases:  # Warshall's closure
         earlier = [a for a in aliases if (a, via) in pairs]
@@ -148,7 +144,7 @@ def ts_order(predicates) -> frozenset[tuple[str, str]]:
 
 
 class TimeRange:
-    """Where the events of the next alias to bind may fall in time.
+    """Where the events of the next alias to bind, or a blocker, may fall.
 
     Given the aliases already bound, ``ts_order`` pins the next alias
     strictly after the latest event of each alias in ``after`` and
@@ -205,52 +201,18 @@ def blocks(spec: NegationSpec, blocker: Event, bindings: Bindings,
            window: float) -> bool:
     """True when ``blocker`` forbids the match held in ``bindings``.
 
-    The blocker must satisfy the spec's predicates and fall inside the
-    absence interval: strictly between the predecessor and successor for
-    sequences (window edges when the position borders the pattern), or
-    anywhere inside the match window for conjunctions.  A window edge is
-    the span test's own comparison, the blocker's distance to the far end
-    of the match, so it rounds as every other window test does.
+    The blocker must fall inside the match window and satisfy the spec's
+    predicates, which carry any order a sequence put on it.  A window
+    edge is the span test's own comparison, the blocker's distance to the
+    far end of the match, so it rounds as every other window test does.
     """
     lo, hi = binding_span(bindings)
     ts = blocker.timestamp
-    if spec.mode == "seq":
-        if spec.predecessor is not None:
-            if ts <= _alias_ts_bounds(bindings[spec.predecessor])[1]:
-                return False
-        elif hi - ts > window:
-            return False
-        if spec.successor is not None:
-            if ts >= _alias_ts_bounds(bindings[spec.successor])[0]:
-                return False
-        elif ts - lo > window:
-            return False
-    elif hi - ts > window or ts - lo > window:
+    if hi - ts > window or ts - lo > window:
         return False
     probe = dict(bindings)
     probe[spec.alias] = blocker
     return all(evaluate_predicate(p, probe) for p in spec.predicates)
-
-
-def final_at_checkpoint(spec: NegationSpec) -> bool:
-    """Whether the absence test is already exact at the plan's checkpoint.
-
-    That needs the blocker's interval pinned on both sides by members
-    bound at the checkpoint: then neither window edge is ever the binding
-    constraint, every qualifying blocker has arrived (timestamps are
-    non-decreasing and the upper bound is strict), and the test gives the
-    same answer as on the full match.  Everything else is decided once
-    the match completes, where the window edges are known and the
-    outcome cannot depend on plan order.
-    """
-    if spec.needs_pending:
-        return False
-    if spec.mode == "seq":
-        if spec.predecessor is None or spec.successor is None:
-            return False
-        allowed = {spec.predecessor, spec.successor, spec.alias}
-        return all(set(p.aliases()) <= allowed for p in spec.predicates)
-    return spec.ts_confined
 
 
 def checkpoint_slots(plan: Plan, negations, base: int = 0) -> dict[str, int]:
@@ -288,24 +250,29 @@ class _PendingMatch:
 class AbsenceTracker:
     """Absence state of one conjunct, held by either engine.
 
-    A slot is an order-plan step or a tree node.  A spec whose test is
-    exact at its checkpoint is checked at that slot; every other spec is
-    checked on the full match, and when blockers may still arrive after
-    completion the match waits as pending until its deadline.  The engine
-    passes the blocker test ``blocks`` into each call, so every engine's
-    tests are counted under its own module's name.  Blocker buffers are
-    in arrival order, so each test bisects a buffer down to the blockers
-    inside the absence interval and calls ``blocks`` on those alone.
+    A slot is an order-plan step or a tree node.  A ``ts_confined`` spec
+    is checked at its checkpoint slot: its predicates pin the blocker
+    between members bound there, and, the upper bound being strict and
+    timestamps non-decreasing, every qualifying blocker has arrived by
+    then.  Every other spec is checked on the full match, where the window
+    edges are known and the outcome cannot depend on plan order; when
+    blockers may still arrive after completion the match waits as pending
+    until its deadline.  The engine passes the blocker test ``blocks``
+    into each call, so every engine's tests are counted under its own
+    module's name.  Blocker buffers are in arrival order, so each test
+    bisects a buffer to the ``TimeRange`` the spec's predicates and the
+    window give the blocker and calls ``blocks`` on those alone.
     """
 
     def __init__(self, negations, slot_of: dict[str, int], slots: int,
                  window: float, alias_order: tuple[str, ...]):
         self.window = window
         self.alias_order = alias_order
+        self.order = {spec.alias: ts_order(spec.predicates) for spec in negations}
         self.at_slot: list[list[NegationSpec]] = [[] for _ in range(slots)]
         completion: list[NegationSpec] = []
         for spec in negations:
-            if final_at_checkpoint(spec):
+            if spec.ts_confined:
                 self.at_slot[slot_of[spec.alias]].append(spec)
             elif not spec.needs_pending:
                 completion.append(spec)
@@ -329,33 +296,14 @@ class AbsenceTracker:
         return False
 
     def _interval(self, spec: NegationSpec, bindings: Bindings) -> list[Event]:
-        """The buffered blockers inside the absence interval ``blocks`` tests.
-
-        Each edge is cut with ``blocks``'s own comparison: strictly after
-        the predecessor and before the successor, or on or inside the
-        window edges where the position borders the pattern or the
-        pattern is a conjunction.
-        """
-        buffer = self.buffers[spec.type_name]
-        seq = spec.mode == "seq"
-        predecessor = spec.predecessor if seq else None
-        successor = spec.successor if seq else None
-        if predecessor is None or successor is None:
-            lo, hi = binding_span(bindings)
-        window = self.window
-        if predecessor is not None:
-            floor = _alias_ts_bounds(bindings[predecessor])[1]
-            start = bisect_right(buffer, floor, key=TIMESTAMP)
-        else:
-            start = bisect_left(buffer, True,
-                                key=lambda e: hi - e.timestamp <= window)
-        if successor is not None:
-            ceiling = _alias_ts_bounds(bindings[successor])[0]
-            stop = bisect_left(buffer, ceiling, start, key=TIMESTAMP)
-        else:
-            stop = bisect_left(buffer, True, start,
-                               key=lambda e: e.timestamp - lo > window)
-        return buffer[start:stop]
+        """The buffered blockers ``blocks`` may accept: inside the window
+        and on the side of each bound alias that the spec's strict time
+        order puts them, each edge cut with ``blocks``'s own comparison."""
+        lo, hi = binding_span(bindings)
+        time_range = TimeRange(spec.alias, bindings, self.order[spec.alias],
+                               self.window)
+        return time_range.bisect(self.buffers[spec.type_name], TIMESTAMP,
+                                 bindings, lo, hi)
 
     def blocked_at(self, slot: int, bindings: Bindings, blocks) -> bool:
         """Whether a buffered blocker rules out a partial match at ``slot``."""
@@ -458,12 +406,7 @@ def make_report(candidate: Candidate, detected_at: float = 0.0,
 
 @dataclass
 class EngineMetrics:
-    """Structure-count runtime metrics shared by both engines.
-
-    ``memory_peak`` is the peak of live partial matches plus buffered
-    events observed after any single arrival, the portable stand-in for
-    byte-level memory measurements.
-    """
+    """Structure-count runtime metrics shared by both engines."""
 
     events: int = 0
     matches: int = 0
@@ -471,7 +414,6 @@ class EngineMetrics:
     peak_partials: int = 0
     buffered: int = 0
     peak_buffered: int = 0
-    memory_peak: int = 0
     instances_created: int = 0
     kl_overflows: int = 0
     latency_total: float = 0.0
@@ -482,9 +424,6 @@ class EngineMetrics:
             self.peak_partials = self.live_partials
         if self.buffered > self.peak_buffered:
             self.peak_buffered = self.buffered
-        combined = self.live_partials + self.buffered
-        if combined > self.memory_peak:
-            self.memory_peak = combined
 
     def note_node(self, node_id: str, count: int) -> None:
         if count > self.per_node_peak.get(node_id, 0):

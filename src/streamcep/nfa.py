@@ -14,8 +14,13 @@ before it, before every one they order after it, and within the window.
 A position that must precede an alias bound earlier in the chain is
 dead: no later arrival can fill it, so its partials are forked over the
 backlog and never stored, and arrivals of its type probe nothing.
-Partials expire at the window edge; a per-state oldest ``min_ts`` lets
-eviction skip the states where nothing has expired.
+A type is buffered only if some backlog fork can draw on it: every
+partial that reaches a position holds the newest arrival at an earlier
+one, so when the predicates order every earlier position before it, its
+backlog fork starts after that arrival and is empty.  The first position
+is read only by its own Kleene arrivals.  Partials expire at the window
+edge; a per-state oldest ``min_ts`` lets eviction skip the states where
+nothing has expired.
 """
 from __future__ import annotations
 
@@ -23,6 +28,7 @@ import math
 from itertools import combinations
 
 from .matching import (
+    DEFAULT_KL_CAP,
     TIMESTAMP,
     AbsenceTracker,
     Candidate,
@@ -43,12 +49,11 @@ from .model import (
 )
 from .transform import NormalizedConjunct
 
-DEFAULT_KL_CAP = 8
-
 
 class NfaChain:
     """Static structure of the chain: positions, conditions, checkpoints,
-    and the time range each position's backlog fork may draw from."""
+    the time range each position's backlog fork may draw from, and the
+    types whose arrivals are buffered for those forks."""
 
     def __init__(self, plan: OrderPlan, conjunct: NormalizedConjunct):
         core = conjunct.core
@@ -83,17 +88,15 @@ class NfaChain:
         # backlog, which is forked over when the partial is made: such
         # partials are never stored, and arrivals there probe nothing.
         self.dead = [bool(r.before) for r in self.ranges]
-        # When every consecutive pair of positions is ordered in time, a
-        # buffered event can never join a partial created after it, so the
-        # engine can run eagerly and keep nothing.  A full serial-adjacency
-        # chain pins every next binding to the previous arrival, letting
-        # stale partials be dropped immediately instead of at the window
-        # edge.  Both flags are pure execution shortcuts; they change no
-        # match set.
-        pairs = list(zip(self.aliases, self.aliases[1:], range(1, len(self.order))))
-        self.eager = not self.kl_positions and not conjunct.negations and all(
-            (a, b) in order for a, b, _ in pairs
+        # The buffering rule of the module docstring.
+        self.buffered = frozenset(
+            t for i, t in enumerate(plan.order)
+            if i in self.kl_positions or len(self.ranges[i].after) < i
         )
+        # A full serial-adjacency chain pins every next binding to the
+        # previous arrival, letting stale partials be dropped immediately
+        # instead of at the window edge.  This changes no match set.
+        pairs = list(zip(self.aliases, self.aliases[1:], range(1, len(self.order))))
         self.prune_stale = bool(pairs) and not self.kl_positions and all(
             self._serial_adjacent(a, b, i) for a, b, i in pairs
         )
@@ -128,7 +131,7 @@ class NfaEngine:
         self.chain = NfaChain(plan, conjunct)
         self.kl_cap = kl_cap
         self.window = self.chain.window
-        self.buffers: dict[str, list[Event]] = {t: [] for t in self.chain.order}
+        self.buffers: dict[str, list[Event]] = {t: [] for t in self.chain.buffered}
         self.by_state: list[list[_Partial]] = [
             [] for _ in range(len(self.chain.order))
         ]
@@ -178,9 +181,9 @@ class NfaEngine:
         """Creation-time fork values for a partial's next position: the
         buffered events inside its time range, or capped subsets of them."""
         position = partial.state
-        pool = self.buffers[self.chain.order[position]]
+        pool = self.buffers.get(self.chain.order[position])
         if not pool:
-            return pool
+            return ()
         pool = self.chain.ranges[position].bisect(
             pool, TIMESTAMP, partial.bindings, partial.min_ts, partial.max_ts,
         )
@@ -225,8 +228,9 @@ class NfaEngine:
         out: list[Candidate] = []
         self.metrics.events += 1
         self.absence.arrive(event, out, blocks)
-        if event.type_name in self.buffers and not self.chain.eager:
-            self.buffers[event.type_name].append(event)
+        buffer = self.buffers.get(event.type_name)
+        if buffer is not None:
+            buffer.append(event)
         position = self._position_of.get(event.type_name)
         if position is not None and not self.chain.dead[position]:
             values = self._position_values(position, event)

@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .matching import (
+    DEFAULT_KL_CAP,
     ArrivalClock,
     Candidate,
     EngineMetrics,
@@ -27,7 +28,7 @@ from .model import (
     Pattern,
     TreePlan,
 )
-from .nfa import DEFAULT_KL_CAP, NfaEngine
+from .nfa import NfaEngine
 from .plangen import PlanBundle, tree_plan_from_order
 from .transform import normalize_pattern
 from .tree_engine import TreeEngine
@@ -123,8 +124,8 @@ class PatternRunner:
     def process(self, event: Event) -> list[MatchReport]:
         """Feed one event; serials must increase and timestamps not fall.
 
-        The engines' time indexes, eviction and eager chains all rely on
-        that arrival order, so an event that breaks it is refused.
+        The engines' time indexes, eviction and buffering rules all rely
+        on that arrival order, so an event that breaks it is refused.
         """
         if self.events_seen and (
             event.serial <= self.max_serial or event.timestamp < self.last_ts

@@ -38,6 +38,7 @@ from .model import (
 )
 
 TEMPORAL_ORIGIN = "temporal-order"
+TS_ATTRIBUTES = ("ts", "timestamp")
 CONTIGUITY_ORIGIN = "contiguity"
 
 DEFAULT_TEMPORAL_SELECTIVITY = 0.5
@@ -97,6 +98,23 @@ def seq_to_and(pattern: Pattern) -> Pattern:
 # Negation split
 
 
+def ts_bound(pred: Predicate) -> tuple[str, str, bool] | None:
+    """``(earlier, later, strict)`` when ``pred`` orders the timestamps of
+    two aliases, as ``x.ts < y.ts``, ``y.ts >= x.ts`` and the like; None
+    for any other predicate, and for a bound with an offset."""
+    left, right = pred.left, pred.right
+    if (not isinstance(right, AttrRef) or pred.right_offset
+            or left.attribute not in TS_ATTRIBUTES
+            or right.attribute not in TS_ATTRIBUTES
+            or left.alias == right.alias):
+        return None
+    if pred.comparator in ("<", "<="):
+        return left.alias, right.alias, pred.comparator == "<"
+    if pred.comparator in (">", ">="):
+        return right.alias, left.alias, pred.comparator == ">"
+    return None
+
+
 @dataclass(frozen=True)
 class NegationSpec:
     """Everything needed to test the absence of one negated position.
@@ -104,74 +122,33 @@ class NegationSpec:
     ``predicates`` are the pattern predicates touching the negated alias
     (including rewritten timestamp-order constraints); ``dependencies`` are
     the positive event types those predicates reference, which anchor the
-    checkpoint during plan finalization.  In ``seq`` mode the blocker must
-    fall strictly between the predecessor and successor events (window
-    edges when absent); in ``and`` mode it must satisfy the predicates
-    inside the full match window.
+    checkpoint during plan finalization.  A blocker must satisfy the
+    predicates inside the full match window, so the predicates alone
+    describe the absence interval.
     """
 
     alias: str
     type_name: str
-    mode: str  # "seq" | "and"
     predicates: tuple[Predicate, ...] = ()
     dependencies: tuple[str, ...] = ()
-    predecessor: str | None = None  # alias
-    successor: str | None = None  # alias
+
+    def _ts_bounds(self) -> tuple[bool, bool]:
+        """Whether a bound member pins the blocker's timestamp from below
+        and from above.  Only a strict upper bound counts: with ``<=`` an
+        equal-timestamp blocker may still follow the bounding member."""
+        below = above = False
+        for pred in self.predicates:
+            bound = ts_bound(pred)
+            if bound is not None:
+                earlier, later, strict = bound
+                below = below or later == self.alias
+                above = above or (strict and earlier == self.alias)
+        return below, above
 
     @property
     def needs_pending(self) -> bool:
         """True when blockers may still arrive after the match completes."""
-        if self.mode == "seq":
-            return self.successor is None
-        return not self._bounded_above()
-
-    def _bounded_above(self) -> bool:
-        for pred in self.predicates:
-            left, right = pred.left, pred.right
-            if not isinstance(right, AttrRef) or pred.right_offset:
-                continue
-            # Only a strict bound is final once the bounding member arrives;
-            # with <= an equal-timestamp blocker may still follow it.
-            if (
-                left.alias == self.alias
-                and left.attribute in ("ts", "timestamp")
-                and pred.comparator == "<"
-                and right.attribute in ("ts", "timestamp")
-                and right.alias != self.alias
-            ):
-                return True
-            if (
-                right.alias == self.alias
-                and right.attribute in ("ts", "timestamp")
-                and pred.comparator == ">"
-                and left.attribute in ("ts", "timestamp")
-                and left.alias != self.alias
-            ):
-                return True
-        return False
-
-    def _bounded_below(self) -> bool:
-        for pred in self.predicates:
-            left, right = pred.left, pred.right
-            if not isinstance(right, AttrRef) or pred.right_offset:
-                continue
-            if (
-                left.alias == self.alias
-                and left.attribute in ("ts", "timestamp")
-                and pred.comparator in (">", ">=")
-                and right.attribute in ("ts", "timestamp")
-                and right.alias != self.alias
-            ):
-                return True
-            if (
-                right.alias == self.alias
-                and right.attribute in ("ts", "timestamp")
-                and pred.comparator in ("<", "<=")
-                and left.attribute in ("ts", "timestamp")
-                and left.alias != self.alias
-            ):
-                return True
-        return False
+        return not self._ts_bounds()[1]
 
     @property
     def ts_confined(self) -> bool:
@@ -182,25 +159,26 @@ class NegationSpec:
         window of everything bound), so the test gives the same answer on
         a partial as on the full match.
         """
-        return self._bounded_above() and self._bounded_below()
+        return all(self._ts_bounds())
 
 
 def split_negation(pattern: Pattern) -> tuple[Pattern, tuple[NegationSpec, ...]]:
-    """Separate negated positions from the positive core.
+    """Separate negated positions from the positive core of a conjunction.
 
     Returns the pattern restricted to positive positions plus one
-    ``NegationSpec`` per negated position.  For sequences the dependency
-    set is the nearest positive neighbor on each side; for conjunctions it
-    is the set of positive types referenced by the negated position's
-    predicates (possibly empty).
+    ``NegationSpec`` per negated position, whose dependencies are the
+    positive types its predicates reference (possibly none).  A sequence
+    with a negated position must first go through ``seq_to_and``, which
+    writes its order into the predicates; a pattern without one passes
+    through unchanged.
     """
-    if pattern.root.op not in (SEQ, AND) or not pattern.is_simple():
-        raise UnsupportedPatternError("negation split expects a simple SEQ or AND")
     leaves = pattern.leaves()
     negated = [l for l in leaves if l.negated]
-    positives = [l for l in leaves if not l.negated]
     if not negated:
         return pattern, ()
+    if pattern.root.op != AND or not pattern.is_simple():
+        raise UnsupportedPatternError("negation split expects a simple AND")
+    positives = [l for l in leaves if not l.negated]
     if not positives:
         raise UnsupportedPatternError("pattern consists only of negated positions")
     negated_aliases = {l.alias for l in negated}
@@ -211,49 +189,25 @@ def split_negation(pattern: Pattern) -> tuple[Pattern, tuple[NegationSpec, ...]]
         touching = tuple(
             p for p in pattern.predicates if leaf_node.alias in p.aliases()
         )
+        dep_types = []
         for pred in touching:
-            others = [a for a in pred.aliases() if a != leaf_node.alias]
-            if any(a in negated_aliases for a in others):
-                raise UnsupportedPatternError(
-                    "predicates between two negated positions are not supported"
-                )
-        if pattern.root.op == SEQ:
-            index = leaves.index(leaf_node)
-            predecessor = next(
-                (l.alias for l in reversed(leaves[:index]) if not l.negated), None
+            for a in pred.aliases():
+                if a == leaf_node.alias:
+                    continue
+                if a in negated_aliases:
+                    raise UnsupportedPatternError(
+                        "predicates between two negated positions are not supported"
+                    )
+                if alias_types[a] not in dep_types:
+                    dep_types.append(alias_types[a])
+        specs.append(
+            NegationSpec(
+                alias=leaf_node.alias,
+                type_name=leaf_node.type_name,
+                predicates=touching,
+                dependencies=tuple(dep_types),
             )
-            successor = next(
-                (l.alias for l in leaves[index + 1 :] if not l.negated), None
-            )
-            deps = tuple(
-                alias_types[a] for a in (predecessor, successor) if a is not None
-            )
-            specs.append(
-                NegationSpec(
-                    alias=leaf_node.alias,
-                    type_name=leaf_node.type_name,
-                    mode="seq",
-                    predicates=touching,
-                    dependencies=deps,
-                    predecessor=predecessor,
-                    successor=successor,
-                )
-            )
-        else:
-            dep_types = []
-            for pred in touching:
-                for a in pred.aliases():
-                    if a != leaf_node.alias and alias_types[a] not in dep_types:
-                        dep_types.append(alias_types[a])
-            specs.append(
-                NegationSpec(
-                    alias=leaf_node.alias,
-                    type_name=leaf_node.type_name,
-                    mode="and",
-                    predicates=touching,
-                    dependencies=tuple(dep_types),
-                )
-            )
+        )
 
     kept_predicates = tuple(
         p
@@ -262,7 +216,7 @@ def split_negation(pattern: Pattern) -> tuple[Pattern, tuple[NegationSpec, ...]]
     )
     core = replace(
         pattern,
-        root=OperatorNode(pattern.root.op, tuple(positives)),
+        root=OperatorNode(AND, tuple(positives)),
         predicates=kept_predicates,
     )
     return core, tuple(specs)

@@ -26,6 +26,7 @@ from itertools import combinations
 from operator import attrgetter
 
 from .matching import (
+    DEFAULT_KL_CAP,
     AbsenceTracker,
     Candidate,
     EngineMetrics,
@@ -42,7 +43,6 @@ from .model import (
     TreePlan,
     evaluate_predicate,
 )
-from .nfa import DEFAULT_KL_CAP
 from .transform import NormalizedConjunct
 
 

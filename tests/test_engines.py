@@ -171,6 +171,7 @@ class TestNegation:
         OperatorNode(SEQ, (Leaf("A", "a"), Leaf("N", "n", (NOT,)), Leaf("B", "b"))),
         (), 10.0,
     )
+    EARLY_BLOCKER = [ev("N", 0.5, 0), ev("A", 1.0, 1), ev("B", 3.0, 2)]
 
     def test_blocker_between_members(self):
         p = self.BETWEEN
@@ -200,6 +201,21 @@ class TestNegation:
         for engine in calls:
             assert run_keys(self.BETWEEN, blocked, engine=engine) == set()
             assert calls[engine] > 0, engine
+        # a blocker before a is cut off by the order a < n, not only by the
+        # window, so it is never tested
+        calls.update(nfa=0, tree=0)
+        for engine in calls:
+            assert run_keys(self.BETWEEN, self.EARLY_BLOCKER, engine=engine) == {(1, 2)}
+            assert calls[engine] == 0, engine
+
+    def test_nfa_buffers_only_the_blocker(self):
+        # a is the first position and b follows it in time, so no backlog
+        # fork reads either type
+        result = PatternRunner(self.BETWEEN, bundle_for(self.BETWEEN)).run(
+            self.EARLY_BLOCKER
+        )
+        assert match_keys(result.reports) == {(1, 2)}
+        assert result.engine_metrics[0].peak_buffered == 1
 
     def test_trailing_absence_is_deferred(self):
         p = Pattern(
@@ -386,14 +402,22 @@ class TestTimeIndex:
 
 
 class TestExecutionShortcuts:
-    def test_plain_sequences_run_eagerly(self):
+    def test_nfa_buffers_only_what_a_backlog_fork_reads(self):
+        def buffered(pattern, order):
+            conjunct = normalize_pattern(pattern).conjuncts[0]
+            plan = OrderPlan(order, kl_types=conjunct.kl_types())
+            return NfaChain(plan, conjunct).buffered
+
         p = seq_pattern(("A", "B", "C"), 10.0)
-        conjunct = normalize_pattern(p).conjuncts[0]
-        chain = NfaChain(OrderPlan(("A", "B", "C")), conjunct)
-        assert chain.eager
-        # a reordered plan must buffer instead
-        reordered = NfaChain(OrderPlan(("A", "C", "B")), conjunct)
-        assert not reordered.eager
+        assert buffered(p, ("A", "B", "C")) == frozenset()
+        # b precedes c, so a partial holding c may still take a buffered b
+        assert buffered(p, ("A", "C", "B")) == {"B"}
+        # a Kleene type reads its own backlog when a member arrives
+        assert buffered(TestKleene.P, ("A", "K", "B")) == {"K"}
+        # a conjunction orders nothing, so every type but the first is read
+        conj = Pattern(OperatorNode(AND, (Leaf("A", "a"), Leaf("B", "b"),
+                                          Leaf("C", "c"))), (), 10.0)
+        assert buffered(conj, ("B", "A", "C")) == {"A", "C"}
 
     def test_contiguity_plans_prune_stale_partials(self):
         p = seq_pattern(("A", "B", "C"), 10.0).with_strategy(
@@ -404,8 +428,8 @@ class TestExecutionShortcuts:
         assert chain.prune_stale
 
     def test_shortcut_paths_agree_with_buffered_path(self):
-        # same stream through the eager in-order plan and a buffering
-        # reordered plan; the match sets must not differ
+        # same stream through the in-order plan, which buffers nothing, and
+        # a reordered plan that buffers; the match sets must not differ
         rng = random.Random(7)
         types, pattern = workload_pattern(rng, 4, 5.0, density=0)
         p = Pattern(
@@ -437,7 +461,7 @@ class TestMetrics:
         metrics = result.engine_metrics[0]
         assert metrics.buffered >= 1
         assert metrics.live_partials == 0
-        assert metrics.memory_peak >= 1
+        assert result.memory_peak >= 1
         assert metrics.per_node_peak  # per-node occupancy was tracked
 
     def test_memory_peak_tracks_joint_state(self):

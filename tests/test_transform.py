@@ -153,24 +153,30 @@ class TestSplitNegation:
             "n" not in pred.aliases() for pred in core.predicates
         )
         (spec,) = specs
-        assert spec.mode == "and"  # after flattening, bounds live in predicates
+        # after flattening, the neighbours' order lives in the predicates
         assert spec.alias == "n" and spec.type_name == "N"
-        assert set(spec.dependencies) == {"A", "B"}
-
-    def test_sequence_mode_directly(self):
-        p = seq(Leaf("A", "a"), Leaf("N", "n", (NOT,)), Leaf("B", "b"))
-        core, specs = split_negation(p)
-        (spec,) = specs
-        assert spec.mode == "seq"
-        assert spec.predecessor == "a" and spec.successor == "b"
         assert spec.dependencies == ("A", "B")
         assert not spec.needs_pending
+        assert spec.ts_confined
+
+    def test_inner_sequence_negation_is_confined(self):
+        p = seq(Leaf("A", "a"), Leaf("N", "n", (NOT,)), Leaf("B", "b"),
+                Leaf("C", "c"))
+        (conjunct,) = normalize_pattern(p).conjuncts
+        (spec,) = conjunct.negations
+        assert spec.dependencies == ("A", "B")
+        assert not spec.needs_pending
+        assert spec.ts_confined
 
     def test_trailing_negation_needs_pending(self):
-        p = seq(Leaf("A", "a"), Leaf("N", "n", (NOT,)))
-        _, (spec,) = split_negation(p)
-        assert spec.successor is None
-        assert spec.needs_pending
+        for p in (seq(Leaf("A", "a"), Leaf("N", "n", (NOT,))),
+                  seq(Leaf("N", "n", (NOT,)), Leaf("A", "a"))):
+            (conjunct,) = normalize_pattern(p).conjuncts
+            (spec,) = conjunct.negations
+            assert spec.dependencies == ("A",)
+            assert not spec.ts_confined
+            trailing = p.leaves()[-1].negated
+            assert spec.needs_pending == trailing
 
     def test_and_mode_bounded_above_only_by_strict_less(self):
         def spec_with(comparator):
@@ -191,6 +197,7 @@ class TestSplitNegation:
     def test_ts_confined_needs_bounds_on_both_sides(self):
         upper = Predicate(AttrRef("n", "ts"), "<", AttrRef("b", "ts"))
         lower = Predicate(AttrRef("a", "ts"), "<", AttrRef("n", "ts"))
+        closed_lower = Predicate(AttrRef("a", "ts"), "<=", AttrRef("n", "ts"))
         root = OperatorNode(
             AND, (Leaf("A", "a"), Leaf("B", "b"), Leaf("N", "n", (NOT,)))
         )
@@ -198,6 +205,9 @@ class TestSplitNegation:
         assert not one_sided.ts_confined
         _, (both,) = split_negation(Pattern(root, (upper, lower), 10.0))
         assert both.ts_confined
+        # a lower bound counts with <= too
+        _, (closed,) = split_negation(Pattern(root, (upper, closed_lower), 10.0))
+        assert closed.ts_confined
 
     def test_offset_bounds_do_not_count(self):
         pred = Predicate(
@@ -233,6 +243,9 @@ class TestSplitNegation:
         root = OperatorNode(AND, (Leaf("N", "n", (NOT,)),))
         with pytest.raises(UnsupportedPatternError):
             split_negation(Pattern(root, (), 10.0))
+        # a negated sequence must be flattened by seq_to_and first
+        with pytest.raises(UnsupportedPatternError):
+            split_negation(seq(Leaf("A", "a"), Leaf("N", "n", (NOT,)), Leaf("B", "b")))
 
     def test_no_negation_is_identity(self):
         p = seq(Leaf("A", "a"), Leaf("B", "b"))
