@@ -21,7 +21,6 @@ from .model import (
     MissingStatisticsError,
     NEXT_MATCH,
     NOT,
-    NegationCheckpoint,
     OR,
     OperatorNode,
     OrderPlan,
@@ -54,7 +53,6 @@ from .plangen import (
     bundle_to_json,
     generate_plan,
     plan_cost,
-    tree_plan_from_order,
 )
 from .matching import DEFAULT_KL_CAP
 from .nfa import NfaEngine

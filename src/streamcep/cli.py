@@ -58,6 +58,16 @@ def _strategy(text: str) -> SelectionStrategy:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _names(text: str, known, label: str) -> tuple[str, ...]:
     if text == "all":
         return tuple(known)
@@ -246,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("stream", help="CSV stream file")
     run.add_argument("--engine", default="auto", choices=("auto",) + ENGINES)
     run.add_argument("--strategy", type=_strategy, default=None)
-    run.add_argument("--kl-cap", type=int, default=DEFAULT_KL_CAP)
+    run.add_argument("--kl-cap", type=_positive_int, default=DEFAULT_KL_CAP)
     run.add_argument("--out", default="matches.txt",
                      help="match file, one serial tuple per line")
     common(run)
@@ -255,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="estimate statistics from a CSV stream")
     stats.add_argument("stream", help="CSV stream file")
     stats.add_argument("patterns", nargs="+", help="pattern files")
-    stats.add_argument("--max-pairs", type=int, default=100_000)
+    stats.add_argument("--max-pairs", type=_positive_int, default=100_000)
     stats.add_argument("--out", default=None, help="statistics file (default: stdout)")
     common(stats)
     stats.set_defaults(func=cmd_stats)
@@ -271,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                         type=lambda t: _names(t, ENGINES, "engine"),
                         default=ENGINES)
     verify.add_argument("--strategy", type=_strategy, default=None)
-    verify.add_argument("--kl-cap", type=int, default=DEFAULT_CORESIDENT_LIMIT)
+    verify.add_argument("--kl-cap", type=_positive_int, default=DEFAULT_CORESIDENT_LIMIT)
     verify.add_argument("--max-coresident", type=int,
                         default=DEFAULT_CORESIDENT_LIMIT)
     common(verify)

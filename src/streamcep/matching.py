@@ -33,10 +33,8 @@ from operator import attrgetter
 
 from .model import (
     ANY_MATCH,
-    ContractError,
     Event,
     MatchReport,
-    Plan,
     evaluate_predicate,
 )
 from .transform import NegationSpec, ts_bound
@@ -215,22 +213,6 @@ def blocks(spec: NegationSpec, blocker: Event, bindings: Bindings,
     return all(evaluate_predicate(p, probe) for p in spec.predicates)
 
 
-def checkpoint_slots(plan: Plan, negations, base: int = 0) -> dict[str, int]:
-    """Slot of each negated alias's checkpoint: its plan position less ``base``.
-
-    Order plans number their steps from 1 and tree plans index their
-    nodes in post-order from 0.  A negated position the plan gives no
-    checkpoint is a ``ContractError``.
-    """
-    slot = {c.alias: c.position - base for c in plan.checkpoints}
-    for spec in negations:
-        if spec.alias not in slot:
-            raise ContractError(
-                f"plan lacks a checkpoint for negated position {spec.alias!r}"
-            )
-    return slot
-
-
 class _PendingMatch:
     """A full match whose absence test stays open until its deadline: the
     first arrival more than a window after the match's earliest event
@@ -250,8 +232,10 @@ class _PendingMatch:
 class AbsenceTracker:
     """Absence state of one conjunct, held by either engine.
 
-    A slot is an order-plan step or a tree node.  A ``ts_confined`` spec
-    is checked at its checkpoint slot: its predicates pin the blocker
+    A slot is a chain position or a tree node; the engine passes the slot
+    of each spec with dependencies: the earliest one, in its plan, where
+    every dependency is bound.  A ``ts_confined`` spec, which always has
+    dependencies, is checked at that slot: its predicates pin the blocker
     between members bound there, and, the upper bound being strict and
     timestamps non-decreasing, every qualifying blocker has arrived by
     then.  Every other spec is checked on the full match, where the window

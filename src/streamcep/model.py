@@ -526,27 +526,10 @@ class StatisticsCatalog:
 
 
 @dataclass(frozen=True)
-class NegationCheckpoint:
-    """Where a plan verifies the absence of a negated event type.
-
-    ``position`` is the 1-based step index for order plans, or the
-    post-order node index for tree plans: the earliest point at which every
-    dependency of the negated type has been accepted.
-    """
-
-    type_name: str
-    alias: str
-    position: int
-    dependencies: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class OrderPlan:
     """An event-processing order over the positive core of one conjunct."""
 
     order: tuple[str, ...]
-    kl_types: frozenset[str] = frozenset()
-    checkpoints: tuple[NegationCheckpoint, ...] = ()
 
     def __post_init__(self) -> None:
         if len(set(self.order)) != len(self.order):
@@ -612,8 +595,6 @@ class TreePlan:
     """A bushy evaluation tree over the positive core of one conjunct."""
 
     root: TreeNode
-    kl_types: frozenset[str] = frozenset()
-    checkpoints: tuple[NegationCheckpoint, ...] = ()
 
     def __post_init__(self) -> None:
         names = self.root.leaf_names()

@@ -5,8 +5,10 @@ order, regardless of arrival order: events are buffered per type, a
 partial match forks over the already-buffered backlog the moment it is
 created, and is extended directly by later arrivals.  Each full match is
 therefore materialized exactly once, at the arrival of its final (by
-serial) contributing event.  Absence of negated positions is decided by
-the shared ``AbsenceTracker``, with the chain's steps as its slots.
+serial) contributing event.  The Kleene positions and the negation
+checkpoints come from the conjunct, not the plan.  Absence of negated
+positions is decided by the shared ``AbsenceTracker``, with the chain's
+positions as its slots.
 
 Buffers are in time order.  A backlog fork bisects the buffer to the
 position's ``TimeRange``: after every bound alias the predicates order
@@ -35,7 +37,6 @@ from .matching import (
     EngineMetrics,
     TimeRange,
     blocks,
-    checkpoint_slots,
     evict_expired,
     ts_order,
 )
@@ -66,18 +67,23 @@ class NfaChain:
         self.window = core.window
         self.alias_order = tuple(l.alias for l in core.leaves())
         self.aliases = tuple(type_alias[t] for t in plan.order)
+        kl_types = conjunct.kl_types()
         self.kl_positions = frozenset(
-            i for i, t in enumerate(plan.order) if t in plan.kl_types
+            i for i, t in enumerate(plan.order) if t in kl_types
         )
         # Each predicate becomes a condition of the latest position among
         # its aliases; single-position predicates gate that position alone.
+        # A negated position's checkpoint is, by the same rule, the latest
+        # position among its dependencies.
         position_of = {type_alias[t]: i for i, t in enumerate(plan.order)}
         self.conditions: list[list[Predicate]] = [[] for _ in plan.order]
         for pred in core.predicates:
             last = max(position_of[a] for a in pred.aliases())
             self.conditions[last].append(pred)
-        # Step k of the plan is position k - 1 of the chain.
-        self.checkpoint_slot = checkpoint_slots(plan, conjunct.negations, base=1)
+        self.checkpoint_slot = {
+            spec.alias: max(position_of[type_alias[t]] for t in spec.dependencies)
+            for spec in conjunct.negations if spec.dependencies
+        }
         order = ts_order(core.predicates)
         self.ranges = [
             TimeRange(alias, self.aliases[:i], order, self.window)

@@ -7,9 +7,8 @@ subset rate ``planning_catalog`` gives it.  Costs are evaluated through
 one ``CostModel`` so every algorithm minimizes the same objective and
 comparisons stay consistent; the cost family follows the pattern's
 selection strategy and the latency anchor is the pattern-final type.
-``finalize_plan`` then marks the Kleene types and anchors the negation
-checkpoints, and ``tree_plan_from_order`` re-anchors them on an order
-plan's left-deep tree.
+A plan is only the order or the tree: the engines derive the Kleene
+positions and the negation checkpoints from the conjunct they run.
 """
 from __future__ import annotations
 
@@ -20,12 +19,10 @@ from functools import partial
 from typing import Sequence
 
 from .cost import CostModel, CostObjective, FAMILY_ANY, FAMILY_NEXT
-from .matching import checkpoint_slots
 from .model import (
     ANY_MATCH,
     ContractError,
     DataError,
-    NegationCheckpoint,
     OrderPlan,
     Pattern,
     Plan,
@@ -37,7 +34,6 @@ from .model import (
     UnsupportedPatternError,
     join,
     leaf,
-    left_deep_tree,
 )
 from .transform import NormalizedConjunct, normalize_pattern, planning_catalog
 
@@ -393,95 +389,6 @@ def family_for(strategy: SelectionStrategy) -> str:
     return FAMILY_ANY if strategy.kind == ANY_MATCH else FAMILY_NEXT
 
 
-def finalize_plan(
-    kind: str,
-    payload,
-    conjunct: NormalizedConjunct,
-) -> Plan:
-    """Turn a search result (an order of type names or a tree) into a plan.
-
-    The conjunct's Kleene types are marked, and each negation checkpoint
-    is placed at the earliest step (or lowest tree node) whose accepted
-    types cover the checkpoint's dependency set.
-    """
-    kl = conjunct.kl_types()
-
-    if kind == "order":
-        order = tuple(payload)
-        checkpoints = []
-        for spec in conjunct.negations:
-            deps = set(spec.dependencies)
-            if not deps <= set(order):
-                raise ContractError(
-                    f"checkpoint for {spec.type_name} depends on types "
-                    f"missing from the plan"
-                )
-            position = next(
-                step for step in range(1, len(order) + 1)
-                if deps <= set(order[:step])
-            )
-            checkpoints.append(
-                NegationCheckpoint(
-                    type_name=spec.type_name,
-                    alias=spec.alias,
-                    position=position,
-                    dependencies=spec.dependencies,
-                )
-            )
-        return OrderPlan(order=order, kl_types=kl, checkpoints=tuple(checkpoints))
-
-    return TreePlan(
-        root=payload, kl_types=kl, checkpoints=tree_checkpoints(payload, conjunct)
-    )
-
-
-def tree_checkpoints(
-    root: TreeNode, conjunct: NormalizedConjunct
-) -> tuple[NegationCheckpoint, ...]:
-    """Anchor each negation at the lowest node of the tree whose leaves
-    cover its dependencies (the leftmost leaf when it has none); the
-    position is the node's post-order index."""
-    postorder = list(root.postorder())
-    checkpoints = []
-    for spec in conjunct.negations:
-        deps = set(spec.dependencies)
-        if not deps <= set(root.leaf_names()):
-            raise ContractError(
-                f"checkpoint for {spec.type_name} depends on types missing "
-                f"from the plan"
-            )
-        node = root
-        while not node.is_leaf:
-            if deps <= set(node.left.leaf_names()):
-                node = node.left
-            elif deps <= set(node.right.leaf_names()):
-                node = node.right
-            else:
-                break
-        checkpoints.append(
-            NegationCheckpoint(
-                type_name=spec.type_name,
-                alias=spec.alias,
-                position=postorder.index(node),
-                dependencies=spec.dependencies,
-            )
-        )
-    return tuple(checkpoints)
-
-
-def tree_plan_from_order(plan: OrderPlan, conjunct: NormalizedConjunct) -> TreePlan:
-    """Left-deep tree equivalent of an order plan, checkpoints re-anchored.
-
-    The order plan must still give every negated position a checkpoint,
-    as the chain NFA requires of it.
-    """
-    checkpoint_slots(plan, conjunct.negations)
-    root = left_deep_tree(plan.order)
-    return TreePlan(
-        root=root, kl_types=plan.kl_types, checkpoints=tree_checkpoints(root, conjunct)
-    )
-
-
 def generate_plan(
     pattern: Pattern,
     stats: StatisticsCatalog,
@@ -502,9 +409,10 @@ def generate_plan(
         result, cost, count = search(model, seed) if seeded else search(model)
         wall = time.perf_counter() - start
         if kind == "order":
-            result = _order_names(model, result)
+            plan: Plan = OrderPlan(_order_names(model, result))
+        else:
+            plan = TreePlan(result)
         value = model.value(cost)
-        plan = finalize_plan(kind, result, conjunct)
         planned.append(
             PlannedConjunct(
                 plan=plan,
@@ -575,42 +483,12 @@ def _names_from_json(data, where: str) -> tuple[str, ...]:
     return tuple(data)
 
 
-def _checkpoint_from_json(data, where: str) -> NegationCheckpoint:
-    if not isinstance(data, dict):
-        raise DataError(f"plan {where} must be an object")
-    missing = [m for m in ("type", "alias", "position", "deps") if m not in data]
-    if missing:
-        raise DataError(f"plan {where} lacks {', '.join(map(repr, missing))}")
-    for member in ("type", "alias"):
-        if not isinstance(data[member], str):
-            raise DataError(f"plan {where}.{member} must be a string")
-    position = data["position"]
-    if type(position) is not int or position < 0:
-        raise DataError(f"plan {where}.position must be a non-negative integer")
-    return NegationCheckpoint(
-        type_name=data["type"],
-        alias=data["alias"],
-        position=position,
-        dependencies=_names_from_json(data["deps"], where + ".deps"),
-    )
-
-
 def bundle_to_json(bundle: PlanBundle) -> dict:
     """Serialize a bundle; timing is left out so plan files are repeatable."""
     out = {"algorithm": bundle.algorithm, "conjuncts": []}
     for planned in bundle.conjuncts:
         plan = planned.plan
         entry: dict = {
-            "kl": sorted(plan.kl_types),
-            "checkpoints": [
-                {
-                    "type": c.type_name,
-                    "alias": c.alias,
-                    "position": c.position,
-                    "deps": list(c.dependencies),
-                }
-                for c in plan.checkpoints
-            ],
             "cost": planned.report.cost,
             "cost_log2": planned.report.cost_log2,
             "candidates": planned.report.candidates,
@@ -626,7 +504,8 @@ def bundle_to_json(bundle: PlanBundle) -> dict:
 
 def bundle_from_json(data) -> PlanBundle:
     """Read a plan file; a malformed one is a ``DataError`` naming the bad
-    member."""
+    member.  The ``kl`` and ``checkpoints`` members of older plan files are
+    ignored: the engines derive both from the pattern."""
     if not isinstance(data, dict):
         raise DataError("plan file must be a JSON object")
     entries = data.get("conjuncts")
@@ -638,22 +517,10 @@ def bundle_from_json(data) -> PlanBundle:
         where = f"conjuncts[{index}]"
         if not isinstance(entry, dict):
             raise DataError(f"plan {where} must be an object")
-        kl = frozenset(_names_from_json(entry.get("kl", []), where + ".kl"))
-        checkpoints = tuple(
-            _checkpoint_from_json(c, f"{where}.checkpoints[{i}]")
-            for i, c in enumerate(entry.get("checkpoints", ()))
-        )
         if "order" in entry:
-            plan: Plan = OrderPlan(
-                order=_names_from_json(entry["order"], where + ".order"),
-                kl_types=kl,
-                checkpoints=checkpoints,
-            )
+            plan: Plan = OrderPlan(_names_from_json(entry["order"], where + ".order"))
         elif "tree" in entry:
-            plan = TreePlan(
-                root=_tree_from_json(entry["tree"], where + ".tree"), kl_types=kl,
-                checkpoints=checkpoints,
-            )
+            plan = TreePlan(_tree_from_json(entry["tree"], where + ".tree"))
         else:
             raise DataError(f"plan {where} has neither 'order' nor 'tree'")
         planned.append(

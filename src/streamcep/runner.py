@@ -27,9 +27,10 @@ from .model import (
     OrderPlan,
     Pattern,
     TreePlan,
+    left_deep_tree,
 )
 from .nfa import NfaEngine
-from .plangen import PlanBundle, tree_plan_from_order
+from .plangen import PlanBundle
 from .transform import normalize_pattern
 from .tree_engine import TreeEngine
 
@@ -74,6 +75,8 @@ class PatternRunner:
                  engine: str = "auto", kl_cap: int = DEFAULT_KL_CAP):
         if engine not in ENGINE_KINDS:
             raise ContractError(f"unknown engine kind {engine!r}")
+        if kl_cap < 1:
+            raise ContractError(f"kl_cap must be at least 1, not {kl_cap}")
         self.pattern = pattern
         self.normalized = normalize_pattern(pattern)
         if len(bundle.conjuncts) != len(self.normalized.conjuncts):
@@ -101,7 +104,7 @@ class PatternRunner:
         if isinstance(plan, OrderPlan):
             if engine == "tree":
                 return TreeEngine(
-                    tree_plan_from_order(plan, conjunct), conjunct, kl_cap
+                    TreePlan(left_deep_tree(plan.order)), conjunct, kl_cap
                 )
             return NfaEngine(plan, conjunct, kl_cap)
         if isinstance(plan, TreePlan):

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 from .model import (
     AttrRef,
+    ContractError,
     DataError,
     Event,
     Literal,
@@ -266,6 +267,8 @@ def estimate_statistics(
     aliases, is the same predicate; it is measured under the window of
     the first pattern that names it.
     """
+    if max_pairs < 1:
+        raise ContractError(f"max_pairs must be at least 1, not {max_pairs}")
     if isinstance(patterns, Pattern):
         patterns = [patterns]
     events = list(source.events)

@@ -7,7 +7,7 @@ singleton positions, so patterns are normalized before planning:
 * a Kleene position KL(T) is planned as a plain position of type T whose
   rate counts T's non-empty event subsets per window;
 * negated positions are split off into absence checks with a dependency
-  set that later anchors their checkpoint in the plan;
+  set, from which each engine places the check in the plan it runs;
 * disjunctions distribute into a union of conjunctive subpatterns;
 * contiguity strategies add serial-adjacency predicates.
 
@@ -121,10 +121,11 @@ class NegationSpec:
 
     ``predicates`` are the pattern predicates touching the negated alias
     (including rewritten timestamp-order constraints); ``dependencies`` are
-    the positive event types those predicates reference, which anchor the
-    checkpoint during plan finalization.  A blocker must satisfy the
-    predicates inside the full match window, so the predicates alone
-    describe the absence interval.
+    the positive event types those predicates reference, and each engine
+    checks a ``ts_confined`` spec at the earliest point of its plan where
+    they are all bound.  A blocker must satisfy the predicates inside the
+    full match window, so the predicates alone describe the absence
+    interval.
     """
 
     alias: str

@@ -5,8 +5,10 @@ types.  An arriving event becomes one leaf instance (or one per subset
 for a Kleene leaf), and each new instance immediately joins the stored
 instances of its sibling, cascading upward; a new root instance is a
 full match.  Joining on insert keeps every pair of child instances
-combined exactly once.  Absence of negated positions is decided by the
-shared ``AbsenceTracker``, with the tree's nodes as its slots.
+combined exactly once.  The Kleene leaves and the negation checkpoints
+come from the conjunct, not the plan.  Absence of negated positions is
+decided by the shared ``AbsenceTracker``, with the tree's nodes as its
+slots.
 
 A new instance always holds the arrival that made it, the newest event
 of the stream so far.  From the conjunct's strict timestamp order the
@@ -32,7 +34,6 @@ from .matching import (
     EngineMetrics,
     TimeRange,
     blocks,
-    checkpoint_slots,
     evict_expired,
     ts_order,
 )
@@ -93,20 +94,26 @@ class TreeStructure:
             for i, node in enumerate(self.nodes) if node.is_leaf
         }
         self.kl_leaves = frozenset(
-            i for i, node in enumerate(self.nodes)
-            if node.is_leaf and node.type_name in plan.kl_types
+            self.leaf_index[t] for t in conjunct.kl_types()
         )
         self.leaf_indices = frozenset(self.leaf_index.values())
         self.singleton_leaves = self.leaf_indices - self.kl_leaves
         # Predicates live at the lowest node covering all their aliases:
         # single-position predicates filter their leaf, the rest are
-        # verified by the join that first sees both sides.
+        # verified by the join that first sees both sides.  A negated
+        # position's checkpoint is, by the same rule, the lowest node
+        # covering its dependencies.
         leaf_of_alias = {a: i for i, a in self.alias_at.items()}
         self.node_predicates: list[list[Predicate]] = [[] for _ in self.nodes]
         for pred in core.predicates:
             cover = {leaf_of_alias[a] for a in pred.aliases()}
             self.node_predicates[self._lowest_covering(cover)].append(pred)
-        self.checkpoint_slot = checkpoint_slots(plan, conjunct.negations)
+        self.checkpoint_slot = {
+            spec.alias: self._lowest_covering(
+                {self.leaf_index[t] for t in spec.dependencies}
+            )
+            for spec in conjunct.negations if spec.dependencies
+        }
         # The dead-state, probe-skip and sibling-range rules of the
         # module docstring, per node, from the aliases under each side.
         order = ts_order(core.predicates)

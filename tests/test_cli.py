@@ -4,11 +4,10 @@ import json
 
 import pytest
 
-from streamcep import cli
+from streamcep import cli, ingest_csv, oracle_match, parse_pattern
 
 PATTERN = "PATTERN SEQ(A a, B b) WITHIN 10 seconds"
 STREAM = "A,0,1.0\nB,1,2.0\n"
-CHECKPOINT = {"type": "N", "alias": "n", "position": 1, "deps": []}
 
 
 def run_with_plan(tmp_path, plan_doc):
@@ -34,33 +33,85 @@ def test_run_with_a_wellformed_plan_succeeds(tmp_path):
         ([], "JSON object"),
         ({"conjuncts": {}}, "'conjuncts'"),
         ({"conjuncts": [{"kl": []}]}, "conjuncts[0]"),
-        (
-            {"conjuncts": [{"order": ["A", "B"], "checkpoints": [
-                {"type": "N", "position": 1, "deps": []}]}]},
-            "'alias'",
-        ),
+        ({"conjuncts": [{"tree": {"left": {"leaf": "A"}, "right": {"leaf": ["B"]}}}]},
+         "conjuncts[0].tree.right.leaf"),
         ({"conjuncts": [{"tree": {"left": {"leaf": "A"}}}]}, "conjuncts[0].tree"),
         ({"conjuncts": [{"order": "AB"}]}, "conjuncts[0].order"),
         ({"conjuncts": [{"order": ["A", 2]}]}, "conjuncts[0].order"),
-        ({"conjuncts": [{"order": ["A", "B"], "kl": "B"}]}, "conjuncts[0].kl"),
-        ({"conjuncts": [{"order": ["A", "B"], "checkpoints": [CHECKPOINT | {"deps": "A"}]}]},
-         "conjuncts[0].checkpoints[0].deps"),
-        ({"conjuncts": [{"order": ["A", "B"], "checkpoints": [CHECKPOINT | {"position": "x"}]}]},
-         "conjuncts[0].checkpoints[0].position"),
-        ({"conjuncts": [{"order": ["A", "B"], "checkpoints": [CHECKPOINT | {"position": -1}]}]},
-         "conjuncts[0].checkpoints[0].position"),
-        ({"conjuncts": [{"order": ["A", "B"], "checkpoints": [CHECKPOINT | {"position": True}]}]},
-         "conjuncts[0].checkpoints[0].position"),
-        ({"conjuncts": [{"order": ["A", "B"], "checkpoints": [CHECKPOINT | {"alias": 1}]}]},
-         "conjuncts[0].checkpoints[0].alias"),
-        ({"conjuncts": [{"tree": {"left": {"leaf": "A"}, "right": {"leaf": ["B"]}}}]},
-         "conjuncts[0].tree.right.leaf"),
     ],
 )
 def test_malformed_plan_file_is_a_data_error(tmp_path, capsys, doc, member):
     assert run_with_plan(tmp_path, doc) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: plan ") and member in err
+
+
+NEGATION = "PATTERN SEQ(A a, NOT(N n), B b) WITHIN 10 seconds"
+KLEENE = "PATTERN SEQ(A a, KL(K k), B b) WITHIN 10 seconds"
+
+
+def older_plan(order, kl=(), checkpoint_at=None):
+    """A plan file as earlier versions wrote it, with the Kleene types and
+    the negation checkpoints stored next to the order."""
+    checkpoints = []
+    if checkpoint_at is not None:
+        checkpoints.append(
+            {"type": "N", "alias": "n", "position": checkpoint_at, "deps": ["A", "B"]}
+        )
+    conjunct = {"order": list(order), "kl": list(kl), "checkpoints": checkpoints,
+                "cost": 1.0, "cost_log2": 0.0, "candidates": 1, "seed": None}
+    return {"algorithm": "trivial", "conjuncts": [conjunct]}
+
+
+@pytest.mark.parametrize(
+    "pattern_text, plan_doc, stream_text",
+    [
+        (NEGATION, older_plan("AB", checkpoint_at=1),
+         "A,1,1\nN,2,1\nB,3,1\nA,4,1\nB,5,1\n"),
+        (NEGATION, older_plan("AB", checkpoint_at=99),
+         "A,1,1\nN,2,1\nB,3,1\nA,4,1\nB,5,1\n"),
+        (KLEENE, older_plan("AKB", kl=()), "A,1,1\nK,2,1\nK,3,1\nB,4,1\n"),
+    ],
+    ids=["checkpoint-1", "checkpoint-99", "no-kl"],
+)
+def test_older_plan_files_run_with_derived_marks(tmp_path, pattern_text, plan_doc,
+                                                  stream_text):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_doc))
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(pattern_text)
+    stream = tmp_path / "stream.csv"
+    stream.write_text(stream_text)
+    expected = sorted(
+        ",".join(map(str, r.serials))
+        for r in oracle_match(parse_pattern(pattern_text), ingest_csv(str(stream)).events)
+    )
+    assert expected
+    out = tmp_path / "matches.txt"
+    for engine in ("nfa", "tree"):
+        argv = ["run", str(plan), str(pattern), str(stream), "--out", str(out),
+                "--engine", engine]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert sorted(out.read_text().splitlines()) == expected
+
+
+@pytest.mark.parametrize("option", ["--kl-cap", "--max-pairs"])
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, option, value):
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(PATTERN)
+    stream = tmp_path / "stream.csv"
+    stream.write_text(STREAM)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"conjuncts": [{"order": ["A", "B"]}]}))
+    commands = {
+        "--kl-cap": [["run", str(plan), str(pattern), str(stream)],
+                     ["verify", str(pattern), str(stream)]],
+        "--max-pairs": [["stats", str(stream), str(pattern)]],
+    }
+    for argv in commands[option]:
+        assert cli.main(argv + [option, value]) == cli.EXIT_USAGE
+        assert option in capsys.readouterr().err
 
 
 def test_subcommands_are_optimize_run_stats_verify():

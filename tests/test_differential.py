@@ -29,6 +29,7 @@ from streamcep.model import (
     NOT,
     OR,
     OperatorNode,
+    OrderPlan,
     PARTITION_CONTIGUITY,
     Pattern,
     Predicate,
@@ -36,6 +37,7 @@ from streamcep.model import (
     STRICT_CONTIGUITY,
     SelectionStrategy,
     StatisticsCatalog,
+    TreePlan,
 )
 from streamcep.oracle import DEFAULT_CORESIDENT_LIMIT, oracle_match
 from streamcep.plangen import (
@@ -44,7 +46,6 @@ from streamcep.plangen import (
     PlanBundle,
     PlannedConjunct,
     PlanSearchReport,
-    finalize_plan,
     generate_plan,
 )
 from streamcep.runner import PatternRunner
@@ -163,9 +164,9 @@ def _drawn_bundles(pattern, data) -> tuple[PlanBundle, PlanBundle]:
     orders, trees = [], []
     for conjunct in normalize_pattern(pattern).conjuncts:
         names = data.draw(st.permutations(conjunct.runtime_types()))
-        orders.append(finalize_plan("order", names, conjunct))
+        orders.append(OrderPlan(tuple(names)))
         shape = random_tree(names, data.draw(st.randoms(use_true_random=False)))
-        trees.append(finalize_plan("tree", shape, conjunct))
+        trees.append(TreePlan(shape))
     report = PlanSearchReport("drawn", 0.0, 0.0, 1, 0.0)
     return tuple(
         PlanBundle("drawn", tuple(PlannedConjunct(plan, report) for plan in plans))

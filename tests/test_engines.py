@@ -28,8 +28,6 @@ from streamcep.model import (
     PARTITION_CONTIGUITY,
     Predicate,
     STRICT_CONTIGUITY,
-    TreePlan,
-    left_deep_tree,
 )
 from streamcep.matching import TIMESTAMP, TimeRange, ts_order
 from streamcep.nfa import NfaChain
@@ -42,7 +40,6 @@ from streamcep.plangen import (
 )
 from streamcep.runner import PatternRunner
 from streamcep.transform import normalize_pattern
-from streamcep.tree_engine import TreeStructure
 
 from helpers import (
     grouped_keys,
@@ -293,20 +290,23 @@ class TestNegation:
             result = PatternRunner(p, bundle_for(p), engine=engine).run(events)
             assert [(r.serials, r.emit_serial) for r in result.reports] == [((0, 1), 1)]
 
-    def test_missing_checkpoint_is_a_contract_error(self):
+    def test_bare_order_plan_matches_the_oracle(self):
+        # the plan is only its order: the engines place the checkpoint
         p = self.BETWEEN
-        conjunct = normalize_pattern(p).conjuncts[0]
-        bare = OrderPlan(("A", "B"))  # no checkpoint for the absent position
-        with pytest.raises(ContractError):
-            NfaChain(bare, conjunct)
-        with pytest.raises(ContractError):
-            TreeStructure(TreePlan(left_deep_tree(("A", "B"))), conjunct)
         planned = PlannedConjunct(
-            bare, PlanSearchReport("trivial", 0.0, 0.0, 1, 0.0, None)
+            OrderPlan(("A", "B")), PlanSearchReport("trivial", 0.0, 0.0, 1, 0.0, None)
         )
-        for engine in ("auto", "tree"):
-            with pytest.raises(ContractError):
-                PatternRunner(p, PlanBundle("trivial", (planned,)), engine=engine)
+        bundle = PlanBundle("trivial", (planned,))
+        streams = [
+            [ev("A", 0.0, 0), ev("N", 1.0, 1), ev("B", 2.0, 2)],
+            [ev("A", 0.0, 0), ev("B", 2.0, 1), ev("N", 3.0, 2)],
+            self.EARLY_BLOCKER,
+        ]
+        for events in streams:
+            expected = grouped_keys(oracle_match(p, events))
+            for engine in ("auto", "tree"):
+                got = PatternRunner(p, bundle, engine=engine).run(events).reports
+                assert grouped_keys(got) == expected
 
 
 class TestKleene:
@@ -333,6 +333,11 @@ class TestKleene:
         assert capped.matches < full.matches
         assert full.kl_overflows == 0
         assert match_keys(full.reports) == match_keys(oracle_match(self.P, events))
+
+    def test_cap_below_one_is_a_contract_error(self):
+        for cap in (0, -1):
+            with pytest.raises(ContractError):
+                PatternRunner(self.P, bundle_for(self.P), kl_cap=cap)
 
 
 class TestPlanInvariance:
@@ -405,8 +410,7 @@ class TestExecutionShortcuts:
     def test_nfa_buffers_only_what_a_backlog_fork_reads(self):
         def buffered(pattern, order):
             conjunct = normalize_pattern(pattern).conjuncts[0]
-            plan = OrderPlan(order, kl_types=conjunct.kl_types())
-            return NfaChain(plan, conjunct).buffered
+            return NfaChain(OrderPlan(order), conjunct).buffered
 
         p = seq_pattern(("A", "B", "C"), 10.0)
         assert buffered(p, ("A", "B", "C")) == frozenset()

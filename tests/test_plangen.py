@@ -1,4 +1,4 @@
-"""Plan generation: searches, finalization, serialization, worked examples.
+"""Plan generation: searches, derived checkpoints, serialization, worked examples.
 
 The three-type catalog is the same worked example as in the cost tests
 (W = 10, rates 1/2/4, selectivities AB 0.5, AC 0.1, BC 1.0), so the
@@ -43,11 +43,12 @@ from streamcep.plangen import (
     bundle_to_json,
     conjunct_model,
     family_for,
-    finalize_plan,
     generate_plan,
     plan_cost,
 )
+from streamcep.nfa import NfaChain
 from streamcep.transform import normalize_pattern
+from streamcep.tree_engine import TreeStructure
 
 from helpers import (
     all_tree_shapes,
@@ -337,6 +338,9 @@ class TestLimits:
 
 
 class TestFinalization:
+    """What the engines derive from a plan and its conjunct: the Kleene
+    positions and the negation checkpoints."""
+
     def test_kleene_position_is_planned_under_its_own_name(self):
         p = seq_pattern(Leaf("A", "a"), Leaf("C", "c", (KLEENE,)), Leaf("B", "b"))
         stats = StatisticsCatalog(rates={"A": 1.0, "C": 0.4, "B": 2.0})
@@ -351,31 +355,35 @@ class TestFinalization:
 
     def test_kleene_markers_are_restored(self):
         p = seq_pattern(Leaf("A", "a"), Leaf("K", "k", (KLEENE,)), Leaf("B", "b"))
+        conjunct = normalize_pattern(p).conjuncts[0]
         stats = StatisticsCatalog(rates={"A": 1.0, "K": 0.3, "B": 2.0})
         plan = plan_of(p, stats, "trivial")
         assert plan.order == ("A", "K", "B")
-        assert plan.kl_types == frozenset({"K"})
+        assert NfaChain(plan, conjunct).kl_positions == {1}
         tree = plan_of(p, stats, "dp-b")
         assert set(tree.root.leaf_names()) == {"A", "K", "B"}
-        assert tree.kl_types == frozenset({"K"})
+        structure = TreeStructure(tree, conjunct)
+        assert structure.kl_leaves == {structure.leaf_index["K"]}
 
     def test_order_checkpoint_sits_at_dependency_cover(self):
         p = seq_pattern(
             Leaf("A", "a"), Leaf("N", "n", (NOT,)), Leaf("B", "b"), Leaf("C", "c")
         )
         conjunct = normalize_pattern(p).conjuncts[0]
-        plan = finalize_plan("order", ("C", "B", "A"), conjunct)
-        (checkpoint,) = plan.checkpoints
-        assert checkpoint.type_name == "N"
-        assert set(checkpoint.dependencies) == {"A", "B"}
-        assert checkpoint.position == 3  # A and B both accepted only at step 3
+        (spec,) = conjunct.negations
+        assert set(spec.dependencies) == {"A", "B"}
+        chain = NfaChain(OrderPlan(("C", "B", "A")), conjunct)
+        assert chain.checkpoint_slot == {"n": 2}  # A and B both bound only at A
 
-    def test_order_checkpoint_without_dependencies_is_step_one(self):
+    def test_negation_without_dependencies_has_no_checkpoint(self):
+        # nothing pins such a blocker between members, so it is tested on
+        # the full match and needs no slot
         root = OperatorNode(AND, (Leaf("A", "a"), Leaf("N", "n", (NOT,))))
         conjunct = normalize_pattern(Pattern(root, (), W)).conjuncts[0]
-        plan = finalize_plan("order", ("A",), conjunct)
-        assert plan.checkpoints[0].position == 1
-        assert plan.checkpoints[0].dependencies == ()
+        (spec,) = conjunct.negations
+        assert spec.dependencies == () and not spec.ts_confined
+        assert NfaChain(OrderPlan(("A",)), conjunct).checkpoint_slot == {}
+        assert TreeStructure(TreePlan(leaf("A")), conjunct).checkpoint_slot == {}
 
     def test_tree_checkpoint_sits_at_smallest_covering_node(self):
         p = seq_pattern(
@@ -383,16 +391,17 @@ class TestFinalization:
         )
         conjunct = normalize_pattern(p).conjuncts[0]
         tree = join(join(leaf("A"), leaf("B")), leaf("C"))
-        plan = finalize_plan("tree", tree, conjunct)
-        (checkpoint,) = plan.checkpoints
+        structure = TreeStructure(TreePlan(tree), conjunct)
         # postorder: A(0) B(1) AB(2) C(3) root(4); {A,B} covered at node 2
-        assert checkpoint.position == 2
+        assert structure.checkpoint_slot == {"n": 2}
 
     def test_missing_dependency_is_a_contract_error(self):
         p = seq_pattern(Leaf("A", "a"), Leaf("N", "n", (NOT,)), Leaf("B", "b"))
         conjunct = normalize_pattern(p).conjuncts[0]
         with pytest.raises(ContractError):
-            finalize_plan("order", ("A",), conjunct)
+            NfaChain(OrderPlan(("A",)), conjunct)
+        with pytest.raises(ContractError):
+            TreeStructure(TreePlan(leaf("A")), conjunct)
 
 
 class TestEvaluationHelpers:

@@ -5,6 +5,7 @@ import pytest
 
 from streamcep.model import (
     AttrRef,
+    ContractError,
     DataError,
     Event,
     Leaf,
@@ -221,6 +222,13 @@ class TestEstimateStatistics:
         second = estimate_statistics(source, p, max_pairs=50, seed=9)
         assert first.sel("A", "B") == second.sel("A", "B")
         assert 0.0 <= first.sel("A", "B") <= 1.0
+
+    def test_sample_size_below_one_is_a_contract_error(self):
+        source = from_events([ev("A", 0.0, 0, x=1), ev("B", 1.0, 1, x=2)])
+        p = seq_pattern(("A", "B"), 4.0, [Predicate(AttrRef("a", "x"), "<", AttrRef("b", "x"))])
+        for max_pairs in (0, -1):
+            with pytest.raises(ContractError):
+                estimate_statistics(source, p, max_pairs=max_pairs)
 
     def pair_pattern(self, a="a", b="b", window=4.0):
         pred = Predicate(AttrRef(a, "x"), "<", AttrRef(b, "x"))
