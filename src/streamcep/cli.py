@@ -14,6 +14,7 @@ from dataclasses import replace
 from .corpus import ENGINES, builtin_corpus, corpus_stream, verify_pattern
 from .matching import DEFAULT_KL_CAP
 from .model import (
+    ContractError,
     OrderPlan,
     ResourceLimitError,
     SelectionStrategy,
@@ -206,12 +207,17 @@ def cmd_verify(args) -> int:
     pattern = _load_pattern(args)
     source = ingest_csv(args.stream)
     bundle = None
-    engines = args.engines
+    engines = ENGINES if args.engines is None else args.engines
     if args.plan is not None:
         bundle = bundle_from_json(json.loads(_read(args.plan)))
-        plan_is_order = isinstance(bundle.conjuncts[0].plan, OrderPlan)
-        if not plan_is_order:
-            engines = tuple(e for e in engines if e == "tree") or ("tree",)
+        if not isinstance(bundle.conjuncts[0].plan, OrderPlan):
+            if args.engines is None:
+                engines = ("tree",)
+            elif "nfa" in engines:
+                raise ContractError(
+                    "the chain NFA cannot execute a tree plan; "
+                    "use the tree engine"
+                )
     cells = verify_pattern(
         pattern, source,
         engines=engines,
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="verify one serialized plan instead of all algorithms")
     verify.add_argument("--engine", dest="engines",
                         type=lambda t: _names(t, ENGINES, "engine"),
-                        default=ENGINES)
+                        default=None, help="default: every engine the plan runs on")
     verify.add_argument("--strategy", type=_strategy, default=None)
     verify.add_argument("--kl-cap", type=_positive_int, default=DEFAULT_CORESIDENT_LIMIT)
     verify.add_argument("--max-coresident", type=int,

@@ -10,10 +10,7 @@ selectivities of every predicate crossing the two subtrees.
 ``CostModel`` is the one evaluator: every planner and ``plan_cost``
 charge plans through it.  Its ``CostObjective`` selects the
 skip-till-any-match or skip-till-next-match partial-match model and an
-optional detection-latency term (the hybrid cost).  ``cost_ldj`` and
-``cost_bj`` are the relational references, left-deep and bushy join cost
-over cardinalities, against which the paper's equivalence is checked under
-``|R_i| = W*r_i``.
+optional detection-latency term (the hybrid cost).
 
 All arithmetic transparently switches to a log2-space path when a catalog
 can push intermediates past the float range (the subset rates of Kleene
@@ -24,15 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
 from .model import (
     ContractError,
     StatisticsCatalog,
     TreeNode,
-    TreePlan,
     linear_from_log2,
-    selectivity_key,
 )
 
 _LOG_PATH_THRESHOLD = 1000.0
@@ -341,81 +336,3 @@ class CostModel:
         lt, lb = self._tree_walk(node.left)
         rt, rb = self._tree_walk(node.right)
         return self.add(self.add(lt, rt), self.join_cost(lb, rb)), lb | rb
-
-
-# ---------------------------------------------------------------------------
-# Relational references
-
-
-def cost_ldj(
-    order: Sequence[str],
-    cardinalities: Mapping[str, float],
-    selectivities: Mapping[tuple[str, ...], float],
-) -> float:
-    """Left-deep join cost: C_1 plus the cardinality of every intermediate.
-
-    The first relation is charged ``|R|*f`` for its own filter; joining a
-    relation multiplies in its filter and every predicate connecting it to
-    the relations already joined.
-    """
-    names = tuple(order)
-    if not names:
-        return 0.0
-    sels = _normalize_sels(selectivities)
-
-    def f(a: str, b: str) -> float:
-        return sels.get(selectivity_key(a, b), 1.0)
-
-    intermediate = cardinalities[names[0]] * f(names[0], names[0])
-    total = intermediate
-    for k in range(1, len(names)):
-        new = names[k]
-        step = cardinalities[new] * f(new, new)
-        for prev in names[:k]:
-            step *= f(prev, new)
-        intermediate = intermediate * step
-        total += intermediate
-    return total
-
-
-def _normalize_sels(
-    selectivities: Mapping[tuple[str, ...], float]
-) -> dict[tuple[str, ...], float]:
-    out: dict[tuple[str, ...], float] = {}
-    for key, value in selectivities.items():
-        if isinstance(key, str):
-            out[(key,)] = value
-        elif len(key) == 1:
-            out[(key[0],)] = value
-        else:
-            out[selectivity_key(key[0], key[1])] = value
-    return out
-
-
-def cost_bj(
-    tree: Union[TreePlan, TreeNode],
-    cardinalities: Mapping[str, float],
-    selectivities: Mapping[tuple[str, ...], float],
-) -> float:
-    """Bushy join cost over relation cardinalities: every node is charged
-    the cardinality of its output (leaves: the relation itself)."""
-    sels = _normalize_sels(selectivities)
-
-    def f(a: str, b: str) -> float:
-        return sels.get(selectivity_key(a, b), 1.0)
-
-    def walk(node: TreeNode) -> tuple[float, float, tuple[str, ...]]:
-        if node.is_leaf:
-            card = cardinalities[node.type_name]
-            return card, card, (node.type_name,)
-        lt, lc, ln = walk(node.left)
-        rt, rc, rn = walk(node.right)
-        cross = 1.0
-        for a in ln:
-            for b in rn:
-                cross *= f(a, b)
-        card = lc * rc * cross
-        return lt + rt + card, card, ln + rn
-
-    total, _, _ = walk(tree.root if isinstance(tree, TreePlan) else tree)
-    return total

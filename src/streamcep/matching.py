@@ -1,12 +1,14 @@
 """Shared runtime semantics for the two evaluation engines.
 
-Both engines reduce a conjunct to the same currency: a stream of candidate
-full matches per processed event.  This module holds what must agree
-between them so the engines themselves keep only their joins and
-extensions: candidate identity and ordering, the absence test for negated
-positions, the absence tracker (checkpoint, completion and pending tests,
-blocker buffers, pending matches), the selection-strategy replay, and the
-metrics snapshot.
+Both engines reduce a conjunct to the same currency: per processed
+event, the full matches it completes or releases, each as its bindings,
+its emission serial and the arrival time of its completing event.  This
+module holds what must agree between them so the engines themselves keep
+only their joins and extensions: the match record ``make_report`` builds
+once per match, the absence test for negated positions, the absence
+tracker (checkpoint, completion and pending tests, blocker buffers,
+pending matches), the selection-strategy replay, and the metrics
+snapshot.
 
 It also holds the engines' time index.  Events arrive in time order, so
 every per-type buffer is sorted by timestamp.  ``ts_order`` reads the
@@ -21,14 +23,13 @@ gives the dead-state rule: a later arrival has a timestamp at or after
 every bound event, so it can never bind an alias that must precede a
 bound one, and a partial that only such an arrival could extend is never
 stored.  ``evict_expired`` drops a time ordered prefix in one cut, with
-the span test's own comparison.
+the span test's own comparison, and says how many events it dropped, so
+the engines keep their state counts without recounting.
 """
 from __future__ import annotations
 
-import math
-import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 from .model import (
@@ -44,6 +45,8 @@ Bindings = dict[str, object]  # alias -> Event | tuple[Event, ...]
 DEFAULT_KL_CAP = 8  # the largest Kleene group either engine builds
 
 TIMESTAMP = attrgetter("timestamp")
+# the canonical order of a batch: emission serial, completion serial, serials
+REPORT_ORDER = attrgetter("emit_serial", "completion_serial", "serials")
 
 
 def binding_events(bindings: Bindings) -> list[Event]:
@@ -62,61 +65,24 @@ def binding_span(bindings: Bindings) -> tuple[float, float]:
     return min(ts), max(ts)
 
 
-@dataclass(slots=True)
-class Candidate:
-    """A full match of one conjunct awaiting strategy replay.
-
-    ``emission_serial`` is the stream serial at which the match may be
-    reported: the completing event's serial, or, when absence of a
-    negated type is only certain later, the serial of the first event
-    whose timestamp passes the absence deadline.  ``groups``, ``ts_min``
-    and ``ts_max`` are the report's contents, built with the serials.
-    """
-
-    serials: tuple[int, ...]
-    groups: tuple[tuple[str, tuple[int, ...]], ...]
-    ts_min: float
-    ts_max: float
-    completion_serial: int
-    emission_serial: int
-    conjunct: int = 0
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.emission_serial, self.completion_serial, self.serials)
-
-
-def make_candidate(bindings: Bindings, alias_order: tuple[str, ...],
-                   emission_serial: int | None = None) -> Candidate:
-    """One pass over the bindings, in ``alias_order``: serials, groups, span."""
+def make_report(bindings: Bindings, alias_order: tuple[str, ...],
+                emit_serial: int, arrived: float = 0.0,
+                conjunct: int = 0) -> MatchReport:
+    """The record of one full match, built in one pass over the bindings
+    in ``alias_order``: the sorted serials and the per-alias groups."""
     serials: list[int] = []
     groups = []
-    lo, hi = math.inf, -math.inf
     for alias in alias_order:
         value = bindings[alias]
         if isinstance(value, Event):
             group = (value.serial,)
-            ts = value.timestamp
-            lo = ts if ts < lo else lo
-            hi = ts if ts > hi else hi
         else:
             group = tuple(sorted(e.serial for e in value))
-            for e in value:
-                ts = e.timestamp
-                lo = ts if ts < lo else lo
-                hi = ts if ts > hi else hi
         serials.extend(group)
         groups.append((alias, group))
     serials.sort()
-    completion = serials[-1]
-    return Candidate(
-        serials=tuple(serials),
-        groups=tuple(groups),
-        ts_min=lo,
-        ts_max=hi,
-        completion_serial=completion,
-        emission_serial=completion if emission_serial is None else emission_serial,
-    )
+    return MatchReport(tuple(serials), tuple(groups), emit_serial, serials[-1],
+                       conjunct, arrived)
 
 
 def ts_order(predicates) -> frozenset[tuple[str, str]]:
@@ -177,15 +143,19 @@ class TimeRange:
         return items[lo:hi]
 
 
-def evict_expired(events: list[Event], latest: float, window: float) -> None:
-    """Drop the prefix of a time-ordered list that no later span can reach.
+def evict_expired(events: list[Event], latest: float, window: float) -> int:
+    """Drop the prefix of a time-ordered list that no later span can
+    reach, and return how many events that was.
 
     An event has expired once ``latest - ts > window``, the span test's
     own comparison; ``ts < latest - window`` can round the other way and
     drop an event a later span would still accept.
     """
-    del events[:bisect_left(events, True,
-                            key=lambda e: latest - e.timestamp <= window)]
+    if not events or latest - events[0].timestamp <= window:
+        return 0
+    cut = bisect_left(events, True, key=lambda e: latest - e.timestamp <= window)
+    del events[:cut]
+    return cut
 
 
 def _alias_ts_bounds(value) -> tuple[float, float]:
@@ -216,17 +186,19 @@ def blocks(spec: NegationSpec, blocker: Event, bindings: Bindings,
 class _PendingMatch:
     """A full match whose absence test stays open until its deadline: the
     first arrival more than a window after the match's earliest event
-    ``start``, which no blocker can reach.
+    ``start``, which no blocker can reach.  ``arrived`` is the arrival
+    time of its completing event, which its report's latency runs from.
 
     Blockers that could still invalidate it are applied as they arrive,
     so resolution itself needs no buffer scan.
     """
 
-    __slots__ = ("bindings", "start")
+    __slots__ = ("bindings", "start", "arrived")
 
-    def __init__(self, bindings: Bindings, start: float):
+    def __init__(self, bindings: Bindings, start: float, arrived: float):
         self.bindings = bindings
         self.start = start
+        self.arrived = arrived
 
 
 class AbsenceTracker:
@@ -246,12 +218,17 @@ class AbsenceTracker:
     module's name.  Blocker buffers are in arrival order, so each test
     bisects a buffer to the ``TimeRange`` the spec's predicates and the
     window give the blocker and calls ``blocks`` on those alone.
+
+    Each arrival passes through ``arrive`` first, which records its
+    serial and arrival time: a match completed by that arrival is found
+    as ``(bindings, serial, arrived)``, one released later keeps its own
+    ``arrived`` and takes the releasing arrival's serial.  ``buffered``
+    counts the blocker buffers' events as they are added and evicted.
     """
 
     def __init__(self, negations, slot_of: dict[str, int], slots: int,
-                 window: float, alias_order: tuple[str, ...]):
+                 window: float):
         self.window = window
-        self.alias_order = alias_order
         self.order = {spec.alias: ts_order(spec.predicates) for spec in negations}
         self.at_slot: list[list[NegationSpec]] = [[] for _ in range(slots)]
         completion: list[NegationSpec] = []
@@ -266,11 +243,10 @@ class AbsenceTracker:
         self.buffers: dict[str, list[Event]] = {
             s.type_name: [] for s in negations
         }
+        self.buffered = 0
         self.pending: list[_PendingMatch] = []
-
-    @property
-    def buffered(self) -> int:
-        return sum(len(b) for b in self.buffers.values())
+        self.serial = -1
+        self.arrived = 0.0
 
     def _blocked(self, specs, bindings: Bindings, blocks) -> bool:
         for spec in specs:
@@ -293,19 +269,23 @@ class AbsenceTracker:
         """Whether a buffered blocker rules out a partial match at ``slot``."""
         return self._blocked(self.at_slot[slot], bindings, blocks)
 
-    def complete(self, bindings: Bindings, out: list[Candidate],
-                 emission_serial: int, blocks) -> None:
+    def complete(self, bindings: Bindings, out: list, blocks) -> None:
         """Emit a full match, hold it as pending, or drop it as blocked."""
         if self._blocked(self.on_completion, bindings, blocks):
             return
         if self.pending_specs:
-            self.pending.append(_PendingMatch(bindings, binding_span(bindings)[0]))
+            self.pending.append(
+                _PendingMatch(bindings, binding_span(bindings)[0], self.arrived)
+            )
             return
-        out.append(make_candidate(bindings, self.alias_order, emission_serial))
+        out.append((bindings, self.serial, self.arrived))
 
-    def arrive(self, event: Event, out: list[Candidate], blocks) -> None:
-        """Release the pending matches whose deadline ``event`` passes,
-        cancel those it blocks, and buffer it if it is a blocker."""
+    def arrive(self, event: Event, arrived: float, out: list, blocks) -> None:
+        """Record the arrival, release the pending matches whose deadline
+        ``event`` passes, cancel those it blocks, and buffer it if it is
+        a blocker."""
+        self.serial = event.serial
+        self.arrived = arrived
         if self.pending:
             self._release(event.timestamp, event.serial, out)
             if event.type_name in self.pending_types:
@@ -320,77 +300,72 @@ class AbsenceTracker:
         buffer = self.buffers.get(event.type_name)
         if buffer is not None:
             buffer.append(event)
+            self.buffered += 1
 
     def evict(self, latest: float) -> None:
         for buffer in self.buffers.values():
-            evict_expired(buffer, latest, self.window)
+            self.buffered -= evict_expired(buffer, latest, self.window)
 
-    def end(self, max_serial: int) -> list[Candidate]:
+    def end(self, max_serial: int) -> list:
         """Release every pending match once the stream has ended."""
-        out: list[Candidate] = []
+        out: list = []
         self._release(float("inf"), max_serial + 1, out)
         return out
 
-    def _release(self, now_ts: float, emission_serial: int,
-                 out: list[Candidate]) -> None:
+    def _release(self, now_ts: float, emission_serial: int, out: list) -> None:
         keep = []
         for entry in self.pending:
             if now_ts - entry.start > self.window:
-                out.append(make_candidate(
-                    entry.bindings, self.alias_order, emission_serial
-                ))
+                out.append((entry.bindings, emission_serial, entry.arrived))
             else:
                 keep.append(entry)
         self.pending = keep
 
 
 class SelectionReplay:
-    """Turns per-arrival candidate batches into reported matches.
+    """Turns per-arrival batches of match records into reported matches.
 
-    Candidates inside a batch are ordered canonically (emission serial,
+    Records inside a batch are ordered canonically (emission serial,
     completion serial, sorted member serials), which makes the outcome
     identical across plans and engines.  Under skip-till-any-match every
     distinct event set is reported once; the consuming strategies accept
-    greedily, claim their events, and skip any candidate touching a
-    claimed event.
+    greedily, claim their events, and skip any record touching a claimed
+    event.  One conjunct makes each event set at most once, since its
+    types are distinct and a serial set fixes the bindings, so only a
+    disjunction (``conjuncts > 1``) keeps the sets it has reported.
     """
 
-    def __init__(self, strategy_kind: str = ANY_MATCH):
+    def __init__(self, strategy_kind: str, conjuncts: int):
         self.consume = strategy_kind != ANY_MATCH
+        self.dedupe = conjuncts > 1
         self._claimed: set[int] = set()
         self._seen: set[tuple[int, ...]] = set()
 
-    def offer(self, batch: list[Candidate]) -> list[Candidate]:
+    def offer(self, batch: list[MatchReport]) -> list[MatchReport]:
+        if len(batch) > 1:
+            batch = sorted(batch, key=REPORT_ORDER)
+        if not (self.consume or self.dedupe):
+            return batch
         accepted = []
-        for cand in sorted(batch, key=lambda c: c.sort_key):
-            if cand.serials in self._seen:
+        for report in batch:
+            serials = report.serials
+            if self.dedupe and serials in self._seen:
                 continue
-            if self.consume and any(s in self._claimed for s in cand.serials):
+            if self.consume and not self._claimed.isdisjoint(serials):
                 continue
-            self._seen.add(cand.serials)
+            if self.dedupe:
+                self._seen.add(serials)
             if self.consume:
-                self._claimed.update(cand.serials)
-            accepted.append(cand)
+                self._claimed.update(serials)
+            accepted.append(report)
         return accepted
-
-
-def make_report(candidate: Candidate, detected_at: float = 0.0,
-                latency: float = 0.0) -> MatchReport:
-    return MatchReport(
-        serials=candidate.serials,
-        groups=candidate.groups,
-        ts_min=candidate.ts_min,
-        ts_max=candidate.ts_max,
-        emit_serial=candidate.emission_serial,
-        completion_serial=candidate.completion_serial,
-        detected_at=detected_at,
-        latency=latency,
-    )
 
 
 @dataclass
 class EngineMetrics:
-    """Structure-count runtime metrics shared by both engines."""
+    """Runtime counts shared by both engines.  ``live_partials`` and
+    ``buffered`` are kept up to date by the engine on every store, prune
+    and eviction, so they are exact after every processed event."""
 
     events: int = 0
     matches: int = 0
@@ -401,30 +376,9 @@ class EngineMetrics:
     instances_created: int = 0
     kl_overflows: int = 0
     latency_total: float = 0.0
-    per_node_peak: dict[str, int] = field(default_factory=dict)
 
     def note_usage(self) -> None:
         if self.live_partials > self.peak_partials:
             self.peak_partials = self.live_partials
         if self.buffered > self.peak_buffered:
             self.peak_buffered = self.buffered
-
-    def note_node(self, node_id: str, count: int) -> None:
-        if count > self.per_node_peak.get(node_id, 0):
-            self.per_node_peak[node_id] = count
-
-
-class ArrivalClock:
-    """Wall-clock arrival times, for per-match detection latency."""
-
-    def __init__(self):
-        self._at: dict[int, float] = {}
-
-    def stamp(self, serial: int) -> None:
-        self._at[serial] = time.perf_counter()
-
-    def latency_since(self, serial: int) -> float:
-        start = self._at.get(serial)
-        if start is None:
-            return 0.0
-        return time.perf_counter() - start

@@ -609,21 +609,25 @@ Plan = Union[OrderPlan, TreePlan]
 # Match reports
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MatchReport:
-    """One reported full match.
+    """One full match, built once when an engine finds it; treat it as
+    immutable.
 
     ``serials`` is the sorted tuple of contributing event serials and is the
     canonical identity of the match; ``groups`` maps aliases to the events
     bound at that position (more than one for Kleene positions).
-    ``emit_serial`` is the arrival index at which the match was emitted.
+    ``emit_serial`` is the arrival index at which the match was emitted:
+    that of its completing event, ``completion_serial``, unless an
+    absence test held it until a later arrival.  ``conjunct`` is the index
+    of the conjunct whose engine found it and ``arrived`` the
+    ``time.perf_counter()`` reading at its completing event's arrival;
+    neither is part of the match, and equality ignores both.
     """
 
     serials: tuple[int, ...]
     groups: tuple[tuple[str, tuple[int, ...]], ...]
-    ts_min: float
-    ts_max: float
     emit_serial: int
     completion_serial: int
-    detected_at: float = 0.0
-    latency: float = 0.0
+    conjunct: int = field(default=0, compare=False)
+    arrived: float = field(default=0.0, compare=False, repr=False)

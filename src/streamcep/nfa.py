@@ -22,7 +22,8 @@ one, so when the predicates order every earlier position before it, its
 backlog fork starts after that arrival and is empty.  The first position
 is read only by its own Kleene arrivals.  Partials expire at the window
 edge; a per-state oldest ``min_ts`` lets eviction skip the states where
-nothing has expired.
+nothing has expired.  The counts of stored partials and buffered events
+change with every store, prune and eviction, so no arrival recounts them.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ from .matching import (
     DEFAULT_KL_CAP,
     TIMESTAMP,
     AbsenceTracker,
-    Candidate,
     EngineMetrics,
     TimeRange,
     blocks,
@@ -135,9 +135,14 @@ class NfaEngine:
     def __init__(self, plan: OrderPlan, conjunct: NormalizedConjunct,
                  kl_cap: int = DEFAULT_KL_CAP):
         self.chain = NfaChain(plan, conjunct)
+        self.alias_order = self.chain.alias_order
         self.kl_cap = kl_cap
         self.window = self.chain.window
         self.buffers: dict[str, list[Event]] = {t: [] for t in self.chain.buffered}
+        # stored partials and buffered events, kept on every store, prune
+        # and eviction
+        self.live = 0
+        self.held = 0
         self.by_state: list[list[_Partial]] = [
             [] for _ in range(len(self.chain.order))
         ]
@@ -146,7 +151,7 @@ class NfaEngine:
         self.oldest = [math.inf] * len(self.chain.order)
         self.absence = AbsenceTracker(
             conjunct.negations, self.chain.checkpoint_slot,
-            len(self.chain.order), self.window, self.chain.alias_order,
+            len(self.chain.order), self.window,
         )
         self.metrics = EngineMetrics()
         self._position_of = {t: i for i, t in enumerate(self.chain.order)}
@@ -204,7 +209,7 @@ class NfaEngine:
         return values
 
     def _try_extend(self, partial: _Partial, position: int, value,
-                    out: list[Candidate], emission_serial: int) -> None:
+                    out: list) -> None:
         events = (value,) if isinstance(value, Event) else value
         lo, hi = self._span_with(partial, events)
         if hi - lo > self.window:
@@ -219,62 +224,65 @@ class NfaEngine:
         new = _Partial(bindings, position + 1, lo, hi, newest)
         self.metrics.instances_created += 1
         if new.state == len(self.chain.order):
-            self.absence.complete(bindings, out, emission_serial, blocks)
+            self.absence.complete(bindings, out, blocks)
             return
         if not self.chain.dead[new.state]:
             self.by_state[new.state].append(new)
+            self.live += 1
             if lo < self.oldest[new.state]:
                 self.oldest[new.state] = lo
         for value2 in self._backlog_values(new):
-            self._try_extend(new, new.state, value2, out, emission_serial)
+            self._try_extend(new, new.state, value2, out)
 
     # -- public protocol -----------------------------------------------------
 
-    def process_event(self, event: Event) -> list[Candidate]:
-        out: list[Candidate] = []
+    def process_event(self, event: Event, arrived: float) -> list:
+        """Feed one arrival; return the matches it completes or releases,
+        as ``(bindings, emission serial, arrival time)``."""
+        out: list = []
         self.metrics.events += 1
-        self.absence.arrive(event, out, blocks)
+        self.absence.arrive(event, arrived, out, blocks)
         buffer = self.buffers.get(event.type_name)
         if buffer is not None:
             buffer.append(event)
+            self.held += 1
         position = self._position_of.get(event.type_name)
         if position is not None and not self.chain.dead[position]:
             values = self._position_values(position, event)
             if position == 0:
                 root = _Partial({}, 0, math.inf, -math.inf)
                 for value in values:
-                    self._try_extend(root, 0, value, out, event.serial)
+                    self._try_extend(root, 0, value, out)
             else:
                 for partial in self.by_state[position]:
                     for value in values:
-                        self._try_extend(partial, position, value, out, event.serial)
+                        self._try_extend(partial, position, value, out)
         if self.chain.prune_stale:
             serial = event.serial
             for state in range(1, len(self.by_state)):
-                if self.by_state[state]:
-                    self.by_state[state] = [
-                        p for p in self.by_state[state] if p.max_serial == serial
-                    ]
+                partials = self.by_state[state]
+                if partials:
+                    kept = [p for p in partials if p.max_serial == serial]
+                    self.live -= len(partials) - len(kept)
+                    self.by_state[state] = kept
         self._evict(event.timestamp)
-        self.metrics.live_partials = (
-            sum(len(s) for s in self.by_state) + len(self.absence.pending)
-        )
-        self.metrics.buffered = (
-            sum(len(b) for b in self.buffers.values()) + self.absence.buffered
-        )
-        self.metrics.note_usage()
+        metrics = self.metrics
+        metrics.live_partials = self.live + len(self.absence.pending)
+        metrics.buffered = self.held + self.absence.buffered
+        metrics.note_usage()
         return out
 
-    def end(self, max_serial: int) -> list[Candidate]:
+    def end(self, max_serial: int) -> list:
         return self.absence.end(max_serial)
 
     def _evict(self, latest: float) -> None:
         window = self.window
         for buffer in self.buffers.values():
-            evict_expired(buffer, latest, window)
+            self.held -= evict_expired(buffer, latest, window)
         self.absence.evict(latest)
         for state, partials in enumerate(self.by_state):
             if latest - self.oldest[state] > window:
                 kept = [p for p in partials if latest - p.min_ts <= window]
+                self.live -= len(partials) - len(kept)
                 self.by_state[state] = kept
                 self.oldest[state] = min((p.min_ts for p in kept), default=math.inf)

@@ -29,7 +29,7 @@ from .model import (
     UnsupportedPatternError,
     evaluate_predicate,
 )
-from .matching import make_candidate, make_report
+from .matching import make_report
 
 DEFAULT_CORESIDENT_LIMIT = 14
 
@@ -358,7 +358,7 @@ def oracle_match(
         seen.add(serials)
         if strategy.kind != ANY_MATCH:
             claimed.update(serials)
-        reports.append(make_report(make_candidate(bindings, tuple(bindings), emission)))
+        reports.append(make_report(bindings, tuple(bindings), emission))
     return reports
 
 

@@ -1,20 +1,25 @@
 """Planned execution of a whole pattern over an event stream.
 
-One engine per conjunct runs the conjunct's plan; their candidate
-batches are merged per arrival, ordered canonically, deduplicated, and
-filtered by the pattern's selection strategy, so the reported match set
-is identical for every plan and engine family.
+One engine per conjunct runs the conjunct's plan.  Each match an engine
+finds becomes one ``MatchReport``, built once by ``make_report``; the
+records of one arrival are merged, ordered canonically, deduplicated
+across conjuncts, and filtered by the pattern's selection strategy, so
+the reported match set is identical for every plan and engine family.
+An arrival that finds no match skips all of that.
+
+The runner's own work per arrival is constant: one clock reading, taken
+as the arrival time, plus one more when the arrival reports matches; the
+engines keep their state counts, which ``memory_peak`` sums.  A match's
+latency runs from its completing event's arrival to its report.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .matching import (
     DEFAULT_KL_CAP,
-    ArrivalClock,
-    Candidate,
     EngineMetrics,
     SelectionReplay,
     make_report,
@@ -89,8 +94,7 @@ class PatternRunner:
                 bundle.conjuncts, self.normalized.conjuncts
             )
         ]
-        self.replay = SelectionReplay(pattern.strategy.kind)
-        self.clock = ArrivalClock()
+        self.replay = SelectionReplay(pattern.strategy.kind, len(self.engines))
         self._needs_pserial = pattern.strategy.kind == PARTITION_CONTIGUITY
         self._partition_key = pattern.strategy.partition_key
         self._partition_counters: dict[object, int] = {}
@@ -122,7 +126,8 @@ class PatternRunner:
         value = event.value(self._partition_key)
         index = self._partition_counters.get(value, 0)
         self._partition_counters[value] = index + 1
-        return replace(event, attrs={**event.attrs, "pserial": index})
+        return Event(event.type_name, event.timestamp, event.serial,
+                     {**event.attrs, "pserial": index})
 
     def process(self, event: Event) -> list[MatchReport]:
         """Feed one event; serials must increase and timestamps not fall.
@@ -137,42 +142,43 @@ class PatternRunner:
                 f"event #{event.serial} at {event.timestamp} arrives after "
                 f"#{self.max_serial} at {self.last_ts}"
             )
+        arrived = time.perf_counter()
         event = self._augment(event)
         self.events_seen += 1
         self.max_serial = event.serial
         self.last_ts = event.timestamp
-        self.clock.stamp(event.serial)
-        batch: list[Candidate] = []
+        batch: list[MatchReport] = []
+        memory = 0
         for index, engine in enumerate(self.engines):
-            for candidate in engine.process_event(event):
-                candidate.conjunct = index
-                batch.append(candidate)
-        reports = self._emit(batch)
-        memory = sum(
-            e.metrics.live_partials + e.metrics.buffered for e in self.engines
-        )
+            found = engine.process_event(event, arrived)
+            if found:
+                self._build(index, engine, found, batch)
+            memory += engine.metrics.live_partials + engine.metrics.buffered
         if memory > self.memory_peak:
             self.memory_peak = memory
-        return reports
+        return self._emit(batch) if batch else []
 
     def end(self) -> list[MatchReport]:
-        batch: list[Candidate] = []
+        batch: list[MatchReport] = []
         for index, engine in enumerate(self.engines):
-            for candidate in engine.end(self.max_serial):
-                candidate.conjunct = index
-                batch.append(candidate)
-        return self._emit(batch)
+            self._build(index, engine, engine.end(self.max_serial), batch)
+        return self._emit(batch) if batch else []
 
-    def _emit(self, batch: list[Candidate]) -> list[MatchReport]:
-        reports = []
-        for candidate in self.replay.offer(batch):
-            metrics = self.engines[candidate.conjunct].metrics
-            metrics.matches += 1
-            latency = self.clock.latency_since(candidate.completion_serial)
-            metrics.latency_total += latency
-            reports.append(make_report(
-                candidate, detected_at=time.perf_counter(), latency=latency,
-            ))
+    @staticmethod
+    def _build(index: int, engine, found, batch: list[MatchReport]) -> None:
+        order = engine.alias_order
+        for bindings, emit_serial, arrived in found:
+            batch.append(make_report(bindings, order, emit_serial, arrived, index))
+
+    def _emit(self, batch: list[MatchReport]) -> list[MatchReport]:
+        reports = self.replay.offer(batch)
+        if reports:
+            reported = time.perf_counter()
+            engines = self.engines
+            for report in reports:
+                metrics = engines[report.conjunct].metrics
+                metrics.matches += 1
+                metrics.latency_total += reported - report.arrived
         return reports
 
     def run(self, events) -> RunResult:

@@ -19,7 +19,9 @@ stored themselves), which arrivals can join no stored sibling instance
 leaf, the ``TimeRange`` its time-ordered instances are bisected to before
 the probe.  Node lists are in ``max_ts`` order, not ``min_ts`` order, so
 eviction keeps each node's oldest ``min_ts`` and rescans a node only
-once something in it has expired.
+once something in it has expired.  The counts of stored instances and
+pooled events change with every store and eviction, so no arrival
+recounts them.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from operator import attrgetter
 from .matching import (
     DEFAULT_KL_CAP,
     AbsenceTracker,
-    Candidate,
     EngineMetrics,
     TimeRange,
     blocks,
@@ -84,7 +85,6 @@ class TreeStructure:
             li, ri = index_of[id(node.left)], index_of[id(node.right)]
             self.parent[li] = self.parent[ri] = i
             self.sibling[li], self.sibling[ri] = ri, li
-        self.labels = [node.label() for node in self.nodes]
         self.leaf_index = {
             node.type_name: i
             for i, node in enumerate(self.nodes) if node.is_leaf
@@ -156,6 +156,7 @@ class TreeEngine:
     def __init__(self, plan: TreePlan, conjunct: NormalizedConjunct,
                  kl_cap: int = DEFAULT_KL_CAP):
         self.tree = TreeStructure(plan, conjunct)
+        self.alias_order = self.tree.alias_order
         self.kl_cap = kl_cap
         self.window = self.tree.window
         self.instances: list[list[_Instance]] = [[] for _ in self.tree.nodes]
@@ -164,27 +165,34 @@ class TreeEngine:
         # expired instance
         self.oldest = [math.inf] * len(self.tree.nodes)
         self.kl_pool: dict[int, list[Event]] = {i: [] for i in self.tree.kl_leaves}
+        # stored instances (singleton leaves' are buffered events, the
+        # rest partials) and Kleene pool events, kept on every store and
+        # eviction
+        self.live = 0
+        self.held = 0
         self.absence = AbsenceTracker(
             conjunct.negations, self.tree.checkpoint_slot,
-            len(self.tree.nodes), self.window, self.tree.alias_order,
+            len(self.tree.nodes), self.window,
         )
         self.metrics = EngineMetrics()
 
     # -- instance propagation ------------------------------------------------
 
     def _propagate(self, node_index: int, instance: _Instance, arrival: str,
-                   out: list[Candidate], emission_serial: int) -> None:
+                   out: list) -> None:
         self.metrics.instances_created += 1
         tree = self.tree
         if node_index == tree.root_index:
-            self.absence.complete(instance.bindings, out, emission_serial, blocks)
+            self.absence.complete(instance.bindings, out, blocks)
             return
         if tree.stored[node_index]:
-            slot = self.instances[node_index]
-            slot.append(instance)
+            self.instances[node_index].append(instance)
             if instance.min_ts < self.oldest[node_index]:
                 self.oldest[node_index] = instance.min_ts
-            self.metrics.note_node(tree.labels[node_index], len(slot))
+            if node_index in tree.singleton_leaves:
+                self.held += 1
+            else:
+                self.live += 1
         if arrival in tree.probe_skip[node_index]:
             return
         parent = tree.parent[node_index]
@@ -195,10 +203,10 @@ class TreeEngine:
                 others, MIN_TS, instance.bindings, instance.min_ts, instance.max_ts,
             )
         for other in others:
-            self._try_join(parent, instance, other, arrival, out, emission_serial)
+            self._try_join(parent, instance, other, arrival, out)
 
     def _try_join(self, parent: int, left: _Instance, right: _Instance,
-                  arrival: str, out: list[Candidate], emission_serial: int) -> None:
+                  arrival: str, out: list) -> None:
         lo = min(left.min_ts, right.min_ts)
         hi = max(left.max_ts, right.max_ts)
         if hi - lo > self.window:
@@ -211,8 +219,7 @@ class TreeEngine:
             return
         if self.absence.blocked_at(parent, bindings, blocks):
             return
-        self._propagate(parent, _Instance(bindings, lo, hi), arrival, out,
-                        emission_serial)
+        self._propagate(parent, _Instance(bindings, lo, hi), arrival, out)
 
     def _leaf_instances(self, node_index: int, event: Event) -> list[_Instance]:
         alias = self.tree.alias_at[node_index]
@@ -238,34 +245,30 @@ class TreeEngine:
                     continue
                 made.append(_Instance({alias: group}, lo, hi))
         pool.append(event)
+        self.held += 1
         return made
 
     # -- public protocol -----------------------------------------------------
 
-    def process_event(self, event: Event) -> list[Candidate]:
-        out: list[Candidate] = []
+    def process_event(self, event: Event, arrived: float) -> list:
+        """Feed one arrival; return the matches it completes or releases,
+        as ``(bindings, emission serial, arrival time)``."""
+        out: list = []
         self.metrics.events += 1
-        self.absence.arrive(event, out, blocks)
+        self.absence.arrive(event, arrived, out, blocks)
         leaf_index = self.tree.leaf_index.get(event.type_name)
         if leaf_index is not None:
             arrival = self.tree.alias_at[leaf_index]
             for instance in self._leaf_instances(leaf_index, event):
-                self._propagate(leaf_index, instance, arrival, out, event.serial)
+                self._propagate(leaf_index, instance, arrival, out)
         self._evict(event.timestamp)
-        live = sum(
-            len(slot) for i, slot in enumerate(self.instances)
-            if i not in self.tree.singleton_leaves
-        )
-        self.metrics.live_partials = live + len(self.absence.pending)
-        self.metrics.buffered = (
-            sum(len(self.instances[i]) for i in self.tree.singleton_leaves)
-            + sum(len(p) for p in self.kl_pool.values())
-            + self.absence.buffered
-        )
-        self.metrics.note_usage()
+        metrics = self.metrics
+        metrics.live_partials = self.live + len(self.absence.pending)
+        metrics.buffered = self.held + self.absence.buffered
+        metrics.note_usage()
         return out
 
-    def end(self, max_serial: int) -> list[Candidate]:
+    def end(self, max_serial: int) -> list:
         return self.absence.end(max_serial)
 
     def _evict(self, latest: float) -> None:
@@ -273,8 +276,12 @@ class TreeEngine:
         for i, slot in enumerate(self.instances):
             if latest - self.oldest[i] > window:
                 kept = [x for x in slot if latest - x.min_ts <= window]
+                if i in self.tree.singleton_leaves:
+                    self.held -= len(slot) - len(kept)
+                else:
+                    self.live -= len(slot) - len(kept)
                 self.instances[i] = kept
                 self.oldest[i] = min((x.min_ts for x in kept), default=math.inf)
         for pool in self.kl_pool.values():
-            evict_expired(pool, latest, window)
+            self.held -= evict_expired(pool, latest, window)
         self.absence.evict(latest)

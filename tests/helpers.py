@@ -1,8 +1,10 @@
-"""Shared builders for the test suite: catalogs, patterns, streams, trees."""
+"""Shared builders and references for the test suite: catalogs, patterns,
+streams, trees, brute-force planners and relational join costs."""
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Mapping, Sequence, Union
 
 from streamcep.model import (
     AttrRef,
@@ -13,6 +15,7 @@ from streamcep.model import (
     SEQ,
     StatisticsCatalog,
     TreeNode,
+    TreePlan,
     join,
     leaf,
     selectivity_key,
@@ -171,3 +174,83 @@ def match_keys(reports) -> set[tuple[int, ...]]:
 
 def grouped_keys(reports) -> set[tuple]:
     return {(r.serials, r.groups) for r in reports}
+
+
+# ---------------------------------------------------------------------------
+# Relational references: left-deep and bushy join cost over cardinalities,
+# against which the paper's equivalence (plan cost = join cost under
+# |R_i| = W*r_i) is checked.
+
+
+def cost_ldj(
+    order: Sequence[str],
+    cardinalities: Mapping[str, float],
+    selectivities: Mapping[tuple[str, ...], float],
+) -> float:
+    """Left-deep join cost: C_1 plus the cardinality of every intermediate.
+
+    The first relation is charged ``|R|*f`` for its own filter; joining a
+    relation multiplies in its filter and every predicate connecting it to
+    the relations already joined.
+    """
+    names = tuple(order)
+    if not names:
+        return 0.0
+    sels = _normalize_sels(selectivities)
+
+    def f(a: str, b: str) -> float:
+        return sels.get(selectivity_key(a, b), 1.0)
+
+    intermediate = cardinalities[names[0]] * f(names[0], names[0])
+    total = intermediate
+    for k in range(1, len(names)):
+        new = names[k]
+        step = cardinalities[new] * f(new, new)
+        for prev in names[:k]:
+            step *= f(prev, new)
+        intermediate = intermediate * step
+        total += intermediate
+    return total
+
+
+def _normalize_sels(
+    selectivities: Mapping[tuple[str, ...], float]
+) -> dict[tuple[str, ...], float]:
+    out: dict[tuple[str, ...], float] = {}
+    for key, value in selectivities.items():
+        if isinstance(key, str):
+            out[(key,)] = value
+        elif len(key) == 1:
+            out[(key[0],)] = value
+        else:
+            out[selectivity_key(key[0], key[1])] = value
+    return out
+
+
+def cost_bj(
+    tree: Union[TreePlan, TreeNode],
+    cardinalities: Mapping[str, float],
+    selectivities: Mapping[tuple[str, ...], float],
+) -> float:
+    """Bushy join cost over relation cardinalities: every node is charged
+    the cardinality of its output (leaves: the relation itself)."""
+    sels = _normalize_sels(selectivities)
+
+    def f(a: str, b: str) -> float:
+        return sels.get(selectivity_key(a, b), 1.0)
+
+    def walk(node: TreeNode) -> tuple[float, float, tuple[str, ...]]:
+        if node.is_leaf:
+            card = cardinalities[node.type_name]
+            return card, card, (node.type_name,)
+        lt, lc, ln = walk(node.left)
+        rt, rc, rn = walk(node.right)
+        cross = 1.0
+        for a in ln:
+            for b in rn:
+                cross *= f(a, b)
+        card = lc * rc * cross
+        return lt + rt + card, card, ln + rn
+
+    total, _, _ = walk(tree.root if isinstance(tree, TreePlan) else tree)
+    return total

@@ -130,3 +130,37 @@ def test_verify_corpus_passes_every_cell(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 225
     assert all(line.startswith("PASS ") for line in lines)
+
+
+KLEENE_NEGATION = "PATTERN SEQ(A a, KL(K k), NOT(N n), B b) WITHIN 10 seconds"
+KLEENE_NEGATION_STREAM = "".join(
+    f"{t},{i},{i + 9}\n" for i, t in enumerate("AKKBAKNBAKB", start=1)
+)
+
+
+def verify_dp_b_plan(tmp_path, *options):
+    """``optimize --algorithm dp-b`` then ``verify --plan``, as CI runs them."""
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(KLEENE_NEGATION)
+    stream = tmp_path / "stream.csv"
+    stream.write_text(KLEENE_NEGATION_STREAM)
+    stats, plan = tmp_path / "stats.json", tmp_path / "plan.json"
+    assert cli.main(["stats", str(stream), str(pattern), "--out", str(stats)]) == cli.EXIT_OK
+    assert cli.main(["optimize", str(pattern), str(stats), "--algorithm", "dp-b",
+                     "--out", str(plan)]) == cli.EXIT_OK
+    assert "tree" in json.loads(plan.read_text())["conjuncts"][0]
+    return cli.main(["verify", str(pattern), str(stream), "--plan", str(plan), *options])
+
+
+def test_verify_runs_a_tree_plan_on_the_tree_engine_only(tmp_path, capsys):
+    assert verify_dp_b_plan(tmp_path) == cli.EXIT_OK
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("PASS ") and line.endswith("engine=tree")
+
+
+@pytest.mark.parametrize("engines", ["nfa", "nfa,tree"])
+def test_verify_refuses_the_nfa_for_a_tree_plan(tmp_path, capsys, engines):
+    assert verify_dp_b_plan(tmp_path, "--engine", engines) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "the chain NFA cannot execute a tree plan" in captured.err

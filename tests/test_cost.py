@@ -16,8 +16,6 @@ from streamcep.cost import (
     CostValue,
     FAMILY_ANY,
     FAMILY_NEXT,
-    cost_bj,
-    cost_ldj,
 )
 from streamcep.model import (
     ContractError,
@@ -28,7 +26,7 @@ from streamcep.model import (
     selectivity_key,
 )
 
-from helpers import all_tree_shapes, random_catalog
+from helpers import all_tree_shapes, cost_bj, cost_ldj, random_catalog
 
 W = 10.0
 TYPES = ("A", "B", "C")

@@ -9,7 +9,9 @@ import random
 import pytest
 
 import streamcep.nfa
+import streamcep.runner
 import streamcep.tree_engine
+from streamcep.corpus import CORPUS_WINDOW, builtin_corpus, corpus_stream
 from streamcep.model import (
     AND,
     AttrRef,
@@ -18,6 +20,7 @@ from streamcep.model import (
     KLEENE,
     Leaf,
     NOT,
+    OR,
     OperatorNode,
     OrderPlan,
     Pattern,
@@ -30,7 +33,7 @@ from streamcep.model import (
     STRICT_CONTIGUITY,
 )
 from streamcep.matching import TIMESTAMP, TimeRange, ts_order
-from streamcep.nfa import NfaChain
+from streamcep.nfa import NfaChain, NfaEngine
 from streamcep.oracle import oracle_match
 from streamcep.plangen import (
     PlanBundle,
@@ -466,7 +469,6 @@ class TestMetrics:
         assert metrics.buffered >= 1
         assert metrics.live_partials == 0
         assert result.memory_peak >= 1
-        assert metrics.per_node_peak  # per-node occupancy was tracked
 
     def test_memory_peak_tracks_joint_state(self):
         p = seq_pattern(("A", "B"), 4.0)
@@ -481,3 +483,153 @@ class TestMetrics:
         result = PatternRunner(p, bundle_for(p)).run(events)
         assert result.wall_time > 0.0
         assert result.throughput == result.events / result.wall_time
+
+
+def recount(engine) -> tuple[int, int]:
+    """Live partials and buffered events, counted over the engine's structures."""
+    absence = engine.absence
+    live = len(absence.pending)
+    held = sum(len(b) for b in absence.buffers.values())
+    if isinstance(engine, NfaEngine):
+        live += sum(len(partials) for partials in engine.by_state)
+        held += sum(len(b) for b in engine.buffers.values())
+    else:
+        leaves = engine.tree.singleton_leaves
+        for i, instances in enumerate(engine.instances):
+            if i in leaves:
+                held += len(instances)
+            else:
+                live += len(instances)
+        held += sum(len(pool) for pool in engine.kl_pool.values())
+    return live, held
+
+
+def corpus_case(pattern_id):
+    return {g.pattern_id: g.pattern for g in builtin_corpus()}[pattern_id]
+
+
+def counted_cases():
+    """Corpus patterns (Kleene, disjunction, negation), a trailing
+    negation that holds matches pending, and partition and strict
+    contiguity, over the corpus stream."""
+    events = list(corpus_stream().events)
+    keyed = [Event(e.type_name, e.timestamp, e.serial, {**e.attrs, "k": e.serial % 3})
+             for e in events]
+    trailing = Pattern(
+        OperatorNode(SEQ, (Leaf("A", "a"), Leaf("B", "b"), Leaf("C", "c", (NOT,)))),
+        (), CORPUS_WINDOW,
+    )
+    sequence = corpus_case("sequence-3-0")
+    partition = sequence.with_strategy(
+        SelectionStrategy(PARTITION_CONTIGUITY, partition_key="k")
+    )
+    return {
+        "kleene-4": (corpus_case("kleene-4-0"), events),
+        "disjunction-4": (corpus_case("disjunction-4-0"), events),
+        "negation-4": (corpus_case("negation-4-0"), events),
+        "pending-negation": (trailing, events),
+        "partition": (partition, keyed),
+        "strict": (sequence.with_strategy(SelectionStrategy(STRICT_CONTIGUITY)), events),
+    }
+
+
+COUNTED = counted_cases()
+# the declaration order lets the NFA prune stale partials under strict contiguity
+PLANS = [("trivial", "nfa"), ("greedy", "nfa"), ("greedy", "tree"), ("dp-b", "tree")]
+
+
+class TestRunnerBookkeeping:
+    @pytest.mark.parametrize("algorithm, engine", PLANS)
+    @pytest.mark.parametrize("case", sorted(COUNTED))
+    def test_kept_counts_equal_a_recount_after_every_event(self, case, algorithm,
+                                                           engine):
+        pattern, events = COUNTED[case]
+        runner = PatternRunner(pattern, bundle_for(pattern, algorithm), engine=engine)
+        peak = 0
+        for event in events:
+            runner.process(event)
+            memory = 0
+            for e in runner.engines:
+                assert (e.metrics.live_partials, e.metrics.buffered) == recount(e)
+                memory += sum(recount(e))
+            peak = max(peak, memory)
+            assert runner.memory_peak == peak
+        assert peak > 0
+
+    def test_pending_matches_are_counted(self):
+        pattern, events = COUNTED["pending-negation"]
+        runner = PatternRunner(pattern, bundle_for(pattern))
+        pending = 0
+        for event in events:
+            runner.process(event)
+            pending = max(pending, len(runner.engines[0].absence.pending))
+        assert pending > 0
+
+    @pytest.mark.parametrize("algorithm, engine", PLANS)
+    def test_one_conjunct_never_offers_a_serial_set_twice(self, algorithm, engine):
+        offered = []
+        for generated in builtin_corpus():
+            if generated.pattern_id.startswith("disjunction"):
+                continue
+            runner = PatternRunner(generated.pattern,
+                                   bundle_for(generated.pattern, algorithm),
+                                   engine=engine)
+            offer = runner.replay.offer
+
+            def recording(batch, offer=offer, pattern_id=generated.pattern_id):
+                offered.extend((pattern_id, r.serials) for r in batch)
+                return offer(batch)
+
+            runner.replay.offer = recording
+            runner.run(corpus_stream().events)
+            assert not runner.replay._seen
+        assert offered and len(set(offered)) == len(offered)
+
+    def test_disjunction_reports_a_shared_serial_set_once(self):
+        # both conjuncts are SEQ(A a, B b); one forbids an N between them,
+        # the other an M, so (0, 1) completes in both
+        p = Pattern(
+            OperatorNode(SEQ, (
+                Leaf("A", "a"),
+                OperatorNode(OR, (Leaf("N", "n", (NOT,)), Leaf("M", "m", (NOT,)))),
+                Leaf("B", "b"),
+            )),
+            (), 10.0,
+        )
+        events = [ev("A", 0.0, 0), ev("B", 1.0, 1), ev("A", 2.0, 2), ev("N", 3.0, 3),
+                  ev("B", 4.0, 4)]
+        for engine in ("nfa", "tree"):
+            runner = PatternRunner(p, bundle_for(p), engine=engine)
+            assert len(runner.engines) == 2
+            offered = []
+            offer = runner.replay.offer
+
+            def recording(batch, offer=offer):
+                offered.extend(r.serials for r in batch)
+                return offer(batch)
+
+            runner.replay.offer = recording
+            result = runner.run(events)
+            assert offered.count((0, 1)) == 2
+            assert [r.serials for r in result.reports] == [(0, 1), (0, 4), (2, 4)]
+            assert [m.matches for m in result.engine_metrics] == [1, 2]
+            assert [r.serials for r in result.reports] == [
+                r.serials for r in oracle_match(p, events)
+            ]
+
+    def test_pending_match_latency_runs_from_its_completing_arrival(self, monkeypatch):
+        ticks = iter(range(1, 100))
+        monkeypatch.setattr(streamcep.runner.time, "perf_counter",
+                            lambda: float(next(ticks)))
+        p = Pattern(
+            OperatorNode(SEQ, (Leaf("A", "a"), Leaf("B", "b"), Leaf("N", "n", (NOT,)))),
+            (), 10.0,
+        )
+        runner = PatternRunner(p, bundle_for(p))
+        assert runner.process(ev("A", 0.0, 0)) == []   # clock 1
+        assert runner.process(ev("B", 1.0, 1)) == []   # clock 2: completes, pending
+        assert runner.process(ev("C", 5.0, 2)) == []   # clock 3
+        (report,) = runner.process(ev("C", 20.0, 3))   # clock 4, reported at 5
+        assert (report.serials, report.emit_serial) == ((0, 1), 3)
+        metrics = runner.engines[0].metrics
+        assert metrics.latency_total == 5.0 - 2.0
