@@ -4,11 +4,26 @@ Both engines reduce a conjunct to the same currency: per processed
 event, the full matches it completes or releases, each as its bindings,
 its emission serial and the arrival time of its completing event.  This
 module holds what must agree between them so the engines themselves keep
-only their joins and extensions: the match record ``make_report`` builds
-once per match, the absence test for negated positions, the absence
-tracker (checkpoint, completion and pending tests, blocker buffers,
-pending matches), the selection-strategy replay, and the metrics
-snapshot.
+only their joins and extensions: the engine core, the match record
+``make_report`` builds once per match, the absence test for negated
+positions, the absence tracker (checkpoint, completion and pending
+tests, blocker buffers, pending matches), the selection-strategy
+replay, and the metrics snapshot.
+
+``EngineCore`` is one conjunct's state in either engine.  A slot is a
+chain position of the NFA or a node of the tree engine.  The engine
+supplies one rule, ``_slot_of``: the first slot where every named alias
+is bound (the NFA's latest position among them, the tree's lowest
+covering node).  The core places everything by it: each predicate
+becomes a condition of its slot, each negation with dependencies gets
+its checkpoint there, and each Kleene alias its slot.  Per slot the core
+keeps the stored ``Partial`` records and their oldest ``min_ts``; per
+type it keeps the raw-event pools the engine draws on (the NFA's backlog
+buffers, the tree's Kleene pools).  ``live`` and ``held`` count stored
+partials and held events (pooled events, and records in ``held_slots``,
+the tree's singleton leaves) on every store, prune and eviction, so no
+arrival recounts them.  ``kleene_groups`` builds every Kleene group
+either engine tries.
 
 It also holds the engines' time index.  Events arrive in time order, so
 every per-type buffer is sorted by timestamp.  ``ts_order`` reads the
@@ -22,23 +37,31 @@ are thus the only description of its absence interval.  The same order
 gives the dead-state rule: a later arrival has a timestamp at or after
 every bound event, so it can never bind an alias that must precede a
 bound one, and a partial that only such an arrival could extend is never
-stored.  ``evict_expired`` drops a time ordered prefix in one cut, with
-the span test's own comparison, and says how many events it dropped, so
-the engines keep their state counts without recounting.
+stored.
+
+Eviction runs once per arrival, at its end, with the span test's own
+comparison.  The core keeps one horizon, the oldest timestamp anything
+it holds may bind, and returns at once while no stored record, pooled
+event or blocker can have expired.  Every record binds the arrival or
+events already held, so nothing stored after a pass is older than the
+horizon that pass left.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import combinations
 from operator import attrgetter
 
 from .model import (
     ANY_MATCH,
+    ContractError,
     Event,
     MatchReport,
     evaluate_predicate,
 )
-from .transform import NegationSpec, ts_bound
+from .transform import NegationSpec, NormalizedConjunct, ts_bound
 
 Bindings = dict[str, object]  # alias -> Event | tuple[Event, ...]
 
@@ -143,19 +166,42 @@ class TimeRange:
         return items[lo:hi]
 
 
-def evict_expired(events: list[Event], latest: float, window: float) -> int:
-    """Drop the prefix of a time-ordered list that no later span can
-    reach, and return how many events that was.
+def evict_expired(buffers, latest: float, window: float) -> tuple[int, float]:
+    """Drop from each time-ordered buffer the prefix no later span can
+    reach; return how many events that was and the oldest timestamp
+    left (``inf`` when every buffer is empty).
 
     An event has expired once ``latest - ts > window``, the span test's
     own comparison; ``ts < latest - window`` can round the other way and
     drop an event a later span would still accept.
     """
-    if not events or latest - events[0].timestamp <= window:
-        return 0
-    cut = bisect_left(events, True, key=lambda e: latest - e.timestamp <= window)
-    del events[:cut]
-    return cut
+    dropped, oldest = 0, math.inf
+    for events in buffers:
+        if events and latest - events[0].timestamp > window:
+            cut = bisect_left(events, True,
+                              key=lambda e: latest - e.timestamp <= window)
+            del events[:cut]
+            dropped += cut
+        if events and events[0].timestamp < oldest:
+            oldest = events[0].timestamp
+    return dropped, oldest
+
+
+def kleene_groups(pool: list[Event], cap: int, metrics: EngineMetrics,
+                  last: Event | None = None) -> list[tuple[Event, ...]]:
+    """Every Kleene group of at most ``cap`` events drawn from ``pool`` in
+    its order, each ending with ``last`` when it is given (an arrival that
+    every group must hold).  A pool larger than a group can draw from
+    counts one overflow in ``metrics``."""
+    tail = () if last is None else (last,)
+    room = cap - len(tail)
+    if len(pool) > room:
+        metrics.kl_overflows += 1
+    return [
+        combo + tail
+        for size in range(1 - len(tail), min(len(pool), room) + 1)
+        for combo in combinations(pool, size)
+    ]
 
 
 def _alias_ts_bounds(value) -> tuple[float, float]:
@@ -204,13 +250,13 @@ class _PendingMatch:
 class AbsenceTracker:
     """Absence state of one conjunct, held by either engine.
 
-    A slot is a chain position or a tree node; the engine passes the slot
-    of each spec with dependencies: the earliest one, in its plan, where
-    every dependency is bound.  A ``ts_confined`` spec, which always has
-    dependencies, is checked at that slot: its predicates pin the blocker
-    between members bound there, and, the upper bound being strict and
-    timestamps non-decreasing, every qualifying blocker has arrived by
-    then.  Every other spec is checked on the full match, where the window
+    ``EngineCore`` passes the checkpoint slot of each spec with
+    dependencies, the first slot where every one is bound.  A
+    ``ts_confined`` spec, which always has dependencies, is checked at
+    that slot: its predicates pin the blocker between members bound
+    there, and, the upper bound being strict and timestamps
+    non-decreasing, every qualifying blocker has arrived by then.  Every
+    other spec is checked on the full match, where the window
     edges are known and the outcome cannot depend on plan order; when
     blockers may still arrive after completion the match waits as pending
     until its deadline.  The engine passes the blocker test ``blocks``
@@ -302,9 +348,11 @@ class AbsenceTracker:
             buffer.append(event)
             self.buffered += 1
 
-    def evict(self, latest: float) -> None:
-        for buffer in self.buffers.values():
-            self.buffered -= evict_expired(buffer, latest, self.window)
+    def evict(self, latest: float) -> float:
+        """Cut expired blockers; return the oldest timestamp still held."""
+        dropped, oldest = evict_expired(self.buffers.values(), latest, self.window)
+        self.buffered -= dropped
+        return oldest
 
     def end(self, max_serial: int) -> list:
         """Release every pending match once the stream has ended."""
@@ -382,3 +430,109 @@ class EngineMetrics:
             self.peak_partials = self.live_partials
         if self.buffered > self.peak_buffered:
             self.peak_buffered = self.buffered
+
+
+class Partial:
+    """A stored partial match: its bindings, the earliest and latest
+    timestamps they hold, and (on the NFA) the newest serial."""
+
+    __slots__ = ("bindings", "min_ts", "max_ts", "newest")
+
+    def __init__(self, bindings: Bindings, min_ts: float, max_ts: float,
+                 newest: int = -1):
+        self.bindings = bindings
+        self.min_ts = min_ts
+        self.max_ts = max_ts
+        self.newest = newest
+
+
+class EngineCore:
+    """One conjunct's slots, placement, stores, counts and eviction; see
+    the module docstring.  An engine calls ``__init__``, builds its
+    shape, then ``_place``; per arrival it calls ``absence.arrive``, does
+    its joins through ``_store``, and closes with ``_settle``."""
+
+    held_slots: frozenset[int] = frozenset()
+
+    def __init__(self, plan_types, conjunct: NormalizedConjunct, kl_cap: int):
+        core = conjunct.core
+        self.type_alias = {l.type_name: l.alias for l in core.leaves()}
+        if set(plan_types) != set(self.type_alias):
+            raise ContractError(
+                "plan types do not match the pattern's positive types"
+            )
+        self.window = core.window
+        self.alias_order = tuple(l.alias for l in core.leaves())
+        self.time_order = ts_order(core.predicates)
+        self.kl_cap = kl_cap
+        self.pools: dict[str, list[Event]] = {}
+        self.live = 0
+        self.held = 0
+        # the oldest timestamp anything held may bind, as of the last
+        # eviction pass (before the first one, no bound)
+        self.horizon = -math.inf
+        self.metrics = EngineMetrics()
+
+    def _slot_of(self, aliases) -> int:
+        """The first slot where every alias in ``aliases`` is bound."""
+        raise NotImplementedError
+
+    def _place(self, conjunct: NormalizedConjunct, slots: int) -> None:
+        alias = self.type_alias
+        self.conditions: list[list] = [[] for _ in range(slots)]
+        for pred in conjunct.core.predicates:
+            self.conditions[self._slot_of(pred.aliases())].append(pred)
+        self.checkpoint_slot = {
+            spec.alias: self._slot_of([alias[t] for t in spec.dependencies])
+            for spec in conjunct.negations if spec.dependencies
+        }
+        self.kl_slots = frozenset(
+            self._slot_of((alias[t],)) for t in conjunct.kl_types()
+        )
+        self.records: list[list[Partial]] = [[] for _ in range(slots)]
+        self.oldest = [math.inf] * slots
+        self.absence = AbsenceTracker(
+            conjunct.negations, self.checkpoint_slot, slots, self.window
+        )
+
+    def _store(self, slot: int, record: Partial) -> None:
+        self.records[slot].append(record)
+        if record.min_ts < self.oldest[slot]:
+            self.oldest[slot] = record.min_ts
+        if slot in self.held_slots:
+            self.held += 1
+        else:
+            self.live += 1
+
+    def _settle(self, latest: float) -> None:
+        """Close one arrival: evict what the window has passed, if the
+        horizon says anything has, and note the state counts."""
+        if latest - self.horizon > self.window:
+            self._evict(latest)
+        metrics = self.metrics
+        metrics.events += 1
+        metrics.live_partials = self.live + len(self.absence.pending)
+        metrics.buffered = self.held + self.absence.buffered
+        metrics.note_usage()
+
+    def _evict(self, latest: float) -> None:
+        window, records, oldest = self.window, self.records, self.oldest
+        horizon = latest
+        for slot, stored in enumerate(records):
+            if latest - oldest[slot] > window:
+                kept = [r for r in stored if latest - r.min_ts <= window]
+                if slot in self.held_slots:
+                    self.held -= len(stored) - len(kept)
+                else:
+                    self.live -= len(stored) - len(kept)
+                records[slot] = kept
+                oldest[slot] = min((r.min_ts for r in kept), default=math.inf)
+            if oldest[slot] < horizon:
+                horizon = oldest[slot]
+        dropped, pooled = evict_expired(self.pools.values(), latest, window)
+        self.held -= dropped
+        self.horizon = min(horizon, pooled, self.absence.evict(latest))
+
+    def end(self, max_serial: int) -> list:
+        """Release every pending match once the stream has ended."""
+        return self.absence.end(max_serial)

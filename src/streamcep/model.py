@@ -203,9 +203,6 @@ class Pattern:
     def alias_types(self) -> dict[str, str]:
         return {leaf.alias: leaf.type_name for leaf in self.leaves()}
 
-    def type_names(self) -> tuple[str, ...]:
-        return tuple(l.type_name for l in self.leaves())
-
     def is_simple(self) -> bool:
         """One n-ary operator, children all leaves."""
         return all(isinstance(c, Leaf) for c in self.root.children)
@@ -457,9 +454,6 @@ class StatisticsCatalog:
         if not isinstance(a, str) or not isinstance(b, (str, type(None))):
             raise ContractError(f"selectivity lookup takes type names: {a!r}, {b!r}")
         return self.selectivities.get(selectivity_key(a, b), 1.0)
-
-    def type_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.rates))
 
     def with_entries(
         self,

@@ -204,7 +204,7 @@ SETTINGS = settings(max_examples=25, deadline=None,
 @given(data=st.data(), step=STEPS, rates=RATES)
 def test_every_cell_agrees_with_the_oracle(family, strategy, data, step, rates):
     pattern = data.draw(patterns(family, strategy, step))
-    events = data.draw(streams(pattern.type_names(), step))
+    events = data.draw(streams(tuple(l.type_name for l in pattern.leaves()), step))
     _check_cells(pattern, events, rates, data)
 
 

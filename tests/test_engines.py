@@ -33,7 +33,7 @@ from streamcep.model import (
     STRICT_CONTIGUITY,
 )
 from streamcep.matching import TIMESTAMP, TimeRange, ts_order
-from streamcep.nfa import NfaChain, NfaEngine
+from streamcep.nfa import NfaEngine
 from streamcep.oracle import oracle_match
 from streamcep.plangen import (
     PlanBundle,
@@ -330,12 +330,15 @@ class TestKleene:
         events = [ev("A", 0.0, 0)]
         events += [ev("K", 1.0 + 0.1 * i, 1 + i) for i in range(5)]
         events += [ev("B", 2.0, 6)]
-        capped = PatternRunner(self.P, bundle_for(self.P), kl_cap=3).run(events)
-        full = PatternRunner(self.P, bundle_for(self.P), kl_cap=16).run(events)
-        assert capped.kl_overflows > 0
-        assert capped.matches < full.matches
-        assert full.kl_overflows == 0
-        assert match_keys(full.reports) == match_keys(oracle_match(self.P, events))
+        for engine in ("auto", "tree"):
+            capped = PatternRunner(self.P, bundle_for(self.P), engine=engine,
+                                   kl_cap=3).run(events)
+            full = PatternRunner(self.P, bundle_for(self.P), engine=engine,
+                                 kl_cap=16).run(events)
+            assert capped.kl_overflows > 0, engine
+            assert capped.matches < full.matches, engine
+            assert full.kl_overflows == 0, engine
+            assert match_keys(full.reports) == match_keys(oracle_match(self.P, events))
 
     def test_cap_below_one_is_a_contract_error(self):
         for cap in (0, -1):
@@ -413,7 +416,7 @@ class TestExecutionShortcuts:
     def test_nfa_buffers_only_what_a_backlog_fork_reads(self):
         def buffered(pattern, order):
             conjunct = normalize_pattern(pattern).conjuncts[0]
-            return NfaChain(OrderPlan(order), conjunct).buffered
+            return set(NfaEngine(OrderPlan(order), conjunct).pools)
 
         p = seq_pattern(("A", "B", "C"), 10.0)
         assert buffered(p, ("A", "B", "C")) == frozenset()
@@ -431,8 +434,7 @@ class TestExecutionShortcuts:
             SelectionStrategy(STRICT_CONTIGUITY)
         )
         conjunct = normalize_pattern(p).conjuncts[0]
-        chain = NfaChain(OrderPlan(("A", "B", "C")), conjunct)
-        assert chain.prune_stale
+        assert NfaEngine(OrderPlan(("A", "B", "C")), conjunct).prune_stale
 
     def test_shortcut_paths_agree_with_buffered_path(self):
         # same stream through the in-order plan, which buffers nothing, and
@@ -486,21 +488,16 @@ class TestMetrics:
 
 
 def recount(engine) -> tuple[int, int]:
-    """Live partials and buffered events, counted over the engine's structures."""
+    """Live partials and held events, counted over the engine's stores."""
     absence = engine.absence
     live = len(absence.pending)
     held = sum(len(b) for b in absence.buffers.values())
-    if isinstance(engine, NfaEngine):
-        live += sum(len(partials) for partials in engine.by_state)
-        held += sum(len(b) for b in engine.buffers.values())
-    else:
-        leaves = engine.tree.singleton_leaves
-        for i, instances in enumerate(engine.instances):
-            if i in leaves:
-                held += len(instances)
-            else:
-                live += len(instances)
-        held += sum(len(pool) for pool in engine.kl_pool.values())
+    held += sum(len(pool) for pool in engine.pools.values())
+    for slot, records in enumerate(engine.records):
+        if slot in engine.held_slots:
+            held += len(records)
+        else:
+            live += len(records)
     return live, held
 
 
@@ -555,6 +552,23 @@ class TestRunnerBookkeeping:
             peak = max(peak, memory)
             assert runner.memory_peak == peak
         assert peak > 0
+
+    @pytest.mark.parametrize("algorithm, engine", PLANS)
+    @pytest.mark.parametrize("case", sorted(COUNTED))
+    def test_nothing_expired_outlives_its_arrival(self, case, algorithm, engine):
+        # eviction skips an arrival only while its horizon shows that
+        # nothing held can have expired
+        pattern, events = COUNTED[case]
+        runner = PatternRunner(pattern, bundle_for(pattern, algorithm), engine=engine)
+        for event in events:
+            runner.process(event)
+            for e in runner.engines:
+                held = [r.min_ts for records in e.records for r in records]
+                held += [x.timestamp for pool in e.pools.values() for x in pool]
+                held += [x.timestamp for buffer in e.absence.buffers.values()
+                         for x in buffer]
+                assert all(event.timestamp - ts <= e.window for ts in held)
+                assert all(ts >= e.horizon for ts in held)
 
     def test_pending_matches_are_counted(self):
         pattern, events = COUNTED["pending-negation"]

@@ -67,7 +67,7 @@ class TestPatternStructure:
         p = simple_seq("A", "B", "C")
         assert [l.alias for l in p.leaves()] == ["a", "b", "c"]
         assert p.alias_types() == {"a": "A", "b": "B", "c": "C"}
-        assert p.type_names() == ("A", "B", "C")
+        assert tuple(l.type_name for l in p.leaves()) == ("A", "B", "C")
 
     def test_negated_and_kleene_wrappers(self):
         root = OperatorNode(

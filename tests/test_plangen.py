@@ -46,9 +46,9 @@ from streamcep.plangen import (
     generate_plan,
     plan_cost,
 )
-from streamcep.nfa import NfaChain
+from streamcep.nfa import NfaEngine
 from streamcep.transform import normalize_pattern
-from streamcep.tree_engine import TreeStructure
+from streamcep.tree_engine import TreeEngine
 
 from helpers import (
     all_tree_shapes,
@@ -152,7 +152,7 @@ class TestSearchProperties:
         rng = random.Random(3)
         for _ in range(8):
             stats = random_catalog(rng, 5)
-            pattern = and_pattern(*stats.type_names())
+            pattern = and_pattern(*sorted(stats.rates))
             model = conjunct_model(
                 normalize_pattern(pattern).conjuncts[0], stats
             )
@@ -164,7 +164,7 @@ class TestSearchProperties:
         rng = random.Random(4)
         for _ in range(6):
             stats = random_catalog(rng, 4)
-            pattern = and_pattern(*stats.type_names())
+            pattern = and_pattern(*sorted(stats.rates))
             model = conjunct_model(
                 normalize_pattern(pattern).conjuncts[0], stats
             )
@@ -175,7 +175,7 @@ class TestSearchProperties:
     def test_iterative_improvement_is_deterministic_per_seed(self):
         rng = random.Random(11)
         stats = random_catalog(rng, 6)
-        pattern = and_pattern(*stats.type_names())
+        pattern = and_pattern(*sorted(stats.rates))
         a = generate_plan(pattern, stats, "ii-random", seed=5)
         b = generate_plan(pattern, stats, "ii-random", seed=5)
         assert a.conjuncts[0].plan == b.conjuncts[0].plan
@@ -185,7 +185,7 @@ class TestSearchProperties:
         rng = random.Random(14)
         for _ in range(5):
             stats = random_catalog(rng, 6)
-            pattern = and_pattern(*stats.type_names())
+            pattern = and_pattern(*sorted(stats.rates))
             best = generate_plan(pattern, stats, "dp-ld").conjuncts[0].report.cost
             for algorithm in ("trivial", "efreq", "greedy", "ii-random", "ii-greedy"):
                 got = generate_plan(pattern, stats, algorithm, seed=9)
@@ -252,14 +252,14 @@ class TestSearchesAgainstReferences:
         rng = random.Random(21)
         for n in (4, 5, 6, 7):
             stats = random_catalog(rng, n)
-            pattern = and_pattern(*stats.type_names())
+            pattern = and_pattern(*sorted(stats.rates))
             yield pattern, stats
             yield pattern.with_strategy(SelectionStrategy(NEXT_MATCH)), stats
         stats = random_catalog(rng, 6)
         stats = StatisticsCatalog(
             rates={**stats.rates, "C": 120.0}, selectivities=stats.selectivities
         )
-        yield kleene_and_pattern(stats.type_names(), "C"), stats
+        yield kleene_and_pattern(tuple(sorted(stats.rates)), "C"), stats
 
     def model_of(self, pattern, stats, alpha):
         conjunct = normalize_pattern(pattern).conjuncts[0]
@@ -276,7 +276,7 @@ class TestSearchesAgainstReferences:
             for _ in range(3):
                 stats = random_catalog(rng, n)
                 for strategy in (SelectionStrategy(), SelectionStrategy(NEXT_MATCH)):
-                    pattern = and_pattern(*stats.type_names()).with_strategy(strategy)
+                    pattern = and_pattern(*sorted(stats.rates)).with_strategy(strategy)
                     model = self.model_of(pattern, stats, alpha)
                     best, best_cost = first_minimum(
                         all_tree_shapes(model.types), model.tree_total
@@ -359,11 +359,11 @@ class TestFinalization:
         stats = StatisticsCatalog(rates={"A": 1.0, "K": 0.3, "B": 2.0})
         plan = plan_of(p, stats, "trivial")
         assert plan.order == ("A", "K", "B")
-        assert NfaChain(plan, conjunct).kl_positions == {1}
+        assert NfaEngine(plan, conjunct).kl_slots == {1}
         tree = plan_of(p, stats, "dp-b")
         assert set(tree.root.leaf_names()) == {"A", "K", "B"}
-        structure = TreeStructure(tree, conjunct)
-        assert structure.kl_leaves == {structure.leaf_index["K"]}
+        engine = TreeEngine(tree, conjunct)
+        assert engine.kl_slots == {engine.leaf_index["K"]}
 
     def test_order_checkpoint_sits_at_dependency_cover(self):
         p = seq_pattern(
@@ -372,8 +372,8 @@ class TestFinalization:
         conjunct = normalize_pattern(p).conjuncts[0]
         (spec,) = conjunct.negations
         assert set(spec.dependencies) == {"A", "B"}
-        chain = NfaChain(OrderPlan(("C", "B", "A")), conjunct)
-        assert chain.checkpoint_slot == {"n": 2}  # A and B both bound only at A
+        engine = NfaEngine(OrderPlan(("C", "B", "A")), conjunct)
+        assert engine.checkpoint_slot == {"n": 2}  # A and B both bound only at A
 
     def test_negation_without_dependencies_has_no_checkpoint(self):
         # nothing pins such a blocker between members, so it is tested on
@@ -382,8 +382,8 @@ class TestFinalization:
         conjunct = normalize_pattern(Pattern(root, (), W)).conjuncts[0]
         (spec,) = conjunct.negations
         assert spec.dependencies == () and not spec.ts_confined
-        assert NfaChain(OrderPlan(("A",)), conjunct).checkpoint_slot == {}
-        assert TreeStructure(TreePlan(leaf("A")), conjunct).checkpoint_slot == {}
+        assert NfaEngine(OrderPlan(("A",)), conjunct).checkpoint_slot == {}
+        assert TreeEngine(TreePlan(leaf("A")), conjunct).checkpoint_slot == {}
 
     def test_tree_checkpoint_sits_at_smallest_covering_node(self):
         p = seq_pattern(
@@ -391,17 +391,17 @@ class TestFinalization:
         )
         conjunct = normalize_pattern(p).conjuncts[0]
         tree = join(join(leaf("A"), leaf("B")), leaf("C"))
-        structure = TreeStructure(TreePlan(tree), conjunct)
+        engine = TreeEngine(TreePlan(tree), conjunct)
         # postorder: A(0) B(1) AB(2) C(3) root(4); {A,B} covered at node 2
-        assert structure.checkpoint_slot == {"n": 2}
+        assert engine.checkpoint_slot == {"n": 2}
 
     def test_missing_dependency_is_a_contract_error(self):
         p = seq_pattern(Leaf("A", "a"), Leaf("N", "n", (NOT,)), Leaf("B", "b"))
         conjunct = normalize_pattern(p).conjuncts[0]
         with pytest.raises(ContractError):
-            NfaChain(OrderPlan(("A",)), conjunct)
+            NfaEngine(OrderPlan(("A",)), conjunct)
         with pytest.raises(ContractError):
-            TreeStructure(TreePlan(leaf("A")), conjunct)
+            TreeEngine(TreePlan(leaf("A")), conjunct)
 
 
 class TestEvaluationHelpers:
