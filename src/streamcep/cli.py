@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, help="default: every engine the plan runs on")
     verify.add_argument("--strategy", type=_strategy, default=None)
     verify.add_argument("--kl-cap", type=_positive_int, default=DEFAULT_CORESIDENT_LIMIT)
-    verify.add_argument("--max-coresident", type=int,
+    verify.add_argument("--max-coresident", type=_positive_int,
                         default=DEFAULT_CORESIDENT_LIMIT)
     common(verify)
     verify.set_defaults(func=cmd_verify)

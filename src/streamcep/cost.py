@@ -12,10 +12,12 @@ charge plans through it.  Its ``CostObjective`` selects the
 skip-till-any-match or skip-till-next-match partial-match model and an
 optional detection-latency term (the hybrid cost).
 
-All arithmetic transparently switches to a log2-space path when a catalog
-can push intermediates past the float range (the subset rates of Kleene
-positions); the path is chosen statically per catalog so comparisons stay
-consistent within one plan search.
+A Kleene position KL(T) is charged by the paper's subset law: its rate
+becomes 2**(r*W)/W, the subsets of the r*W events of T a window holds, so
+its weight W*r becomes 2**(r*W).  All arithmetic switches to a log2-space
+path when the weights can push intermediates past the float range; in log2
+a Kleene weight is r*W itself.  The path is chosen once per model, so
+comparisons stay consistent within one plan search.
 """
 from __future__ import annotations
 
@@ -23,56 +25,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import (
-    ContractError,
-    StatisticsCatalog,
-    TreeNode,
-    linear_from_log2,
-)
+from .model import ContractError, StatisticsCatalog, TreeNode
 
 _LOG_PATH_THRESHOLD = 1000.0
+_LOG2_LINEAR_MAX = 1020.0  # 2**x stays inside the float range below this
 
 FAMILY_ANY = "any"
 FAMILY_NEXT = "next"
-
-
-@dataclass(frozen=True)
-class CostValue:
-    """A non-negative cost carried in linear and log2 form.
-
-    ``linear`` is ``inf`` when the value exceeds the float range; ``log2``
-    is always meaningful (``-inf`` for zero) and is the comparison key when
-    either side of a comparison left the linear range.
-    """
-
-    linear: float
-    log2: float
-
-    @classmethod
-    def from_linear(cls, value: float) -> "CostValue":
-        if value < 0:
-            raise ContractError(f"costs are non-negative, got {value}")
-        return cls(value, math.log2(value) if value > 0 else -math.inf)
-
-    @classmethod
-    def from_log2(cls, log2_value: float) -> "CostValue":
-        return cls(linear_from_log2(log2_value), log2_value)
-
-    def __float__(self) -> float:
-        return self.linear
-
-    def _key(self, other: "CostValue") -> tuple[float, float]:
-        if math.isinf(self.linear) or math.isinf(other.linear):
-            return self.log2, other.log2
-        return self.linear, other.linear
-
-    def __lt__(self, other: "CostValue") -> bool:
-        a, b = self._key(other)
-        return a < b
-
-    def __le__(self, other: "CostValue") -> bool:
-        a, b = self._key(other)
-        return a <= b
 
 
 def _logaddexp2(a: float, b: float) -> float:
@@ -86,6 +45,13 @@ def _logaddexp2(a: float, b: float) -> float:
 
 def _log2_sel(sel: float) -> float:
     return math.log2(sel) if sel > 0 else -math.inf
+
+
+def log2_weight(rate: float, window: float, kleene: bool = False) -> float:
+    """log2 of a position's weight: W*r, or 2**(r*W) for a Kleene position."""
+    if kleene:
+        return rate * window
+    return math.log2(window) + math.log2(rate)
 
 
 @dataclass(frozen=True)
@@ -117,9 +83,10 @@ class CostModel:
     Subsets of the fixed type tuple are bit masks (bit i is ``types[i]``).
     All values returned by the ``step``/``node``/``total`` methods live in
     one arithmetic space (linear or log2) fixed at construction, so a
-    search can compare them directly; ``value`` converts one to a
-    ``CostValue``.  ``log_space`` forces the space (``None`` chooses it
-    from the catalog).
+    search can compare them directly; ``costs`` converts one to the
+    linear cost and its log2.  ``log_space`` forces the space (``None``
+    chooses it from the weights).  The types in ``kleene`` are Kleene
+    positions, weighed by the subset law.
 
     Every subset value is computed by removing the highest-position member,
     so it is a pure function of the subset regardless of the order in which
@@ -138,6 +105,7 @@ class CostModel:
         window: float,
         objective: CostObjective = CostObjective(),
         log_space: bool | None = None,
+        kleene: frozenset[str] = frozenset(),
     ):
         if not window > 0:
             raise ContractError(f"window must be positive, got {window}")
@@ -154,7 +122,7 @@ class CostModel:
         self._last_bit = 0 if last is None else 1 << self.bit_of(last)
 
         n = len(self.types)
-        log2_wr = [math.log2(window) + stats.log2_rate(t) for t in self.types]
+        log2_wr = [log2_weight(stats.rate(t), window, t in kleene) for t in self.types]
         if log_space is None:
             bound = sum(max(0.0, v) for v in log2_wr) + math.log2(n + 2)
             log_space = bound > _LOG_PATH_THRESHOLD
@@ -169,7 +137,11 @@ class CostModel:
             self.zero = -math.inf
             self.one = 0.0
         else:
-            self._wr = [window * stats.rate(t) for t in self.types]
+            self._wr = [
+                window * (2.0 ** (stats.rate(t) * window) / window)
+                if t in kleene else window * stats.rate(t)
+                for t in self.types
+            ]
             self._filter = [stats.sel(t) for t in self.types]
             self._pair = [[stats.sel(a, b) for b in self.types] for a in self.types]
             self.zero = 0.0
@@ -196,8 +168,13 @@ class CostModel:
             return math.log2(factor_linear) + value
         return factor_linear * value
 
-    def value(self, active: float) -> CostValue:
-        return CostValue.from_log2(active) if self.log_space else CostValue.from_linear(active)
+    def costs(self, active: float) -> tuple[float, float]:
+        """The linear cost of an active-space value and its log2; the
+        linear cost is ``inf`` past the float range, the log2 ``-inf``
+        for zero."""
+        if self.log_space:
+            return (2.0 ** active if active <= _LOG2_LINEAR_MAX else math.inf), active
+        return active, (math.log2(active) if active > 0 else -math.inf)
 
     def bit_of(self, type_name: str) -> int:
         return self.types.index(type_name)

@@ -382,64 +382,34 @@ def _catalog_key(key: str | tuple[str, ...]) -> tuple[str, ...]:
     raise ContractError(f"selectivity key must be one or two type names: {key!r}")
 
 
-LOG2_LINEAR_MAX = 1020.0  # 2**x stays inside float range below this
-
-
-def linear_from_log2(log2_value: float) -> float:
-    if log2_value > LOG2_LINEAR_MAX:
-        return math.inf
-    if log2_value == -math.inf:
-        return 0.0
-    return 2.0 ** log2_value
-
-
 @dataclass(frozen=True)
 class StatisticsCatalog:
     """Arrival rates (events/second) and predicate selectivities.
 
-    Rates are carried both linearly and as log2 so that the astronomically
-    large subset rates of Kleene positions stay representable.  The
-    selectivity map is keyed by ``selectivity_key``: sorted type pairs for
-    cross predicates, single names for filters; absent keys default to 1.
+    Rates are positive and finite.  The selectivity map is keyed by
+    ``selectivity_key``: sorted type pairs for cross predicates, single
+    names for filters; absent keys default to 1.
     """
 
     rates: Mapping[str, float]
     selectivities: Mapping[tuple[str, ...], float] = field(default_factory=dict)
-    log2_rates: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name, rate in self.rates.items():
+            if not rate > 0 or math.isinf(rate):
+                raise ContractError(f"rate for {name!r} must be positive and finite: {rate}")
         norm_sel: dict[tuple[str, ...], float] = {}
         for key, value in self.selectivities.items():
             norm = _catalog_key(key)
             if not 0.0 <= value <= 1.0:
                 raise ContractError(f"selectivity for {norm} out of [0, 1]: {value}")
             norm_sel[norm] = value
+        object.__setattr__(self, "rates", dict(self.rates))
         object.__setattr__(self, "selectivities", norm_sel)
-
-        logs = dict(self.log2_rates)
-        for name, rate in self.rates.items():
-            if name in logs:
-                continue
-            if not rate > 0 or math.isinf(rate):
-                raise ContractError(f"rate for {name!r} must be positive and finite: {rate}")
-            logs[name] = math.log2(rate)
-        object.__setattr__(self, "log2_rates", logs)
-        # materialize linear values for log-only entries
-        rates = dict(self.rates)
-        for name, l2 in logs.items():
-            if name not in rates:
-                rates[name] = linear_from_log2(l2)
-        object.__setattr__(self, "rates", rates)
 
     def rate(self, type_name: str) -> float:
         try:
             return self.rates[type_name]
-        except KeyError:
-            raise MissingStatisticsError(f"no arrival rate for type {type_name!r}") from None
-
-    def log2_rate(self, type_name: str) -> float:
-        try:
-            return self.log2_rates[type_name]
         except KeyError:
             raise MissingStatisticsError(f"no arrival rate for type {type_name!r}") from None
 
@@ -454,28 +424,6 @@ class StatisticsCatalog:
         if not isinstance(a, str) or not isinstance(b, (str, type(None))):
             raise ContractError(f"selectivity lookup takes type names: {a!r}, {b!r}")
         return self.selectivities.get(selectivity_key(a, b), 1.0)
-
-    def with_entries(
-        self,
-        rates: Mapping[str, float] | None = None,
-        selectivities: Mapping[tuple[str, ...], float] | None = None,
-        log2_rates: Mapping[str, float] | None = None,
-    ) -> "StatisticsCatalog":
-        new_rates = dict(self.rates)
-        new_logs = dict(self.log2_rates)
-        if rates:
-            new_rates.update(rates)
-            for name in rates:
-                new_logs.pop(name, None)
-        if log2_rates:
-            for name, l2 in log2_rates.items():
-                new_logs[name] = l2
-                new_rates[name] = linear_from_log2(l2)
-        new_sel = dict(self.selectivities)
-        if selectivities:
-            for key, value in selectivities.items():
-                new_sel[_catalog_key(key)] = value
-        return StatisticsCatalog(new_rates, new_sel, new_logs)
 
     # -- JSON interface -----------------------------------------------------
 
@@ -492,20 +440,17 @@ class StatisticsCatalog:
         if not isinstance(rates, dict) or not isinstance(sels_raw, dict):
             raise DataError("'rates' and 'selectivities' must be objects")
         sels: dict[tuple[str, ...], float] = {}
-        for key, value in sels_raw.items():
-            parts = tuple(p.strip() for p in key.split(","))
-            if not all(parts) or len(parts) > 2:
-                raise DataError(f"bad selectivity key {key!r}")
-            sels[selectivity_key(*parts)] = float(value)
         try:
+            for key, value in sels_raw.items():
+                parts = tuple(p.strip() for p in key.split(","))
+                if not all(parts) or len(parts) > 2:
+                    raise DataError(f"bad selectivity key {key!r}")
+                sels[selectivity_key(*parts)] = float(value)
             return cls({str(k): float(v) for k, v in rates.items()}, sels)
         except (TypeError, ValueError) as exc:
             raise DataError(f"bad statistics value: {exc}") from exc
 
     def to_json(self) -> str:
-        for name, rate in self.rates.items():
-            if math.isinf(rate):
-                raise DataError(f"rate for {name!r} exceeds the serializable range")
         doc = {
             "rates": dict(sorted(self.rates.items())),
             "selectivities": {

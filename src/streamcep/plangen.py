@@ -2,11 +2,13 @@
 
 ``generate_plan`` (search) and ``plan_cost`` (evaluate a given plan) are
 the entry points.  All searches run over the positive event types of one
-conjunctive core, a Kleene position under its own type name with the
-subset rate ``planning_catalog`` gives it.  Costs are evaluated through
-one ``CostModel`` so every algorithm minimizes the same objective and
-comparisons stay consistent; the cost family follows the pattern's
-selection strategy and the latency anchor is the pattern-final type.
+conjunctive core, a Kleene position under its own type name.  Costs are
+evaluated through one ``CostModel`` per conjunct (``conjunct_model``), so
+every algorithm minimizes the same objective and comparisons stay
+consistent: the model weighs the Kleene positions by the subset law, each
+timestamp-order predicate of a rewritten sequence halves its pair's
+selectivity, the cost family follows the pattern's selection strategy and
+the latency anchor is the pattern-final type.
 A plan is only the order or the tree: the engines derive the Kleene
 positions and the negation checkpoints from the conjunct they run.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from .cost import CostModel, CostObjective, FAMILY_ANY, FAMILY_NEXT
+from .cost import CostModel, CostObjective, FAMILY_ANY, FAMILY_NEXT, log2_weight
 from .model import (
     ANY_MATCH,
     ContractError,
@@ -35,12 +37,13 @@ from .model import (
     join,
     leaf,
 )
-from .transform import NormalizedConjunct, normalize_pattern, planning_catalog
+from .transform import TEMPORAL_ORIGIN, NormalizedConjunct, normalize_pattern
 
 DP_LD_LIMIT = 20
 DP_B_LIMIT = 14
 II_RANDOM_RESTARTS = 10
 II_GREEDY_RESTARTS = 1
+DEFAULT_TEMPORAL_SELECTIVITY = 0.5
 
 
 @dataclass(frozen=True)
@@ -360,15 +363,19 @@ def _single_conjunct(pattern: Pattern) -> NormalizedConjunct:
     return norm.conjuncts[0]
 
 
-def _default_last_type(conjunct: NormalizedConjunct, catalog: StatisticsCatalog) -> str:
+def _default_last_type(conjunct: NormalizedConjunct, stats: StatisticsCatalog) -> str:
     """Pattern-final type for latency: the declared sequence tail, else the
     highest-rate type (the one most likely to arrive last among the match's
-    events)."""
+    events), a Kleene type at its subset rate."""
     last = conjunct.last_type()
     if last is not None:
         return last
     types = conjunct.runtime_types()
-    return max(types, key=lambda t: (catalog.log2_rate(t), -types.index(t)))
+    kleene = conjunct.kl_types()
+    window = conjunct.core.window
+    return max(types, key=lambda t: (
+        log2_weight(stats.rate(t), window, t in kleene), -types.index(t)
+    ))
 
 
 def conjunct_model(
@@ -377,11 +384,25 @@ def conjunct_model(
     family: str = FAMILY_ANY,
     alpha: float = 0.0,
 ) -> CostModel:
-    catalog = planning_catalog(conjunct, stats)
+    """The cost model of one conjunct.  Every timestamp-order predicate of
+    a rewritten sequence multiplies the default temporal selectivity into
+    its pair entry."""
+    core = conjunct.core
+    alias_types = core.alias_types()
+    sels = dict(stats.selectivities)
+    for pred in core.predicates:
+        if pred.origin != TEMPORAL_ORIGIN:
+            continue
+        names = sorted({alias_types[a] for a in pred.aliases()})
+        if len(names) == 2:
+            key = tuple(names)
+            sels[key] = sels.get(key, 1.0) * DEFAULT_TEMPORAL_SELECTIVITY
+    catalog = StatisticsCatalog(stats.rates, sels)
     last_type = _default_last_type(conjunct, catalog) if alpha > 0 else None
     objective = CostObjective(family=family, alpha=alpha, last_type=last_type)
     return CostModel(
-        conjunct.runtime_types(), catalog, conjunct.core.window, objective
+        conjunct.runtime_types(), catalog, core.window, objective,
+        kleene=conjunct.kl_types(),
     )
 
 
@@ -412,14 +433,14 @@ def generate_plan(
             plan: Plan = OrderPlan(_order_names(model, result))
         else:
             plan = TreePlan(result)
-        value = model.value(cost)
+        cost, cost_log2 = model.costs(cost)
         planned.append(
             PlannedConjunct(
                 plan=plan,
                 report=PlanSearchReport(
                     algorithm=algorithm,
-                    cost=float(value),
-                    cost_log2=value.log2,
+                    cost=cost,
+                    cost_log2=cost_log2,
                     candidates=count,
                     wall_time=wall,
                     seed=seed if seeded else None,
@@ -450,7 +471,7 @@ def plan_cost(
     if set(names) != set(model.types):
         raise ContractError("plan types do not match the pattern's positive types")
     active = model.order_total(plan.order) if is_order else model.tree_total(plan.root)
-    return float(model.value(active))
+    return model.costs(active)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ contract: non-decreasing timestamps, strictly increasing serials.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -44,14 +45,22 @@ class StreamSource:
         return len(self.events)
 
 
-def _check_monotone(events: list[Event], origin: str) -> None:
-    last = float("-inf")
+def _check_monotone(events: list[Event], origin: str,
+                    lines: list[int] | None = None) -> None:
+    """Timestamps must be finite and non-decreasing.  An error names the
+    event's serial, or its line in ``lines`` for events read from a file."""
+    last = -math.inf
     for event in events:
-        if event.timestamp < last:
-            raise DataError(
-                f"{origin}: timestamps decrease at serial {event.serial}"
+        ts = event.timestamp
+        if ts < last or not math.isfinite(ts):
+            problem = (
+                f"timestamp {ts} is not finite" if not math.isfinite(ts)
+                else "timestamps decrease"
             )
-        last = event.timestamp
+            if lines:
+                raise DataError(f"{origin}:{lines[event.serial]}: {problem}")
+            raise DataError(f"{origin}: {problem} at serial {event.serial}")
+        last = ts
 
 
 def from_events(events, duration: float | None = None,
@@ -83,6 +92,7 @@ def ingest_csv(path: str) -> StreamSource:
     identifier (0 for the first).
     """
     events: list[Event] = []
+    lines: list[int] = []
     last_price: dict[str, float] = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -102,6 +112,8 @@ def ingest_csv(path: str) -> StreamSource:
                 price = float(row[2])
             except ValueError as exc:
                 raise DataError(f"{path}:{line}: {exc}") from None
+            if not math.isfinite(price):
+                raise DataError(f"{path}:{line}: price {price} is not finite")
             previous = last_price.get(identifier)
             difference = 0.0 if previous is None else price - previous
             last_price[identifier] = price
@@ -111,8 +123,9 @@ def ingest_csv(path: str) -> StreamSource:
                 serial=serial,
                 attrs={"price": price, "difference": difference},
             ))
+            lines.append(line)
             serial += 1
-    _check_monotone(events, path)
+    _check_monotone(events, path, lines)
     duration = events[-1].timestamp - events[0].timestamp if events else 0.0
     return StreamSource(tuple(events), duration, origin=path)
 

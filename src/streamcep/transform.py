@@ -4,8 +4,8 @@ Plan generation only understands pure conjunctive patterns over positive
 singleton positions, so patterns are normalized before planning:
 
 * sequences become conjunctions plus explicit timestamp-order predicates;
-* a Kleene position KL(T) is planned as a plain position of type T whose
-  rate counts T's non-empty event subsets per window;
+* a Kleene position KL(T) stays a position of type T with its Kleene
+  marker, which the cost model and the engines read;
 * negated positions are split off into absence checks with a dependency
   set, from which each engine places the check in the plan it runs;
 * disjunctions distribute into a union of conjunctive subpatterns;
@@ -16,14 +16,12 @@ semantics (the runtimes consume the annotations produced here).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import product
 
 from .model import (
     AND,
     AttrRef,
-    LOG2_LINEAR_MAX,
     Leaf,
     OperatorNode,
     OR,
@@ -32,7 +30,6 @@ from .model import (
     PARTITION_CONTIGUITY,
     SEQ,
     SelectionStrategy,
-    StatisticsCatalog,
     UnsupportedPatternError,
     validate_pattern,
 )
@@ -40,8 +37,6 @@ from .model import (
 TEMPORAL_ORIGIN = "temporal-order"
 TS_ATTRIBUTES = ("ts", "timestamp")
 CONTIGUITY_ORIGIN = "contiguity"
-
-DEFAULT_TEMPORAL_SELECTIVITY = 0.5
 
 
 def _require_simple(pattern: Pattern, op: str) -> None:
@@ -366,7 +361,6 @@ class NormalizedConjunct:
 
 @dataclass(frozen=True)
 class NormalizedPattern:
-    original: Pattern
     conjuncts: tuple[NormalizedConjunct, ...]
 
 
@@ -392,44 +386,4 @@ def normalize_pattern(pattern: Pattern) -> NormalizedPattern:
         conjuncts.append(
             NormalizedConjunct(core=core, negations=negations, seq_aliases=seq_aliases)
         )
-    return NormalizedPattern(original=pattern, conjuncts=tuple(conjuncts))
-
-
-def planning_catalog(
-    conjunct: NormalizedConjunct, stats: StatisticsCatalog
-) -> StatisticsCatalog:
-    """Statistics for planning one conjunct.
-
-    Every rewritten timestamp-order predicate multiplies the default
-    temporal selectivity into its pair entry.  A Kleene position KL(T)
-    keeps its type name and takes the rate 2**(r*W)/W: the non-empty
-    subsets of the expected r*W events of T per window (exact whenever
-    r*W is integral).  Past the float range that rate is given in log2.
-    """
-    core = conjunct.core
-    sel_updates: dict[tuple[str, ...], float] = {}
-    alias_types = core.alias_types()
-    for pred in core.predicates:
-        if pred.origin != TEMPORAL_ORIGIN:
-            continue
-        names = sorted({alias_types[a] for a in pred.aliases()})
-        if len(names) != 2:
-            continue
-        key = tuple(names)
-        current = sel_updates.get(key, stats.sel(*key))
-        sel_updates[key] = current * DEFAULT_TEMPORAL_SELECTIVITY
-
-    window = core.window
-    rates: dict[str, float] = {}
-    log2_rates: dict[str, float] = {}
-    for leaf in core.leaves():
-        if not leaf.kleene:
-            continue
-        rate_window = stats.rate(leaf.type_name) * window
-        if rate_window <= LOG2_LINEAR_MAX:
-            rates[leaf.type_name] = 2.0 ** rate_window / window
-        else:
-            log2_rates[leaf.type_name] = rate_window - math.log2(window)
-    return stats.with_entries(
-        rates=rates, selectivities=sel_updates, log2_rates=log2_rates
-    )
+    return NormalizedPattern(conjuncts=tuple(conjuncts))

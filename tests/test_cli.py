@@ -95,7 +95,7 @@ def test_older_plan_files_run_with_derived_marks(tmp_path, pattern_text, plan_do
         assert sorted(out.read_text().splitlines()) == expected
 
 
-@pytest.mark.parametrize("option", ["--kl-cap", "--max-pairs"])
+@pytest.mark.parametrize("option", ["--kl-cap", "--max-pairs", "--max-coresident"])
 @pytest.mark.parametrize("value", ["0", "-1", "x"])
 def test_counts_below_one_are_usage_errors(tmp_path, capsys, option, value):
     pattern = tmp_path / "pattern.txt"
@@ -108,10 +108,36 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, option, value):
         "--kl-cap": [["run", str(plan), str(pattern), str(stream)],
                      ["verify", str(pattern), str(stream)]],
         "--max-pairs": [["stats", str(stream), str(pattern)]],
+        "--max-coresident": [["verify", str(pattern), str(stream)]],
     }
     for argv in commands[option]:
         assert cli.main(argv + [option, value]) == cli.EXIT_USAGE
         assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ['"x"', "null"])
+def test_a_selectivity_that_is_not_a_number_is_a_data_error(tmp_path, capsys, value):
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(PATTERN)
+    stats = tmp_path / "stats.json"
+    stats.write_text('{"rates": {"A": 1, "B": 1}, "selectivities": {"A,B": %s}}' % value)
+    assert cli.main(["optimize", str(pattern), str(stats)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: bad statistics value")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_timestamp_is_a_data_error(tmp_path, capsys, value):
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(PATTERN)
+    stream = tmp_path / "stream.csv"
+    stream.write_text(f"A,1,10\nB,{value},11\nA,3,12\nB,4,13\n")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"conjuncts": [{"order": ["A", "B"]}]}))
+    for argv in (["run", str(plan), str(pattern), str(stream),
+                  "--out", str(tmp_path / "matches.txt")],
+                 ["verify", str(pattern), str(stream)]):
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert f"stream.csv:2: timestamp {value} is not finite" in capsys.readouterr().err
 
 
 def test_subcommands_are_optimize_run_stats_verify():

@@ -13,9 +13,9 @@ import pytest
 from streamcep.cost import (
     CostModel,
     CostObjective,
-    CostValue,
     FAMILY_ANY,
     FAMILY_NEXT,
+    log2_weight,
 )
 from streamcep.model import (
     ContractError,
@@ -42,16 +42,20 @@ def model(stats=STATS, objective=CostObjective(), **kw):
     return CostModel(TYPES, stats, W, objective, **kw)
 
 
+def with_filter(type_name, sel):
+    return StatisticsCatalog(STATS.rates, {**STATS.selectivities, (type_name,): sel})
+
+
 def hybrid(alpha, last_type):
     return model(objective=CostObjective(FAMILY_ANY, alpha=alpha, last_type=last_type))
 
 
 def order_cost(m, order):
-    return float(m.value(m.order_total(order)))
+    return m.costs(m.order_total(order))[0]
 
 
 def tree_cost(m, tree):
-    return float(m.value(m.tree_total(tree)))
+    return m.costs(m.tree_total(tree))[0]
 
 
 def order_steps(m, order):
@@ -59,14 +63,14 @@ def order_steps(m, order):
     out, bits = [], 0
     for name in order:
         bits |= 1 << m.bit_of(name)
-        out.append(float(m.value(m.step_pm(bits))))
+        out.append(m.costs(m.step_pm(bits))[0])
     return out
 
 
 def tree_nodes(m, tree):
     """Per-node partial-match counts of a tree, in post-order."""
     return [
-        float(m.value(m.node_pm(sum(1 << m.bit_of(n) for n in node.leaf_names()))))
+        m.costs(m.node_pm(sum(1 << m.bit_of(n) for n in node.leaf_names())))[0]
         for node in tree.postorder()
     ]
 
@@ -92,7 +96,7 @@ class TestOrderCost:
         assert full_abc == full_bac == 400.0
 
     def test_filter_applies_at_entry_step(self):
-        stats = STATS.with_entries(selectivities={("B",): 0.5})
+        stats = with_filter("B", 0.5)
         # step 2 halves: 10*20*0.5*0.5 = 50; step 3 follows: 50*40*0.1 = 200
         assert order_steps(model(stats), ("A", "B", "C")) == [10.0, 50.0, 200.0]
 
@@ -131,7 +135,7 @@ class TestTreeCost:
         assert tree_cost(m, left_deep_tree(order)) == order_cost(m, order) + 40.0 + 20.0
 
     def test_filters_do_not_enter_tree_nodes(self):
-        stats = STATS.with_entries(selectivities={("B",): 0.25})
+        stats = with_filter("B", 0.25)
         assert tree_cost(model(stats), TREE_ACB) == 510.0
 
     def test_bushy_join_twin(self):
@@ -226,31 +230,36 @@ class TestLogSpacePath:
         logged = model(log_space=True)
         assert logged.log_space and not linear.log_space
         full = (1 << 3) - 1
-        a = float(linear.value(linear.pm_ord(full)))
-        b = float(logged.value(logged.pm_ord(full)))
+        a = linear.costs(linear.pm_ord(full))[0]
+        b = logged.costs(logged.pm_ord(full))[0]
         assert abs(a - b) <= 1e-9 * a
 
-    def test_huge_rates_choose_log_space_and_stay_ordered(self):
-        stats = StatisticsCatalog(
-            rates={"B": 2.0},
-            log2_rates={"A'": 2000.0},
-            selectivities={("A'", "B"): 0.5},
-        )
-        m = CostModel(("A'", "B"), stats, W)
+    def test_huge_kleene_weights_choose_log_space_and_stay_ordered(self):
+        stats = StatisticsCatalog(rates={"A": 200.0, "B": 2.0}, selectivities={("A", "B"): 0.5})
+        m = CostModel(("A", "B"), stats, W, kleene=frozenset({"A"}))
         assert m.log_space
-        got = m.value(m.order_total(("B", "A'")))
-        assert math.isinf(float(got))
-        assert got.log2 < m.value(m.order_total(("A'", "B"))).log2
+        # in log2 the Kleene weight 2**(r*W) is r*W itself
+        assert m.wr(0) == 2000.0
+        cost, cost_log2 = m.costs(m.order_total(("B", "A")))
+        assert math.isinf(cost)
+        assert cost_log2 < m.costs(m.order_total(("A", "B")))[1]
 
-    def test_cost_value_comparisons_cross_range(self):
-        small = CostValue.from_linear(1e300)
-        big = CostValue.from_log2(2000.0)
-        assert small < big
-        assert big <= big
-        assert CostValue.from_linear(2.0) < CostValue.from_linear(3.0)
-        assert float(CostValue.from_log2(3.0)) == 8.0
-        with pytest.raises(ContractError):
-            CostValue.from_linear(-1.0)
+    def test_costs_convert_either_space(self):
+        logged = model(log_space=True)
+        assert logged.costs(3.0) == (8.0, 3.0)
+        assert logged.costs(-math.inf) == (0.0, -math.inf)
+        assert logged.costs(2000.0) == (math.inf, 2000.0)
+        linear = model(log_space=False)
+        assert linear.costs(8.0) == (8.0, 3.0)
+        assert linear.costs(0.0) == (0.0, -math.inf)
+
+    def test_log2_weight_of_either_kind(self):
+        # a Kleene type weighs 2**(r*W): the subset rate 2**(r*W)/W times W
+        assert log2_weight(0.4, W, kleene=True) == 4.0
+        assert log2_weight(0.8, W) == math.log2(W) + math.log2(0.8)
+        stats = StatisticsCatalog(rates={"A": 1.0, "C": 0.4})
+        m = CostModel(("A", "C"), stats, W, log_space=True, kleene=frozenset({"C"}))
+        assert (m.wr(0), m.wr(1)) == (log2_weight(1.0, W), 4.0)
 
 
 class TestCostModel:

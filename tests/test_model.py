@@ -33,7 +33,6 @@ from streamcep.model import (
     join,
     leaf,
     left_deep_tree,
-    linear_from_log2,
     predicate_selectivity_key,
     selectivity_key,
     validate_pattern,
@@ -235,40 +234,15 @@ class TestStatisticsCatalog:
         stats = StatisticsCatalog(rates={"A": 1.0})
         with pytest.raises(MissingStatisticsError):
             stats.rate("Z")
-        with pytest.raises(MissingStatisticsError):
-            stats.log2_rate("Z")
 
-    def test_log2_rates_follow_linear_rates(self):
-        stats = StatisticsCatalog(rates={"A": 8.0})
-        assert stats.log2_rate("A") == 3.0
-
-    def test_huge_log2_rate_survives_without_overflow(self):
-        stats = StatisticsCatalog(rates={}, log2_rates={"A'": 5000.0})
-        assert stats.log2_rate("A'") == 5000.0
-        assert stats.rate("A'") == math.inf
-
-    def test_linear_from_log2_edge_cases(self):
-        assert linear_from_log2(3.0) == 8.0
-        assert linear_from_log2(-math.inf) == 0.0
-        assert linear_from_log2(2000.0) == math.inf
-
-    def test_with_entries_merges_without_mutating(self):
-        base = StatisticsCatalog(rates={"A": 1.0})
-        merged = base.with_entries(
-            rates={"B": 2.0}, selectivities={("A", "B"): 0.5}
-        )
-        assert merged.rate("B") == 2.0
-        assert merged.sel("A", "B") == 0.5
-        assert "B" not in base.rates
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+    def test_rates_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ContractError, match="positive and finite"):
+            StatisticsCatalog(rates={"A": 1.0, "B": rate})
 
     def test_constructor_rejects_a_key_of_three_types(self):
         with pytest.raises(ContractError, match="one or two type names"):
             StatisticsCatalog(rates={"A": 1.0}, selectivities={("A", "B", "C"): 0.5})
-
-    def test_with_entries_rejects_a_key_of_three_types(self):
-        base = StatisticsCatalog(rates={"A": 1.0})
-        with pytest.raises(ContractError, match="one or two type names"):
-            base.with_entries(selectivities={("A", "B", "C"): 0.5})
 
     def test_sel_rejects_a_key_that_is_not_a_type_name(self):
         stats = StatisticsCatalog(rates={"A": 1.0}, selectivities={("A",): 0.5})
@@ -290,6 +264,12 @@ class TestStatisticsCatalog:
             StatisticsCatalog.from_json("[]")
         with pytest.raises(DataError):
             StatisticsCatalog.from_json('{"selectivities": {}}')
+
+    @pytest.mark.parametrize("value", ['"x"', "null", "[]"])
+    def test_from_json_rejects_a_selectivity_that_is_not_a_number(self, value):
+        text = '{"rates": {"A": 1, "B": 1}, "selectivities": {"A,B": %s}}' % value
+        with pytest.raises(DataError, match="bad statistics value"):
+            StatisticsCatalog.from_json(text)
 
 
 class TestPlanShapes:

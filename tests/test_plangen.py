@@ -33,6 +33,7 @@ from streamcep.model import (
 )
 from streamcep.plangen import (
     ALGORITHM_NAMES,
+    DEFAULT_TEMPORAL_SELECTIVITY,
     DP_B_LIMIT,
     DP_LD_LIMIT,
     II_GREEDY_RESTARTS,
@@ -158,7 +159,7 @@ class TestSearchProperties:
             )
             _, best = brute_force_order(model)
             bundle = generate_plan(pattern, stats, "dp-ld")
-            assert bundle.conjuncts[0].report.cost == float(model.value(best))
+            assert bundle.conjuncts[0].report.cost == model.costs(best)[0]
 
     def test_dp_matches_brute_force_trees(self):
         rng = random.Random(4)
@@ -170,7 +171,7 @@ class TestSearchProperties:
             )
             _, best = brute_force_tree(model)
             bundle = generate_plan(pattern, stats, "dp-b")
-            assert bundle.conjuncts[0].report.cost == float(model.value(best))
+            assert bundle.conjuncts[0].report.cost == model.costs(best)[0]
 
     def test_iterative_improvement_is_deterministic_per_seed(self):
         rng = random.Random(11)
@@ -234,7 +235,7 @@ def reference_ii(model, seed, restarts, init_order=None):
             order, cost = move, move_cost
         if best_cost is None or cost < best_cost:
             best_order, best_cost = order, cost
-    return names(best_order), float(model.value(best_cost)), candidates
+    return names(best_order), model.costs(best_cost)[0], candidates
 
 
 def kleene_and_pattern(types, kleene_type):
@@ -283,7 +284,7 @@ class TestSearchesAgainstReferences:
                     )
                     (planned,) = generate_plan(pattern, stats, "zstream", alpha).conjuncts
                     assert planned.plan.root == best
-                    assert planned.report.cost == float(model.value(best_cost))
+                    assert planned.report.cost == model.costs(best_cost)[0]
                     assert planned.report.candidates == math.comb(n + 1, 3)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -402,6 +403,82 @@ class TestFinalization:
             NfaEngine(OrderPlan(("A",)), conjunct)
         with pytest.raises(ContractError):
             TreeEngine(TreePlan(leaf("A")), conjunct)
+
+
+class TestPlanningStatistics:
+    """What ``conjunct_model`` charges beyond the catalog: each timestamp-
+    order predicate of a rewritten sequence scales its pair by the default
+    temporal selectivity, and a Kleene type weighs 2**(r*W), the subset
+    rate 2**(r*W)/W times W."""
+
+    STATS = StatisticsCatalog(
+        rates={"A": 1.0, "B": 2.0, "C": 0.4},
+        selectivities={("A", "B"): 0.5, ("A", "C"): 0.3, ("C",): 0.8},
+    )
+
+    def model(self, op, *leaves, stats=STATS, alpha=0.0):
+        pattern = Pattern(OperatorNode(op, leaves), (), W)
+        return conjunct_model(normalize_pattern(pattern).conjuncts[0], stats, alpha=alpha)
+
+    @staticmethod
+    def weight(model, name):
+        return model.wr(model.bit_of(name))
+
+    @staticmethod
+    def pair(model, a, b):
+        """Instances at a tree node over two types: W*r_a * W*r_b * sel."""
+        return model.pm_tree((1 << model.bit_of(a)) | (1 << model.bit_of(b)))
+
+    def test_temporal_predicates_scale_pair_selectivities(self):
+        m = self.model(SEQ, Leaf("A", "a"), Leaf("B", "b"), Leaf("C", "c"))
+        assert [self.weight(m, t) for t in "ABC"] == [W * 1.0, W * 2.0, W * 0.4]
+        assert self.pair(m, "A", "B") == pytest.approx(
+            10.0 * 20.0 * 0.5 * DEFAULT_TEMPORAL_SELECTIVITY
+        )
+        assert self.pair(m, "B", "C") == pytest.approx(20.0 * 4.0 * DEFAULT_TEMPORAL_SELECTIVITY)
+        # non-adjacent pair untouched
+        assert self.pair(m, "A", "C") == pytest.approx(10.0 * 4.0 * 0.3)
+
+    def test_kleene_type_takes_the_subset_law(self):
+        m = self.model(AND, Leaf("A", "a"), Leaf("C", "c", (KLEENE,)))
+        assert not m.log_space
+        # log2(r' * W) = r * W = 4
+        assert self.weight(m, "C") == W * (2.0 ** 4.0 / W)
+        assert self.weight(m, "A") == W * 1.0
+
+    def test_rate_law_is_exact_for_the_integral_case(self):
+        stats = StatisticsCatalog(rates={"A": 1.0, "C": 5.0})
+        m = self.model(AND, Leaf("A", "a"), Leaf("C", "c", (KLEENE,)), stats=stats)
+        assert self.weight(m, "C") == 2.0 ** 50
+
+    def test_kleene_type_keeps_its_selectivities(self):
+        m = self.model(AND, Leaf("A", "a"), Leaf("C", "c", (KLEENE,)))
+        # W*r_A * 2**4 * filter(C) * sel(A, C)
+        assert m.pm_ord(0b11) == pytest.approx(10.0 * 16.0 * 0.8 * 0.3)
+        # the temporal factor applies to the Kleene type's own pair entry
+        m = self.model(SEQ, Leaf("A", "a"), Leaf("C", "c", (KLEENE,)))
+        assert self.pair(m, "A", "C") == pytest.approx(
+            10.0 * 16.0 * 0.3 * DEFAULT_TEMPORAL_SELECTIVITY
+        )
+
+    def test_huge_kleene_rates_go_through_log_space(self):
+        stats = StatisticsCatalog(rates={"A": 1.0, "C": 200.0})
+        m = self.model(AND, Leaf("A", "a"), Leaf("C", "c", (KLEENE,)), stats=stats)
+        assert m.log_space
+        assert self.weight(m, "C") == 2000.0
+
+    def test_without_kleene_or_sequence_the_catalog_is_used_as_is(self):
+        m = self.model(AND, Leaf("A", "a"), Leaf("C", "c"))
+        assert [self.weight(m, t) for t in "AC"] == [W * 1.0, W * 0.4]
+        assert self.pair(m, "A", "C") == pytest.approx(10.0 * 4.0 * 0.3)
+
+    @pytest.mark.parametrize("rate, anchor", [(0.5, "K"), (0.2, "B")])
+    def test_latency_anchor_ranks_a_kleene_type_by_its_subset_rate(self, rate, anchor):
+        # the subset rate of K is 2**(10r)/10: 3.2 beats B's 2.0, 0.4 does not
+        stats = StatisticsCatalog(rates={"A": 1.0, "K": rate, "B": 2.0})
+        leaves = (Leaf("A", "a"), Leaf("K", "k", (KLEENE,)), Leaf("B", "b"))
+        m = self.model(AND, *leaves, stats=stats, alpha=0.5)
+        assert m.objective.last_type == anchor
 
 
 class TestEvaluationHelpers:

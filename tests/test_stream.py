@@ -1,4 +1,5 @@
 """Event sources, synthetic streams, and measured statistics."""
+import math
 import random
 
 import pytest
@@ -35,6 +36,11 @@ def ev(type_name, ts, serial, **attrs):
 
 
 class TestFromEvents:
+    @pytest.mark.parametrize("ts", [math.nan, math.inf, -math.inf])
+    def test_timestamps_must_be_finite(self, ts):
+        with pytest.raises(DataError, match="not finite at serial 1"):
+            from_events([ev("A", 1.0, 0), ev("B", ts, 1), ev("A", 3.0, 2)])
+
     def test_wraps_and_measures_duration(self):
         source = from_events([ev("A", 1.0, 0), ev("B", 4.5, 1)])
         assert len(source) == 2
@@ -99,6 +105,18 @@ class TestCsvIngestion:
     def test_time_travel_is_rejected(self, tmp_path):
         path = self.write(tmp_path, "A,5.0,1.0\nB,4.0,1.0\n")
         with pytest.raises(DataError, match="decrease"):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamps_are_rejected(self, tmp_path, value):
+        path = self.write(tmp_path, f"A,1,10\nB,{value},11\nA,3,12\n")
+        with pytest.raises(DataError, match=r":2: timestamp .* is not finite"):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_prices_are_rejected(self, tmp_path, value):
+        path = self.write(tmp_path, f"A,1,10\nB,2,{value}\n")
+        with pytest.raises(DataError, match=r":2: price .* is not finite"):
             ingest_csv(path)
 
 

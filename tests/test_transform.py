@@ -1,7 +1,5 @@
-"""Pattern rewrites: sequence flattening, Kleene subset rates, negation
-split, disjunctive normal form, contiguity predicates, and the pipeline."""
-import math
-
+"""Pattern rewrites: sequence flattening, negation split, disjunctive
+normal form, contiguity predicates, and the pipeline."""
 import pytest
 
 from streamcep.model import (
@@ -17,7 +15,6 @@ from streamcep.model import (
     Predicate,
     SEQ,
     SelectionStrategy,
-    StatisticsCatalog,
     UnsupportedPatternError,
     PARTITION_CONTIGUITY,
     STRICT_CONTIGUITY,
@@ -25,11 +22,9 @@ from streamcep.model import (
 from streamcep.oracle import oracle_match
 from streamcep.transform import (
     CONTIGUITY_ORIGIN,
-    DEFAULT_TEMPORAL_SELECTIVITY,
     TEMPORAL_ORIGIN,
     add_contiguity_predicates,
     normalize_pattern,
-    planning_catalog,
     seq_to_and,
     split_negation,
     to_dnf,
@@ -96,52 +91,6 @@ class TestSeqToAnd:
         assert match_keys(oracle_match(p, events)) == match_keys(
             oracle_match(seq_to_and(p), events)
         )
-
-
-class TestKleeneRewrite:
-    """KL(T) is planned under T's own name with the subset rate 2**(r*W)/W."""
-
-    STATS = StatisticsCatalog(
-        rates={"A": 1.0, "C": 0.4},
-        selectivities={("A", "C"): 0.3, ("C",): 0.8},
-    )
-
-    def catalog(self, stats):
-        p = Pattern(
-            OperatorNode(AND, (Leaf("A", "a"), Leaf("C", "c", (KLEENE,)))),
-            (),
-            10.0,
-        )
-        (conjunct,) = normalize_pattern(p).conjuncts
-        return planning_catalog(conjunct, stats)
-
-    def test_kleene_type_takes_the_subset_rate(self):
-        catalog = self.catalog(self.STATS)
-        # log2(r' * W) = r * W = 4
-        assert catalog.rate("C") == 2.0 ** 4.0 / 10.0
-        assert catalog.rate("A") == 1.0
-
-    def test_kleene_type_keeps_its_selectivities(self):
-        catalog = self.catalog(self.STATS)
-        assert catalog.sel("A", "C") == 0.3
-        assert catalog.sel("C") == 0.8
-
-    def test_rate_law_is_exact_for_the_integral_case(self):
-        catalog = self.catalog(StatisticsCatalog(rates={"A": 1.0, "C": 5.0}))
-        assert math.log2(catalog.rate("C") * 10.0) == 50.0
-        assert catalog.rate("C") == 2.0 ** 50 / 10.0
-
-    def test_huge_rates_go_through_log_space(self):
-        catalog = self.catalog(StatisticsCatalog(rates={"A": 1.0, "C": 200.0}))
-        assert catalog.log2_rate("C") == 2000.0 - math.log2(10.0)
-        assert catalog.rate("C") == math.inf
-
-    def test_without_kleene_nothing_changes(self):
-        p = Pattern(OperatorNode(AND, (Leaf("A", "a"), Leaf("C", "c"))), (), 10.0)
-        (conjunct,) = normalize_pattern(p).conjuncts
-        catalog = planning_catalog(conjunct, self.STATS)
-        assert catalog.rates == self.STATS.rates
-        assert catalog.selectivities == self.STATS.selectivities
 
 
 class TestSplitNegation:
@@ -440,7 +389,6 @@ class TestNormalizePattern:
     def test_sequence_pipeline(self):
         p = seq(Leaf("A", "a"), Leaf("N", "n", (NOT,)), Leaf("B", "b"))
         normalized = normalize_pattern(p)
-        assert normalized.original is p
         (conjunct,) = normalized.conjuncts
         assert conjunct.core.root.op == AND
         assert conjunct.seq_aliases == ("a", "n", "b")
@@ -511,28 +459,3 @@ class TestNormalizePattern:
         with pytest.raises(UnsupportedPatternError) as excinfo:
             normalize_pattern(Pattern(root, (), 10.0))
         assert "duplicate-alias" in str(excinfo.value)
-
-
-class TestPlanningCatalog:
-    STATS = StatisticsCatalog(
-        rates={"A": 1.0, "B": 2.0, "C": 0.4},
-        selectivities={("A", "B"): 0.5, ("A", "C"): 0.3},
-    )
-
-    def test_temporal_predicates_scale_pair_selectivities(self):
-        p = seq(Leaf("A", "a"), Leaf("B", "b"), Leaf("C", "c"))
-        (conjunct,) = normalize_pattern(p).conjuncts
-        catalog = planning_catalog(conjunct, self.STATS)
-        assert catalog.rates == self.STATS.rates
-        assert catalog.sel("A", "B") == 0.5 * DEFAULT_TEMPORAL_SELECTIVITY
-        assert catalog.sel("B", "C") == DEFAULT_TEMPORAL_SELECTIVITY
-        # non-adjacent pair untouched
-        assert catalog.sel("A", "C") == 0.3
-
-    def test_kleene_rates_enter_the_catalog(self):
-        p = seq(Leaf("A", "a"), Leaf("C", "c", (KLEENE,)))
-        (conjunct,) = normalize_pattern(p).conjuncts
-        catalog = planning_catalog(conjunct, self.STATS)
-        assert catalog.rate("C") == 2.0 ** 4.0 / 10.0
-        # the temporal factor applies to the Kleene type's own pair entry
-        assert catalog.sel("A", "C") == 0.3 * DEFAULT_TEMPORAL_SELECTIVITY
