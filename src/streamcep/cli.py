@@ -122,7 +122,7 @@ def _plan_summary(bundle) -> str:
 
 
 def plan_json_text(plan_json: dict) -> str:
-    return json.dumps(plan_json, sort_keys=True, indent=2) + "\n"
+    return json.dumps(plan_json, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

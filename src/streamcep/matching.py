@@ -19,11 +19,28 @@ becomes a condition of its slot, each negation with dependencies gets
 its checkpoint there, and each Kleene alias its slot.  Per slot the core
 keeps the stored ``Partial`` records and their oldest ``min_ts``; per
 type it keeps the raw-event pools the engine draws on (the NFA's backlog
-buffers, the tree's Kleene pools).  ``live`` and ``held`` count stored
-partials and held events (pooled events, and records in ``held_slots``,
-the tree's singleton leaves) on every store, prune and eviction, so no
-arrival recounts them.  ``kleene_groups`` builds every Kleene group
-either engine tries.
+buffers, the tree's Kleene pools).
+
+Every slot's store is a keyed store: a dict from key to a bucket of
+records in store order.  The engine supplies a second rule,
+``_join_sides``: which slot's conditions a probe of the slot tests, and
+which aliases sit on the stored side and which on the probe side.  The
+``=`` conditions among them that join a ``serial`` or ``pserial`` on one
+side to one on the other, neither a Kleene alias, make the key: the
+contiguity rewrite's ``b.serial = a.serial + 1`` and
+``b.pserial = a.pserial + 1``.  A record's key is its stored-side values
+and a probe's key its probe-side values, so a probe reads the one bucket
+whose records can meet those conditions; every candidate still goes
+through ``evaluate_predicate``.  A slot with no such condition keeps one
+bucket under ``()``.  Only serial adjacency is keyed: a user's ``=`` on
+a user attribute may compare text with a number, which
+``evaluate_predicate`` refuses with a ``DataError`` and a hash lookup
+would hide.
+
+``live`` and ``held`` count stored partials and held events (pooled
+events, and records in ``held_slots``, the tree's singleton leaves) on
+every store, prune and eviction, so no arrival recounts them.
+``kleene_groups`` builds every Kleene group either engine tries.
 
 It also holds the engines' time index.  Events arrive in time order, so
 every per-type buffer is sorted by timestamp.  ``ts_order`` reads the
@@ -44,18 +61,21 @@ comparison.  The core keeps one horizon, the oldest timestamp anything
 it holds may bind, and returns at once while no stored record, pooled
 event or blocker can have expired.  Every record binds the arrival or
 events already held, so nothing stored after a pass is older than the
-horizon that pass left.
+horizon that pass left.  A pass cuts each bucket in place and deletes
+the emptied ones, so a store never holds more keys than records.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from operator import attrgetter
 
 from .model import (
     ANY_MATCH,
+    AttrRef,
     ContractError,
     Event,
     MatchReport,
@@ -202,6 +222,46 @@ def kleene_groups(pool: list[Event], cap: int, metrics: EngineMetrics,
         for size in range(1 - len(tail), min(len(pool), room) + 1)
         for combo in combinations(pool, size)
     ]
+
+
+SERIAL_ATTRIBUTES = frozenset(("serial", "pserial"))
+
+
+def serial_equalities(conditions, stored, probe, kleene) -> tuple:
+    """The key of a keyed store, as ``(stored part, probe part)`` pairs.
+
+    Each ``=`` condition between two ``serial``/``pserial`` references,
+    one to an alias in ``stored`` and one to an alias in ``probe``, none
+    a Kleene alias, gives one pair; a part is ``(alias, attribute,
+    offset)`` and the offset sits on the part of the predicate's right
+    side.  ``key_of`` then makes a stored record's key and a probe's key
+    equal exactly when every such condition holds.  Both attributes are
+    integers the program assigns, so hashing them cannot hide a
+    comparison error that ``evaluate_predicate`` would raise.
+    """
+    pairs = []
+    for pred in conditions:
+        left, right = pred.left, pred.right
+        if (pred.comparator != "=" or not isinstance(right, AttrRef)
+                or left.attribute not in SERIAL_ATTRIBUTES
+                or right.attribute not in SERIAL_ATTRIBUTES
+                or left.alias in kleene or right.alias in kleene):
+            continue
+        left_part = (left.alias, left.attribute, 0.0)
+        right_part = (right.alias, right.attribute, pred.right_offset)
+        if left.alias in stored and right.alias in probe:
+            pairs.append((left_part, right_part))
+        elif left.alias in probe and right.alias in stored:
+            pairs.append((right_part, left_part))
+    return tuple(pairs)
+
+
+def key_of(parts, bindings: Bindings) -> tuple:
+    """The values of ``parts`` in ``bindings``, each plus its offset."""
+    key = ()
+    for alias, attribute, offset in parts:
+        key += (bindings[alias].value(attribute) + offset,)
+    return key
 
 
 def _alias_ts_bounds(value) -> tuple[float, float]:
@@ -447,10 +507,11 @@ class Partial:
 
 
 class EngineCore:
-    """One conjunct's slots, placement, stores, counts and eviction; see
-    the module docstring.  An engine calls ``__init__``, builds its
+    """One conjunct's slots, placement, keyed stores, counts and eviction;
+    see the module docstring.  An engine calls ``__init__``, builds its
     shape, then ``_place``; per arrival it calls ``absence.arrive``, does
-    its joins through ``_store``, and closes with ``_settle``."""
+    its joins through ``_bucket`` and ``_store``, and closes with
+    ``_settle``."""
 
     held_slots: frozenset[int] = frozenset()
 
@@ -477,6 +538,12 @@ class EngineCore:
         """The first slot where every alias in ``aliases`` is bound."""
         raise NotImplementedError
 
+    def _join_sides(self, slot: int):
+        """How a join probes ``slot``: the slot whose conditions it tests,
+        the aliases bound on the stored side and on the probe side; None
+        for a slot no join probes."""
+        raise NotImplementedError
+
     def _place(self, conjunct: NormalizedConjunct, slots: int) -> None:
         alias = self.type_alias
         self.conditions: list[list] = [[] for _ in range(slots)]
@@ -489,20 +556,65 @@ class EngineCore:
         self.kl_slots = frozenset(
             self._slot_of((alias[t],)) for t in conjunct.kl_types()
         )
-        self.records: list[list[Partial]] = [[] for _ in range(slots)]
+        kleene = frozenset(alias[t] for t in conjunct.kl_types())
+        self.key_pairs = [
+            () if sides is None else serial_equalities(
+                self.conditions[sides[0]], sides[1], sides[2], kleene)
+            for sides in map(self._join_sides, range(slots))
+        ]
+        self.stored_key = [tuple(s for s, _ in pairs) for pairs in self.key_pairs]
+        self.probe_key = [tuple(p for _, p in pairs) for pairs in self.key_pairs]
+        self.records: list[dict[tuple, list[Partial]]] = [{} for _ in range(slots)]
         self.oldest = [math.inf] * slots
         self.absence = AbsenceTracker(
             conjunct.negations, self.checkpoint_slot, slots, self.window
         )
 
+    def _adjacent(self, slot: int, earlier: str, later: str) -> bool:
+        """Whether ``slot``'s key holds ``later.serial = earlier.serial + 1``
+        with ``earlier`` stored and ``later`` probing."""
+        return ((earlier, "serial", 1.0), (later, "serial", 0.0)) in self.key_pairs[slot]
+
+    def _bucket(self, slot: int, bindings: Bindings) -> Sequence[Partial]:
+        """The records of ``slot`` whose key equals the probe's: the only
+        ones the slot's serial equalities can accept, in store order.
+        Callers skip an empty store before building the probe."""
+        parts = self.probe_key[slot]
+        return self.records[slot].get(key_of(parts, bindings) if parts else (), ())
+
     def _store(self, slot: int, record: Partial) -> None:
-        self.records[slot].append(record)
+        parts = self.stored_key[slot]
+        key = key_of(parts, record.bindings) if parts else ()
+        store = self.records[slot]
+        bucket = store.get(key)
+        if bucket is None:
+            store[key] = [record]
+        else:
+            bucket.append(record)
         if record.min_ts < self.oldest[slot]:
             self.oldest[slot] = record.min_ts
         if slot in self.held_slots:
             self.held += 1
         else:
             self.live += 1
+
+    def _cut(self, slot: int, kept_of) -> None:
+        """Cut every bucket of ``slot`` in place to ``kept_of(bucket)``,
+        delete the emptied ones and count what was dropped."""
+        store = self.records[slot]
+        dropped = 0
+        for key, bucket in list(store.items()):
+            kept = kept_of(bucket)
+            if len(kept) < len(bucket):
+                dropped += len(bucket) - len(kept)
+                if kept:
+                    bucket[:] = kept
+                else:
+                    del store[key]
+        if slot in self.held_slots:
+            self.held -= dropped
+        else:
+            self.live -= dropped
 
     def _settle(self, latest: float) -> None:
         """Close one arrival: evict what the window has passed, if the
@@ -517,16 +629,18 @@ class EngineCore:
 
     def _evict(self, latest: float) -> None:
         window, records, oldest = self.window, self.records, self.oldest
+
+        def unexpired(bucket):
+            return [r for r in bucket if latest - r.min_ts <= window]
+
         horizon = latest
-        for slot, stored in enumerate(records):
+        for slot, store in enumerate(records):
             if latest - oldest[slot] > window:
-                kept = [r for r in stored if latest - r.min_ts <= window]
-                if slot in self.held_slots:
-                    self.held -= len(stored) - len(kept)
-                else:
-                    self.live -= len(stored) - len(kept)
-                records[slot] = kept
-                oldest[slot] = min((r.min_ts for r in kept), default=math.inf)
+                self._cut(slot, unexpired)
+                oldest[slot] = min(
+                    (r.min_ts for bucket in store.values() for r in bucket),
+                    default=math.inf,
+                )
             if oldest[slot] < horizon:
                 horizon = oldest[slot]
         dropped, pooled = evict_expired(self.pools.values(), latest, window)

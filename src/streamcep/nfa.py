@@ -7,7 +7,11 @@ created, and is extended directly by later arrivals.  Each full match is
 therefore materialized exactly once, at the arrival of its final (by
 serial) contributing event.  The chain's positions are the
 ``EngineCore`` slots; a position binds the aliases of every position up
-to it.
+to it.  A position stores its partials keyed by the aliases bound before
+it, and an arrival of its type probes with itself, so under contiguity
+an arrival reads only the partials whose last event it directly follows.
+When every position follows the previous one by serial, a partial not
+extended by the very next arrival can never be, and is dropped at once.
 
 A backlog fork bisects the pool to the position's ``TimeRange``: after
 every bound alias the predicates order before it, before every one they
@@ -35,7 +39,6 @@ from .matching import (
     kleene_groups,
 )
 from .model import (
-    AttrRef,
     Event,
     OrderPlan,
     evaluate_predicate,
@@ -64,24 +67,19 @@ class NfaEngine(EngineCore):
         # A full serial-adjacency chain pins every next binding to the
         # previous arrival, letting stale partials be dropped immediately
         # instead of at the window edge.  This changes no match set.
-        pairs = list(zip(self.aliases, self.aliases[1:], range(1, len(self.types))))
-        self.prune_stale = bool(pairs) and not self.kl_slots and all(
-            self._serial_adjacent(a, b, i) for a, b, i in pairs
+        self.prune_stale = len(self.aliases) > 1 and not self.kl_slots and all(
+            self._adjacent(i, self.aliases[i - 1], self.aliases[i])
+            for i in range(1, len(self.aliases))
         )
 
     def _slot_of(self, aliases) -> int:
         return max(self.aliases.index(a) for a in aliases)
 
-    def _serial_adjacent(self, earlier: str, later: str, position: int) -> bool:
-        for pred in self.conditions[position]:
-            right = pred.right
-            if (isinstance(right, AttrRef) and pred.comparator == "="
-                    and pred.left.alias == later
-                    and pred.left.attribute == "serial"
-                    and right.alias == earlier and right.attribute == "serial"
-                    and pred.right_offset == 1.0):
-                return True
-        return False
+    def _join_sides(self, position: int):
+        # an arrival at a position probes the partials stored there
+        if position == 0:
+            return None
+        return position, self.aliases[:position], (self.aliases[position],)
 
     def _backlog_values(self, partial: Partial, position: int):
         """Creation-time fork values for a partial's next position: the
@@ -140,8 +138,9 @@ class NfaEngine(EngineCore):
                 root = Partial({}, math.inf, -math.inf)
                 for value in values:
                     self._try_extend(root, 0, value, out)
-            else:
-                for partial in self.records[position]:
+            elif self.records[position]:
+                probe = {self.aliases[position]: event}
+                for partial in self._bucket(position, probe):
                     for value in values:
                         self._try_extend(partial, position, value, out)
         if pool is not None:
@@ -150,10 +149,9 @@ class NfaEngine(EngineCore):
         if self.prune_stale:
             serial = event.serial
             for state in range(1, len(self.records)):
-                partials = self.records[state]
-                if partials:
-                    kept = [p for p in partials if p.newest == serial]
-                    self.live -= len(partials) - len(kept)
-                    self.records[state] = kept
+                if self.records[state]:
+                    self._cut(state, lambda partials: [
+                        p for p in partials if p.newest == serial
+                    ])
         self._settle(event.timestamp)
         return out

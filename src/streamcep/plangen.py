@@ -14,6 +14,7 @@ positions and the negation checkpoints from the conjunct they run.
 """
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -504,14 +505,22 @@ def _names_from_json(data, where: str) -> tuple[str, ...]:
     return tuple(data)
 
 
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
 def bundle_to_json(bundle: PlanBundle) -> dict:
-    """Serialize a bundle; timing is left out so plan files are repeatable."""
+    """Serialize a bundle; timing is left out so plan files are repeatable.
+
+    Plan files are standard JSON: a cost past the float range is written
+    as ``null`` (its ``cost_log2`` still holds it), and so is the
+    ``cost_log2`` of a zero cost."""
     out = {"algorithm": bundle.algorithm, "conjuncts": []}
     for planned in bundle.conjuncts:
         plan = planned.plan
         entry: dict = {
-            "cost": planned.report.cost,
-            "cost_log2": planned.report.cost_log2,
+            "cost": _finite_or_none(planned.report.cost),
+            "cost_log2": _finite_or_none(planned.report.cost_log2),
             "candidates": planned.report.candidates,
             "seed": planned.report.seed,
         }
@@ -525,8 +534,10 @@ def bundle_to_json(bundle: PlanBundle) -> dict:
 
 def bundle_from_json(data) -> PlanBundle:
     """Read a plan file; a malformed one is a ``DataError`` naming the bad
-    member.  The ``kl`` and ``checkpoints`` members of older plan files are
-    ignored: the engines derive both from the pattern."""
+    member.  A ``null`` cost reads as ``inf`` and a ``null`` ``cost_log2``
+    as ``-inf``, as ``bundle_to_json`` wrote them.  The ``kl`` and
+    ``checkpoints`` members of older plan files are ignored: the engines
+    derive both from the pattern."""
     if not isinstance(data, dict):
         raise DataError("plan file must be a JSON object")
     entries = data.get("conjuncts")
@@ -544,13 +555,15 @@ def bundle_from_json(data) -> PlanBundle:
             plan = TreePlan(_tree_from_json(entry["tree"], where + ".tree"))
         else:
             raise DataError(f"plan {where} has neither 'order' nor 'tree'")
+        cost = entry.get("cost", 0.0)
+        cost_log2 = entry.get("cost_log2", 0.0)
         planned.append(
             PlannedConjunct(
                 plan=plan,
                 report=PlanSearchReport(
                     algorithm=algorithm,
-                    cost=entry.get("cost", 0.0),
-                    cost_log2=entry.get("cost_log2", 0.0),
+                    cost=math.inf if cost is None else cost,
+                    cost_log2=-math.inf if cost_log2 is None else cost_log2,
                     candidates=entry.get("candidates", 1),
                     wall_time=entry.get("wall_time", 0.0),
                     seed=entry.get("seed"),

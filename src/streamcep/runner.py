@@ -121,7 +121,10 @@ class PatternRunner:
         raise ContractError(f"unsupported plan type {type(plan).__name__}")
 
     def _augment(self, event: Event) -> Event:
-        if not self._needs_pserial or "pserial" in event.attrs:
+        """Attach the event's per-partition serial, counted here in arrival
+        order as ``oracle.partition_serials`` counts it; a ``pserial`` the
+        event already carries is replaced."""
+        if not self._needs_pserial:
             return event
         value = event.value(self._partition_key)
         index = self._partition_counters.get(value, 0)

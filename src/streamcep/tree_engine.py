@@ -7,7 +7,11 @@ stored instances of its sibling, cascading upward; a new root instance
 is a full match.  Joining on insert keeps every pair of child instances
 combined exactly once.  The nodes, in post-order, are the
 ``EngineCore`` slots; a node binds the aliases of the leaves under it,
-and a singleton leaf's stored instances are its held events.
+and a singleton leaf's stored instances are its held events.  A node
+stores its instances keyed by its own aliases on the parent's serial
+adjacency conditions, and a new sibling instance probes with its own, so
+under contiguity a join reads one bucket instead of every stored
+instance.
 
 A new instance always holds the arrival that made it, the newest event
 of the stream so far.  From the conjunct's strict timestamp order the
@@ -15,7 +19,7 @@ engine derives, per node, whether its instances can join any later
 sibling instance (if not, they are joined with the stored ones and never
 stored themselves), which arrivals can join no stored sibling instance
 (their probe loop is skipped), and, when the sibling is a singleton
-leaf, the ``TimeRange`` its time-ordered instances are bisected to before
+leaf, the ``TimeRange`` its time-ordered bucket is bisected to before
 the probe.
 """
 from __future__ import annotations
@@ -89,6 +93,13 @@ class TreeEngine(EngineCore):
         return next(i for i, under in enumerate(self.under)
                     if under.issuperset(aliases))
 
+    def _join_sides(self, node: int):
+        # a node's instances are probed by its sibling's new ones
+        sibling = self.sibling[node]
+        if sibling == -1:
+            return None
+        return self.parent[node], self.under[node], self.under[sibling]
+
     # -- instance propagation ------------------------------------------------
 
     def _propagate(self, node: int, instance: Partial, arrival: str,
@@ -99,9 +110,10 @@ class TreeEngine(EngineCore):
             return
         if self.stored[node]:
             self._store(node, instance)
-        if arrival in self.probe_skip[node]:
+        sibling = self.sibling[node]
+        if arrival in self.probe_skip[node] or not self.records[sibling]:
             return
-        others = self.records[self.sibling[node]]
+        others = self._bucket(sibling, instance.bindings)
         time_range = self.sibling_range[node]
         if time_range is not None and others:
             others = time_range.bisect(

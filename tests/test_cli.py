@@ -5,6 +5,7 @@ import json
 import pytest
 
 from streamcep import cli, ingest_csv, oracle_match, parse_pattern
+from streamcep.plangen import bundle_from_json
 
 PATTERN = "PATTERN SEQ(A a, B b) WITHIN 10 seconds"
 STREAM = "A,0,1.0\nB,1,2.0\n"
@@ -190,3 +191,34 @@ def test_verify_refuses_the_nfa_for_a_tree_plan(tmp_path, capsys, engines):
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
     assert "the chain NFA cannot execute a tree plan" in captured.err
+
+
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("algorithm", ["greedy", "dp-b"])
+def test_log_space_plan_files_are_standard_json(tmp_path, algorithm):
+    # K's weight 2**(200 * 10) is past the float range, so the linear cost
+    # is infinite and only cost_log2 holds it
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text("PATTERN SEQ(A a, KL(K k), B b) WITHIN 10 seconds\n")
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps({"rates": {"A": 1, "B": 1, "K": 200}}))
+    plan = tmp_path / "plan.json"
+    assert cli.main(["optimize", str(pattern), str(stats), "--algorithm", algorithm,
+                     "--out", str(plan)]) == cli.EXIT_OK
+    doc = strict_json(plan.read_text())
+    (conjunct,) = doc["conjuncts"]
+    assert conjunct["cost"] is None and conjunct["cost_log2"] > 1020
+    (planned,) = bundle_from_json(doc).conjuncts
+    assert planned.report.cost == float("inf")
+    assert planned.report.cost_log2 == conjunct["cost_log2"]
+    stream = tmp_path / "stream.csv"
+    stream.write_text("A,0,1.0\nK,1,2.0\nB,2,3.0\n")
+    out = tmp_path / "matches.txt"
+    assert cli.main(["run", str(plan), str(pattern), str(stream), "--out", str(out)]) == cli.EXIT_OK
+    assert out.read_text() == "0,1,2\n"

@@ -31,6 +31,9 @@ from streamcep.model import (
     PARTITION_CONTIGUITY,
     Predicate,
     STRICT_CONTIGUITY,
+    TreePlan,
+    join,
+    leaf,
 )
 from streamcep.matching import TIMESTAMP, TimeRange, ts_order
 from streamcep.nfa import NfaEngine
@@ -164,6 +167,17 @@ class TestStrategies:
         assert run_keys(p, events) == expected
         assert run_keys(p, events, engine="tree") == expected
         assert match_keys(oracle_match(p, events)) == expected
+
+    def test_partition_contiguity_counts_its_own_pserial(self):
+        # a pserial the input already carries is replaced by the runner's
+        # own count, which is the count the oracle makes
+        p = seq_pattern(("A", "B"), 10.0).with_strategy(
+            SelectionStrategy(PARTITION_CONTIGUITY, partition_key="part")
+        )
+        events = [ev("A", 0.0, 0, part=1, pserial=7), ev("B", 1.0, 1, part=1, pserial=3)]
+        assert match_keys(oracle_match(p, events)) == {(0, 1)}
+        assert run_keys(p, events) == {(0, 1)}
+        assert run_keys(p, events, engine="tree") == {(0, 1)}
 
 
 class TestNegation:
@@ -452,6 +466,84 @@ class TestExecutionShortcuts:
         )
 
 
+def tree_bundle(root):
+    report = PlanSearchReport("manual", 0.0, 0.0, 1, 0.0, None)
+    return PlanBundle("manual", (PlannedConjunct(TreePlan(root), report),))
+
+
+class TestKeyedStores:
+    TYPES = tuple("ABCDEFGH")
+
+    @pytest.mark.parametrize("engine", ["nfa", "tree"])
+    @pytest.mark.parametrize("kind", [STRICT_CONTIGUITY, PARTITION_CONTIGUITY])
+    def test_contiguity_probes_do_not_grow_with_the_store(self, kind, engine,
+                                                         monkeypatch):
+        # the window spans the whole stream, so nothing stored expires and a
+        # probe that read every stored record would cost more and more
+        p = seq_pattern(self.TYPES, 1000.0).with_strategy(
+            SelectionStrategy(kind, partition_key="part")
+        )
+        module = streamcep.nfa if engine == "nfa" else streamcep.tree_engine
+        evaluate = module.evaluate_predicate
+        calls = [0]
+
+        def counted(pred, bindings):
+            calls[0] += 1
+            return evaluate(pred, bindings)
+
+        monkeypatch.setattr(module, "evaluate_predicate", counted)
+        rng = random.Random(3)
+        runner = PatternRunner(p, bundle_for(p), engine=engine)
+        per_arrival = []
+        for i in range(400):
+            before = calls[0]
+            runner.process(ev(rng.choice(self.TYPES), float(i), i, part=rng.randrange(2)))
+            per_arrival.append(calls[0] - before)
+        metrics = runner.engines[0].metrics
+        assert max(per_arrival) <= len(self.TYPES)
+        if not (engine == "nfa" and kind == STRICT_CONTIGUITY):
+            # (the NFA prunes stale partials under strict contiguity)
+            assert metrics.peak_partials + metrics.peak_buffered >= 40
+
+    def test_partition_contiguity_joins_internal_siblings(self):
+        types = ("A", "B", "C", "D")
+        p = seq_pattern(types, 6.0).with_strategy(
+            SelectionStrategy(PARTITION_CONTIGUITY, partition_key="part")
+        )
+        root = join(join(leaf("A"), leaf("B")), join(leaf("C"), leaf("D")))
+        rng = random.Random(11)
+        events = [ev(rng.choice(types), i * 0.25, i, part=rng.randrange(2))
+                  for i in range(240)]
+        runner = PatternRunner(p, tree_bundle(root), engine="tree")
+        engine = runner.engines[0]
+        # the two internal nodes are keyed on b.pserial + 1 = c.pserial
+        assert engine.key_pairs[2] == ((("b", "pserial", 1.0), ("c", "pserial", 0.0)),)
+        assert engine.key_pairs[5] == ((("c", "pserial", 0.0), ("b", "pserial", 1.0)),)
+        expected = match_keys(oracle_match(p, events, max_coresident=60))
+        assert expected
+        assert match_keys(runner.run(events).reports) == expected
+
+    @pytest.mark.parametrize("engine", ["nfa", "tree"])
+    @pytest.mark.parametrize("kind", [STRICT_CONTIGUITY, PARTITION_CONTIGUITY])
+    def test_buckets_never_outnumber_the_records(self, kind, engine):
+        rng = random.Random(5)
+        types = ("A", "B", "C")
+        p = seq_pattern(types, 3.0).with_strategy(
+            SelectionStrategy(kind, partition_key="part")
+        )
+        runner = PatternRunner(p, bundle_for(p, "greedy"), engine=engine)
+        most = 0
+        for i in range(3000):
+            runner.process(ev(rng.choice(types), i * 0.1, i, part=rng.randrange(3)))
+            for e in runner.engines:
+                for store in e.records:
+                    assert all(store.values())  # no empty bucket is kept
+                buckets = sum(len(store) for store in e.records)
+                assert buckets <= e.metrics.live_partials + e.metrics.buffered
+                most = max(most, buckets)
+        assert 0 < most < 100
+
+
 class TestMetrics:
     def test_event_and_match_counts(self):
         p = seq_pattern(("A", "B"), 10.0)
@@ -493,11 +585,12 @@ def recount(engine) -> tuple[int, int]:
     live = len(absence.pending)
     held = sum(len(b) for b in absence.buffers.values())
     held += sum(len(pool) for pool in engine.pools.values())
-    for slot, records in enumerate(engine.records):
+    for slot, store in enumerate(engine.records):
+        stored = sum(len(bucket) for bucket in store.values())
         if slot in engine.held_slots:
-            held += len(records)
+            held += stored
         else:
-            live += len(records)
+            live += stored
     return live, held
 
 
@@ -563,7 +656,8 @@ class TestRunnerBookkeeping:
         for event in events:
             runner.process(event)
             for e in runner.engines:
-                held = [r.min_ts for records in e.records for r in records]
+                held = [r.min_ts for store in e.records
+                        for bucket in store.values() for r in bucket]
                 held += [x.timestamp for pool in e.pools.values() for x in pool]
                 held += [x.timestamp for buffer in e.absence.buffers.values()
                          for x in buffer]
