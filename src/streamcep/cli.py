@@ -241,10 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--window", type=float, default=None,
                        help="override the pattern's window (seconds)")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     opt = sub.add_parser("optimize", help="plan a pattern against a statistics file")
     opt.add_argument("pattern", help="pattern file")
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--kl-cap", type=_positive_int, default=DEFAULT_KL_CAP)
     run.add_argument("--out", default="matches.txt",
                      help="match file, one serial tuple per line")
-    common(run)
+    common(run, seed=False)  # a run draws nothing at random
     run.set_defaults(func=cmd_run)
 
     stats = sub.add_parser("stats", help="estimate statistics from a CSV stream")

@@ -17,7 +17,7 @@ is bound (the NFA's latest position among them, the tree's lowest
 covering node).  The core places everything by it: each predicate
 becomes a condition of its slot, each negation with dependencies gets
 its checkpoint there, and each Kleene alias its slot.  Per slot the core
-keeps the stored ``Partial`` records and their oldest ``min_ts``; per
+keeps the stored ``Partial`` records and a floor on their ``min_ts``; per
 type it keeps the raw-event pools the engine draws on (the NFA's backlog
 buffers, the tree's Kleene pools).
 
@@ -36,6 +36,13 @@ bucket under ``()``.  Only serial adjacency is keyed: a user's ``=`` on
 a user attribute may compare text with a number, which
 ``evaluate_predicate`` refuses with a ``DataError`` and a hash lookup
 would hide.
+
+A slot that one alias probes (every NFA position after the first, every
+tree node whose sibling is a leaf) is probed only by arrivals.  Serials
+strictly increase, so once arrival ``S`` is settled, ``_settle`` drops
+each bucket whose key holds ``v`` where the probe's holds its ``serial``
+plus ``d``, and ``v - d <= S``.  A ``pserial`` part is not cut: a
+partition's next ``pserial`` does not follow from the global serial.
 
 ``live`` and ``held`` count stored partials and held events (pooled
 events, and records in ``held_slots``, the tree's singleton leaves) on
@@ -61,8 +68,9 @@ comparison.  The core keeps one horizon, the oldest timestamp anything
 it holds may bind, and returns at once while no stored record, pooled
 event or blocker can have expired.  Every record binds the arrival or
 events already held, so nothing stored after a pass is older than the
-horizon that pass left.  A pass cuts each bucket in place and deletes
-the emptied ones, so a store never holds more keys than records.
+horizon that pass left.  A pass cuts each bucket in place, finding the
+slot's oldest ``min_ts`` as it goes, and deletes the emptied ones, so a
+store never holds more keys than records.
 """
 from __future__ import annotations
 
@@ -475,7 +483,6 @@ class EngineMetrics:
     ``buffered`` are kept up to date by the engine on every store, prune
     and eviction, so they are exact after every processed event."""
 
-    events: int = 0
     matches: int = 0
     live_partials: int = 0
     peak_partials: int = 0
@@ -493,17 +500,15 @@ class EngineMetrics:
 
 
 class Partial:
-    """A stored partial match: its bindings, the earliest and latest
-    timestamps they hold, and (on the NFA) the newest serial."""
+    """A stored partial match: its bindings and the earliest and latest
+    timestamps they hold."""
 
-    __slots__ = ("bindings", "min_ts", "max_ts", "newest")
+    __slots__ = ("bindings", "min_ts", "max_ts")
 
-    def __init__(self, bindings: Bindings, min_ts: float, max_ts: float,
-                 newest: int = -1):
+    def __init__(self, bindings: Bindings, min_ts: float, max_ts: float):
         self.bindings = bindings
         self.min_ts = min_ts
         self.max_ts = max_ts
-        self.newest = newest
 
 
 class EngineCore:
@@ -557,23 +562,26 @@ class EngineCore:
             self._slot_of((alias[t],)) for t in conjunct.kl_types()
         )
         kleene = frozenset(alias[t] for t in conjunct.kl_types())
+        sides = [self._join_sides(slot) for slot in range(slots)]
         self.key_pairs = [
-            () if sides is None else serial_equalities(
-                self.conditions[sides[0]], sides[1], sides[2], kleene)
-            for sides in map(self._join_sides, range(slots))
+            () if side is None else serial_equalities(
+                self.conditions[side[0]], side[1], side[2], kleene)
+            for side in sides
         ]
         self.stored_key = [tuple(s for s, _ in pairs) for pairs in self.key_pairs]
         self.probe_key = [tuple(p for _, p in pairs) for pairs in self.key_pairs]
+        # (slot, key index, probe offset) per serial part of a one-alias probe
+        self.serial_cuts = [
+            (slot, j, probe[2])
+            for slot, (side, pairs) in enumerate(zip(sides, self.key_pairs))
+            for j, (_, probe) in enumerate(pairs)
+            if probe[1] == "serial" and len(side[2]) == 1
+        ]
         self.records: list[dict[tuple, list[Partial]]] = [{} for _ in range(slots)]
         self.oldest = [math.inf] * slots
         self.absence = AbsenceTracker(
             conjunct.negations, self.checkpoint_slot, slots, self.window
         )
-
-    def _adjacent(self, slot: int, earlier: str, later: str) -> bool:
-        """Whether ``slot``'s key holds ``later.serial = earlier.serial + 1``
-        with ``earlier`` stored and ``later`` probing."""
-        return ((earlier, "serial", 1.0), (later, "serial", 0.0)) in self.key_pairs[slot]
 
     def _bucket(self, slot: int, bindings: Bindings) -> Sequence[Partial]:
         """The records of ``slot`` whose key equals the probe's: the only
@@ -598,49 +606,54 @@ class EngineCore:
         else:
             self.live += 1
 
-    def _cut(self, slot: int, kept_of) -> None:
-        """Cut every bucket of ``slot`` in place to ``kept_of(bucket)``,
-        delete the emptied ones and count what was dropped."""
-        store = self.records[slot]
-        dropped = 0
-        for key, bucket in list(store.items()):
-            kept = kept_of(bucket)
-            if len(kept) < len(bucket):
-                dropped += len(bucket) - len(kept)
-                if kept:
-                    bucket[:] = kept
-                else:
-                    del store[key]
+    def _uncount(self, slot: int, count: int) -> None:
         if slot in self.held_slots:
-            self.held -= dropped
+            self.held -= count
         else:
-            self.live -= dropped
+            self.live -= count
 
-    def _settle(self, latest: float) -> None:
-        """Close one arrival: evict what the window has passed, if the
-        horizon says anything has, and note the state counts."""
+    def _settle(self, event: Event) -> None:
+        """Close one arrival: drop the buckets no later arrival can probe,
+        evict what the window has passed, if the horizon says anything has,
+        and note the state counts."""
+        serial = event.serial
+        for slot, j, offset in self.serial_cuts:
+            store = self.records[slot]
+            if store:
+                limit, dropped = serial + offset, 0
+                for key in list(store):
+                    if key[j] <= limit:
+                        dropped += len(store.pop(key))
+                self._uncount(slot, dropped)
+        latest = event.timestamp
         if latest - self.horizon > self.window:
             self._evict(latest)
         metrics = self.metrics
-        metrics.events += 1
         metrics.live_partials = self.live + len(self.absence.pending)
         metrics.buffered = self.held + self.absence.buffered
         metrics.note_usage()
 
     def _evict(self, latest: float) -> None:
-        window, records, oldest = self.window, self.records, self.oldest
-
-        def unexpired(bucket):
-            return [r for r in bucket if latest - r.min_ts <= window]
-
+        window, oldest = self.window, self.oldest
         horizon = latest
-        for slot, store in enumerate(records):
+        for slot, store in enumerate(self.records):
             if latest - oldest[slot] > window:
-                self._cut(slot, unexpired)
-                oldest[slot] = min(
-                    (r.min_ts for bucket in store.values() for r in bucket),
-                    default=math.inf,
-                )
+                dropped, first = 0, math.inf
+                for key, bucket in list(store.items()):
+                    kept = []  # a plain loop: most buckets hold one record
+                    for r in bucket:
+                        if latest - r.min_ts <= window:
+                            kept.append(r)
+                            if r.min_ts < first:
+                                first = r.min_ts
+                    if len(kept) < len(bucket):
+                        dropped += len(bucket) - len(kept)
+                        if kept:
+                            bucket[:] = kept
+                        else:
+                            del store[key]
+                oldest[slot] = first
+                self._uncount(slot, dropped)
             if oldest[slot] < horizon:
                 horizon = oldest[slot]
         dropped, pooled = evict_expired(self.pools.values(), latest, window)

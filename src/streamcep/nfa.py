@@ -9,9 +9,8 @@ serial) contributing event.  The chain's positions are the
 ``EngineCore`` slots; a position binds the aliases of every position up
 to it.  A position stores its partials keyed by the aliases bound before
 it, and an arrival of its type probes with itself, so under contiguity
-an arrival reads only the partials whose last event it directly follows.
-When every position follows the previous one by serial, a partial not
-extended by the very next arrival can never be, and is dropped at once.
+an arrival reads only the partials whose last event it directly follows;
+the core drops the buckets no later arrival can probe.
 
 A backlog fork bisects the pool to the position's ``TimeRange``: after
 every bound alias the predicates order before it, before every one they
@@ -64,13 +63,6 @@ class NfaEngine(EngineCore):
             t: [] for i, t in enumerate(plan.order)
             if i in self.kl_slots or len(self.ranges[i].after) < i
         }
-        # A full serial-adjacency chain pins every next binding to the
-        # previous arrival, letting stale partials be dropped immediately
-        # instead of at the window edge.  This changes no match set.
-        self.prune_stale = len(self.aliases) > 1 and not self.kl_slots and all(
-            self._adjacent(i, self.aliases[i - 1], self.aliases[i])
-            for i in range(1, len(self.aliases))
-        )
 
     def _slot_of(self, aliases) -> int:
         return max(self.aliases.index(a) for a in aliases)
@@ -115,8 +107,7 @@ class NfaEngine(EngineCore):
         if position == len(self.types):
             self.absence.complete(bindings, out, blocks)
             return
-        new = Partial(bindings, lo, hi,
-                      max(partial.newest, max(e.serial for e in events)))
+        new = Partial(bindings, lo, hi)
         if not self.dead[position]:
             self._store(position, new)
         for value in self._backlog_values(new, position):
@@ -146,12 +137,5 @@ class NfaEngine(EngineCore):
         if pool is not None:
             pool.append(event)
             self.held += 1
-        if self.prune_stale:
-            serial = event.serial
-            for state in range(1, len(self.records)):
-                if self.records[state]:
-                    self._cut(state, lambda partials: [
-                        p for p in partials if p.newest == serial
-                    ])
-        self._settle(event.timestamp)
+        self._settle(event)
         return out

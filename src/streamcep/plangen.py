@@ -224,7 +224,7 @@ def _search_dp_ld(model: CostModel, limit: int = DP_LD_LIMIT) -> tuple[list[int]
     dp_cost = {0: model.zero}
     dp_order: dict[int, tuple[int, ...]] = {0: ()}
     candidates = 0
-    for mask in sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m)):
+    for mask in range(1, 1 << n):  # every submask is numerically smaller
         best = None
         best_prev = None
         for i in range(n):
@@ -309,8 +309,8 @@ def _search_dp_b(model: CostModel, limit: int = DP_B_LIMIT) -> tuple[TreeNode, f
         dp_cost[bit] = model.node_pm(bit)
         dp_tree[bit] = leaf(model.types[i])
     candidates = 0
-    for mask in sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m)):
-        if bin(mask).count("1") < 2:
+    for mask in range(1, 1 << n):  # every submask is numerically smaller
+        if mask & (mask - 1) == 0:  # a single type
             continue
         best = None
         best_split = None

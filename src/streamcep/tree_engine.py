@@ -11,7 +11,8 @@ and a singleton leaf's stored instances are its held events.  A node
 stores its instances keyed by its own aliases on the parent's serial
 adjacency conditions, and a new sibling instance probes with its own, so
 under contiguity a join reads one bucket instead of every stored
-instance.
+instance.  When the sibling is a leaf, only arrivals probe the node, and
+the core drops the buckets no later arrival can probe.
 
 A new instance always holds the arrival that made it, the newest event
 of the stream so far.  From the conjunct's strict timestamp order the
@@ -167,5 +168,5 @@ class TreeEngine(EngineCore):
             arrival = self.type_alias[event.type_name]
             for instance in self._leaf_instances(leaf, arrival, event):
                 self._propagate(leaf, instance, arrival, out)
-        self._settle(event.timestamp)
+        self._settle(event)
         return out

@@ -11,7 +11,7 @@ PATTERN = "PATTERN SEQ(A a, B b) WITHIN 10 seconds"
 STREAM = "A,0,1.0\nB,1,2.0\n"
 
 
-def run_with_plan(tmp_path, plan_doc):
+def run_with_plan(tmp_path, plan_doc, *options):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(plan_doc))
     pattern = tmp_path / "pattern.txt"
@@ -19,13 +19,21 @@ def run_with_plan(tmp_path, plan_doc):
     stream = tmp_path / "stream.csv"
     stream.write_text(STREAM)
     out = tmp_path / "matches.txt"
-    return cli.main(["run", str(plan), str(pattern), str(stream), "--out", str(out)])
+    return cli.main(["run", str(plan), str(pattern), str(stream), "--out", str(out),
+                     *options])
 
 
 def test_run_with_a_wellformed_plan_succeeds(tmp_path):
     doc = {"conjuncts": [{"order": ["A", "B"]}]}
     assert run_with_plan(tmp_path, doc) == cli.EXIT_OK
     assert (tmp_path / "matches.txt").read_text() == "0,1\n"
+
+
+def test_run_takes_no_seed(tmp_path, capsys):
+    doc = {"conjuncts": [{"order": ["A", "B"]}]}
+    assert run_with_plan(tmp_path, doc, "--seed", "1") == cli.EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+    assert run_with_plan(tmp_path, doc, "--window", "5") == cli.EXIT_OK
 
 
 @pytest.mark.parametrize(

@@ -443,12 +443,24 @@ class TestExecutionShortcuts:
                                           Leaf("C", "c"))), (), 10.0)
         assert buffered(conj, ("B", "A", "C")) == {"A", "C"}
 
-    def test_contiguity_plans_prune_stale_partials(self):
-        p = seq_pattern(("A", "B", "C"), 10.0).with_strategy(
+    def test_strict_contiguity_prunes_alike_in_both_engines(self):
+        # every position follows the previous one by serial, so a partial
+        # the very next arrival does not extend can never be extended; the
+        # window spans the whole stream, so only that rule bounds the state
+        types = tuple("ABCDEFGHI")
+        p = seq_pattern(types, 1000.0).with_strategy(
             SelectionStrategy(STRICT_CONTIGUITY)
         )
-        conjunct = normalize_pattern(p).conjuncts[0]
-        assert NfaEngine(OrderPlan(("A", "B", "C")), conjunct).prune_stale
+        rng = random.Random(13)
+        events = [ev(rng.choice(types) if rng.random() < 0.2 else types[i % 9],
+                     float(i), i) for i in range(400)]
+        peaks, found = {}, {}
+        for engine in ("nfa", "tree"):  # the tree runs left_deep_tree(order)
+            result = PatternRunner(p, bundle_for(p), engine=engine).run(events)
+            found[engine] = match_keys(result.reports)
+            peaks[engine] = result.engine_metrics[0].peak_partials
+        assert found["tree"] == found["nfa"] != set()
+        assert peaks["tree"] == peaks["nfa"] <= 1
 
     def test_shortcut_paths_agree_with_buffered_path(self):
         # same stream through the in-order plan, which buffers nothing, and
@@ -501,9 +513,47 @@ class TestKeyedStores:
             per_arrival.append(calls[0] - before)
         metrics = runner.engines[0].metrics
         assert max(per_arrival) <= len(self.TYPES)
-        if not (engine == "nfa" and kind == STRICT_CONTIGUITY):
-            # (the NFA prunes stale partials under strict contiguity)
+        if kind == PARTITION_CONTIGUITY:
+            # (under strict contiguity both engines drop what no later
+            # arrival can probe, so there the store stays small anyway)
             assert metrics.peak_partials + metrics.peak_buffered >= 40
+
+    # b.serial = a.serial + 2 two ways round; the offset of the probing
+    # side's part, b's or a's, is what a cut subtracts
+    @pytest.mark.parametrize("pred, a_probes, b_probes", [
+        (Predicate(AttrRef("b", "serial"), "=", AttrRef("a", "serial"), right_offset=2.0),
+         2.0, 0.0),
+        (Predicate(AttrRef("a", "serial"), "=", AttrRef("b", "serial"), right_offset=-2.0),
+         0.0, -2.0),
+    ])
+    def test_user_serial_offset_drops_only_unprobeable_buckets(self, pred, a_probes,
+                                                                b_probes):
+        # in an any-match AND a stored a waits two arrivals for its b, a
+        # stored b can meet no later a, and a leaf probed by a leaf sibling
+        # counts its records as held events
+        types = ("A", "B", "C", "D")
+        p = Pattern(OperatorNode(AND, tuple(Leaf(t, t.lower()) for t in types)),
+                    (pred,), 2.0)
+        rng = random.Random(17)
+        events = [ev(rng.choice(types), i * 0.25, i) for i in range(160)]
+        expected = match_keys(oracle_match(p, events))
+        assert expected
+        report = PlanSearchReport("manual", 0.0, 0.0, 1, 0.0, None)
+        for order, offset in ((("A", "B", "C", "D"), b_probes),
+                              (("B", "A", "C", "D"), a_probes)):
+            bundle = PlanBundle("manual", (PlannedConjunct(OrderPlan(order), report),))
+            runner = PatternRunner(p, bundle, engine="nfa")
+            assert runner.engines[0].serial_cuts == [(1, 0, offset)]
+            assert match_keys(runner.run(events).reports) == expected
+        root = join(join(leaf("A"), leaf("B")), join(leaf("C"), leaf("D")))
+        runner = PatternRunner(p, tree_bundle(root), engine="tree")
+        engine = runner.engines[0]
+        assert engine.serial_cuts == [(0, 0, b_probes), (1, 0, a_probes)]
+        assert {0, 1} <= engine.held_slots
+        assert match_keys(runner.run(events).reports) == expected
+        counts = [sum(map(len, store.values())) for store in engine.records]
+        assert engine.held == sum(counts[i] for i in engine.held_slots)
+        assert engine.live == sum(counts) - engine.held
 
     def test_partition_contiguity_joins_internal_siblings(self):
         types = ("A", "B", "C", "D")
@@ -551,7 +601,6 @@ class TestMetrics:
         result = PatternRunner(p, bundle_for(p)).run(events)
         metrics = result.engine_metrics[0]
         assert result.events == 2
-        assert metrics.events == 2
         assert result.matches == metrics.matches == 1
         assert metrics.latency_total >= 0.0
         assert result.mean_latency == metrics.latency_total
