@@ -156,6 +156,11 @@ def cmd_run(args) -> int:
         f"{result.events},{result.matches},{result.throughput:.6g},"
         f"{result.memory_peak},{result.mean_latency:.6g},{result.kl_overflows}\n"
     )
+    if result.kl_overflows:
+        sys.stderr.write(
+            f"warning: {result.kl_overflows} Kleene enumerations were cut at "
+            f"kl_cap={args.kl_cap}; groups larger than the cap were not matched\n"
+        )
     return EXIT_OK
 
 

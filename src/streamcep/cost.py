@@ -22,6 +22,7 @@ comparisons stay consistent within one plan search.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,10 +84,11 @@ class CostModel:
     Subsets of the fixed type tuple are bit masks (bit i is ``types[i]``).
     All values returned by the ``step``/``node``/``total`` methods live in
     one arithmetic space (linear or log2) fixed at construction, so a
-    search can compare them directly; ``costs`` converts one to the
-    linear cost and its log2.  ``log_space`` forces the space (``None``
-    chooses it from the weights).  The types in ``kleene`` are Kleene
-    positions, weighed by the subset law.
+    search can compare them directly; ``add`` and ``mul`` are that
+    space's sum and product, bound once, and ``costs`` converts a value
+    to the linear cost and its log2.  ``log_space`` forces the space
+    (``None`` chooses it from the weights).  The types in ``kleene`` are
+    Kleene positions, weighed by the subset law.
 
     Every subset value is computed by removing the highest-position member,
     so it is a pure function of the subset regardless of the order in which
@@ -129,6 +131,7 @@ class CostModel:
         self.log_space = log_space
 
         if log_space:
+            self.add, self.mul = _logaddexp2, operator.add
             self._wr = log2_wr
             self._filter = [_log2_sel(stats.sel(t)) for t in self.types]
             self._pair = [
@@ -137,6 +140,7 @@ class CostModel:
             self.zero = -math.inf
             self.one = 0.0
         else:
+            self.add, self.mul = operator.add, operator.mul
             self._wr = [
                 window * (2.0 ** (stats.rate(t) * window) / window)
                 if t in kleene else window * stats.rate(t)
@@ -153,12 +157,6 @@ class CostModel:
         self._min_wr: dict[int, float] = {}
 
     # -- active-space arithmetic -------------------------------------------
-
-    def mul(self, a: float, b: float) -> float:
-        return a + b if self.log_space else a * b
-
-    def add(self, a: float, b: float) -> float:
-        return _logaddexp2(a, b) if self.log_space else a + b
 
     def scale(self, factor_linear: float, value: float) -> float:
         """Multiply an active-space value by a plain linear factor."""

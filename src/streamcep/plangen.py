@@ -18,7 +18,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Sequence
 
 from .cost import CostModel, CostObjective, FAMILY_ANY, FAMILY_NEXT, log2_weight
@@ -94,6 +94,7 @@ def _search_efreq(model: CostModel) -> tuple[list[int], float, int]:
 
 
 def _search_greedy(model: CostModel) -> tuple[list[int], float, int]:
+    step_cost, add = model.step_cost, model.add
     n = len(model.types)
     remaining = list(range(n))
     order: list[int] = []
@@ -104,14 +105,14 @@ def _search_greedy(model: CostModel) -> tuple[list[int], float, int]:
         best_index = None
         best_step = None
         for i in remaining:
-            step = model.step_cost(prefix, 1 << i)
+            step = step_cost(prefix, 1 << i)
             candidates += 1
             if best_step is None or step < best_step:
                 best_index, best_step = i, step
         order.append(best_index)
         remaining.remove(best_index)
         prefix |= 1 << best_index
-        total = model.add(total, best_step)
+        total = add(total, best_step)
     return order, total, candidates
 
 
@@ -135,26 +136,6 @@ def _neighbors(order: list[int]):
                 yield i, backward
 
 
-def _order_steps(
-    model: CostModel, order: list[int]
-) -> tuple[list[float], list[float], list[int]]:
-    """Step values, running totals and prefix sets of an order.
-
-    ``totals[k]`` and ``prefixes[k]`` hold the first k steps; the totals
-    add left to right, as ``order_total`` does.
-    """
-    steps: list[float] = []
-    totals = [model.zero]
-    prefixes = [0]
-    for i in order:
-        bit = 1 << i
-        step = model.step_cost(prefixes[-1], bit)
-        steps.append(step)
-        totals.append(model.add(totals[-1], step))
-        prefixes.append(prefixes[-1] | bit)
-    return steps, totals, prefixes
-
-
 def _search_ii(
     model: CostModel, seed: int, restarts: int, init: str
 ) -> tuple[list[int], float, int]:
@@ -165,10 +146,33 @@ def _search_ii(
     running total before its first moved position, fresh steps over the
     moved span, then the cached steps after it, whose prefix sets the move
     leaves alone.  The additions run left to right, so every price equals
-    ``order_total`` of the neighbour.
+    ``order_total`` of the neighbour.  A step's value depends only on its
+    prefix set and its type, so the search keeps each one it has priced,
+    keyed by ``prefix * n + index``.
     """
     n = len(model.types)
     rng = random.Random(seed)
+    step_cost, add = model.step_cost, model.add
+    memo: dict[int, float] = {}
+
+    def order_steps(order: list[int]) -> tuple[list[float], list[float], list[int]]:
+        """Step values, running totals and prefix sets of an order;
+        ``totals[k]`` and ``prefixes[k]`` hold the first k steps."""
+        steps: list[float] = []
+        totals = [model.zero]
+        prefixes = [0]
+        bits = 0
+        for i in order:
+            key = bits * n + i
+            step = memo.get(key)
+            if step is None:
+                step = memo[key] = step_cost(bits, 1 << i)
+            steps.append(step)
+            totals.append(add(totals[-1], step))
+            bits |= 1 << i
+            prefixes.append(bits)
+        return steps, totals, prefixes
+
     candidates = 0
     greedy_order = None
     if init == "greedy":
@@ -183,7 +187,7 @@ def _search_ii(
         else:
             order = list(range(n))
             rng.shuffle(order)
-        steps, totals, prefixes = _order_steps(model, order)
+        steps, totals, prefixes = order_steps(order)
         cost = totals[-1]
         candidates += 1
         improved = True
@@ -195,18 +199,20 @@ def _search_ii(
                 c = totals[first]
                 bits = prefixes[first]
                 for i in span:
-                    bit = 1 << i
-                    c = model.add(c, model.step_cost(bits, bit))
-                    bits |= bit
-                for step in steps[first + len(span):]:
-                    c = model.add(c, step)
+                    key = bits * n + i
+                    step = memo.get(key)
+                    if step is None:
+                        step = memo[key] = step_cost(bits, 1 << i)
+                    c = add(c, step)
+                    bits |= 1 << i
+                c = reduce(add, steps[first + len(span):], c)
                 candidates += 1
                 if c < move_cost:
                     move, move_cost = (first, span), c
             if move is not None:
                 first, span = move
                 order = order[:first] + span + order[first + len(span):]
-                steps, totals, prefixes = _order_steps(model, order)
+                steps, totals, prefixes = order_steps(order)
                 cost = move_cost
                 improved = True
         if best_cost is None or cost < best_cost:
@@ -221,6 +227,7 @@ def _search_dp_ld(model: CostModel, limit: int = DP_LD_LIMIT) -> tuple[list[int]
             f"order search by dynamic programming is limited to {limit} types; "
             f"the pattern has {n}"
         )
+    step_cost, add = model.step_cost, model.add
     dp_cost = {0: model.zero}
     dp_order: dict[int, tuple[int, ...]] = {0: ()}
     candidates = 0
@@ -232,7 +239,7 @@ def _search_dp_ld(model: CostModel, limit: int = DP_LD_LIMIT) -> tuple[list[int]
             if not mask & bit:
                 continue
             prev = mask ^ bit
-            cand = model.add(dp_cost[prev], model.step_cost(prev, bit))
+            cand = add(dp_cost[prev], step_cost(prev, bit))
             candidates += 1
             if best is None or cand < best:
                 best, best_prev = cand, (prev, i)
@@ -253,6 +260,7 @@ def _search_zstream(
     minimum among all trees over the sequence.  The count is the number
     of splits priced.
     """
+    add, join_cost = model.add, model.join_cost
     n = len(leaves)
     # (lo, hi) -> (cost, tree, leaf bits) of the best tree over leaves[lo:hi]
     best = {
@@ -267,9 +275,7 @@ def _search_zstream(
             for split in range(lo + 1, hi):
                 left_cost, left_tree, left_bits = best[lo, split]
                 right_cost, right_tree, right_bits = best[split, hi]
-                cost = model.add(
-                    model.add(left_cost, right_cost), model.join_cost(left_bits, right_bits)
-                )
+                cost = add(add(left_cost, right_cost), join_cost(left_bits, right_bits))
                 candidates += 1
                 if choice is None or cost < choice[0]:
                     choice = (cost, join(left_tree, right_tree), left_bits | right_bits)
@@ -285,47 +291,54 @@ def _search_zstream_ord(model: CostModel) -> tuple[TreeNode, float, int]:
     return tree, cost, count + greedy_count
 
 
-def _submask_splits(mask: int):
-    """Proper splits of mask, left half holding mask's lowest set bit."""
-    low = mask & -mask
-    sub = (mask - 1) & mask
-    while sub:
-        if sub & low and sub != mask:
-            yield sub, mask ^ sub
-        sub = (sub - 1) & mask
-
-
 def _search_dp_b(model: CostModel, limit: int = DP_B_LIMIT) -> tuple[TreeNode, float, int]:
+    """Every subset's cheapest tree over its proper splits, the left half
+    holding the subset's lowest type, splits in descending order of the
+    left half.  Without a latency term (``alpha`` 0) a join costs the
+    node's own instances whatever the split, so it is priced once per
+    subset."""
     n = len(model.types)
     if n > limit:
         raise ResourceLimitError(
             f"tree search by dynamic programming is limited to {limit} types; "
             f"the pattern has {n}"
         )
-    dp_cost: dict[int, float] = {}
-    dp_tree: dict[int, TreeNode] = {}
+    add, join_cost = model.add, model.join_cost
+    per_split = model.objective.alpha > 0
+    size = 1 << n
+    dp_cost = [model.zero] * size
+    dp_left = [0] * size  # the left half of a subset's best split
     for i in range(n):
-        bit = 1 << i
-        dp_cost[bit] = model.node_pm(bit)
-        dp_tree[bit] = leaf(model.types[i])
+        dp_cost[1 << i] = model.node_pm(1 << i)
     candidates = 0
-    for mask in range(1, 1 << n):  # every submask is numerically smaller
-        if mask & (mask - 1) == 0:  # a single type
+    for mask in range(3, size):  # every submask is numerically smaller
+        low = mask & -mask
+        rest = mask ^ low
+        if not rest:  # a single type
             continue
+        node = 0.0 if per_split else join_cost(low, rest)
         best = None
-        best_split = None
-        for left_bits, right_bits in _submask_splits(mask):
-            cand = model.add(
-                model.add(dp_cost[left_bits], dp_cost[right_bits]),
-                model.join_cost(left_bits, right_bits),
+        sub = rest
+        while sub:  # left = low | sub over the proper submasks sub of rest
+            sub = (sub - 1) & rest
+            left = low | sub
+            right = rest ^ sub
+            cand = add(
+                add(dp_cost[left], dp_cost[right]),
+                join_cost(left, right) if per_split else node,
             )
-            candidates += 1
             if best is None or cand < best:
-                best, best_split = cand, (left_bits, right_bits)
+                best, best_left = cand, left
+        candidates += (1 << rest.bit_count()) - 1
         dp_cost[mask] = best
-        dp_tree[mask] = join(dp_tree[best_split[0]], dp_tree[best_split[1]])
-    full = (1 << n) - 1
-    return dp_tree[full], dp_cost[full], candidates
+        dp_left[mask] = best_left
+
+    def tree(mask: int) -> TreeNode:
+        if mask & (mask - 1) == 0:
+            return leaf(model.types[mask.bit_length() - 1])
+        return join(tree(dp_left[mask]), tree(mask ^ dp_left[mask]))
+
+    return tree(size - 1), dp_cost[size - 1], candidates
 
 
 # name -> (plan kind, search, whether the search draws on the seed); an

@@ -104,6 +104,30 @@ def test_older_plan_files_run_with_derived_marks(tmp_path, pattern_text, plan_do
         assert sorted(out.read_text().splitlines()) == expected
 
 
+@pytest.mark.parametrize("kl_cap, warned", [("1", True), ("3", False)])
+def test_run_reports_kleene_truncation_on_stderr(tmp_path, capsys, kl_cap, warned):
+    # three K events between A and B: a cap of 1 leaves out the larger groups
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"conjuncts": [{"order": ["A", "K", "B"]}]}))
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(KLEENE)
+    stream = tmp_path / "stream.csv"
+    stream.write_text("A,1,1\nK,2,1\nK,3,1\nK,4,1\nB,5,1\n")
+    argv = ["run", str(plan), str(pattern), str(stream),
+            "--out", str(tmp_path / "matches.txt"), "--kl-cap", kl_cap]
+    assert cli.main(argv) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    overflows = int(captured.out.splitlines()[1].split(",")[-1])
+    assert (overflows > 0) == warned
+    if warned:
+        assert captured.err == (
+            f"warning: {overflows} Kleene enumerations were cut at kl_cap=1; "
+            "groups larger than the cap were not matched\n"
+        )
+    else:
+        assert captured.err == ""
+
+
 @pytest.mark.parametrize("option", ["--kl-cap", "--max-pairs", "--max-coresident"])
 @pytest.mark.parametrize("value", ["0", "-1", "x"])
 def test_counts_below_one_are_usage_errors(tmp_path, capsys, option, value):

@@ -148,29 +148,39 @@ class TestWorkedExamplePlans:
         assert plan_cost(plan, p, STATS) == 115.0
 
 
+STRATEGIES = pytest.mark.parametrize(
+    "strategy", [SelectionStrategy(), SelectionStrategy(NEXT_MATCH)], ids=["any", "next"]
+)
+
+
+def model_of(pattern, stats, alpha):
+    conjunct = normalize_pattern(pattern).conjuncts[0]
+    return conjunct_model(conjunct, stats, family_for(pattern.strategy), alpha)
+
+
 class TestSearchProperties:
-    def test_dp_matches_brute_force_orders(self):
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @STRATEGIES
+    def test_dp_matches_brute_force_orders(self, alpha, strategy):
         rng = random.Random(3)
         for _ in range(8):
             stats = random_catalog(rng, 5)
-            pattern = and_pattern(*sorted(stats.rates))
-            model = conjunct_model(
-                normalize_pattern(pattern).conjuncts[0], stats
-            )
+            pattern = and_pattern(*sorted(stats.rates)).with_strategy(strategy)
+            model = model_of(pattern, stats, alpha)
             _, best = brute_force_order(model)
-            bundle = generate_plan(pattern, stats, "dp-ld")
+            bundle = generate_plan(pattern, stats, "dp-ld", alpha)
             assert bundle.conjuncts[0].report.cost == model.costs(best)[0]
 
-    def test_dp_matches_brute_force_trees(self):
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @STRATEGIES
+    def test_dp_matches_brute_force_trees(self, alpha, strategy):
         rng = random.Random(4)
         for _ in range(6):
             stats = random_catalog(rng, 4)
-            pattern = and_pattern(*sorted(stats.rates))
-            model = conjunct_model(
-                normalize_pattern(pattern).conjuncts[0], stats
-            )
+            pattern = and_pattern(*sorted(stats.rates)).with_strategy(strategy)
+            model = model_of(pattern, stats, alpha)
             _, best = brute_force_tree(model)
-            bundle = generate_plan(pattern, stats, "dp-b")
+            bundle = generate_plan(pattern, stats, "dp-b", alpha)
             assert bundle.conjuncts[0].report.cost == model.costs(best)[0]
 
     def test_iterative_improvement_is_deterministic_per_seed(self):
@@ -238,6 +248,39 @@ def reference_ii(model, seed, restarts, init_order=None):
     return names(best_order), model.costs(best_cost)[0], candidates
 
 
+def submask_splits(mask):
+    """Proper splits of mask, the left half holding mask's lowest set bit,
+    larger left halves first."""
+    low = mask & -mask
+    sub = (mask - 1) & mask
+    while sub:
+        if sub & low:
+            yield sub, mask ^ sub
+        sub = (sub - 1) & mask
+
+
+def reference_dp_b(model):
+    """Bushy dynamic programming that prices every split of every subset
+    with ``join_cost``."""
+    n = len(model.types)
+    cost = {1 << i: model.node_pm(1 << i) for i in range(n)}
+    tree = {1 << i: leaf(t) for i, t in enumerate(model.types)}
+    candidates = 0
+    for mask in range(1, 1 << n):
+        if mask in cost:
+            continue
+        best = split = None
+        for left, right in submask_splits(mask):
+            c = model.add(model.add(cost[left], cost[right]), model.join_cost(left, right))
+            candidates += 1
+            if best is None or c < best:
+                best, split = c, (left, right)
+        cost[mask] = best
+        tree[mask] = join(tree[split[0]], tree[split[1]])
+    full = (1 << n) - 1
+    return tree[full], model.costs(cost[full])[0], candidates
+
+
 def kleene_and_pattern(types, kleene_type):
     leaves = tuple(
         Leaf(t, t.lower(), (KLEENE,) if t == kleene_type else ()) for t in types
@@ -262,13 +305,9 @@ class TestSearchesAgainstReferences:
         )
         yield kleene_and_pattern(tuple(sorted(stats.rates)), "C"), stats
 
-    def model_of(self, pattern, stats, alpha):
-        conjunct = normalize_pattern(pattern).conjuncts[0]
-        return conjunct_model(conjunct, stats, family_for(pattern.strategy), alpha)
-
     def test_the_kleene_case_is_planned_in_log_space(self):
         *_, (pattern, stats) = self.cases()
-        assert self.model_of(pattern, stats, 0.0).log_space
+        assert model_of(pattern, stats, 0.0).log_space
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_zstream_dp_is_the_first_minimum_of_all_trees(self, alpha):
@@ -278,7 +317,7 @@ class TestSearchesAgainstReferences:
                 stats = random_catalog(rng, n)
                 for strategy in (SelectionStrategy(), SelectionStrategy(NEXT_MATCH)):
                     pattern = and_pattern(*sorted(stats.rates)).with_strategy(strategy)
-                    model = self.model_of(pattern, stats, alpha)
+                    model = model_of(pattern, stats, alpha)
                     best, best_cost = first_minimum(
                         all_tree_shapes(model.types), model.tree_total
                     )
@@ -288,9 +327,17 @@ class TestSearchesAgainstReferences:
                     assert planned.report.candidates == math.comb(n + 1, 3)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_dp_b_equals_pricing_every_split(self, alpha):
+        for pattern, stats in self.cases():
+            model = model_of(pattern, stats, alpha)
+            (got,) = generate_plan(pattern, stats, "dp-b", alpha).conjuncts
+            want = reference_dp_b(model)
+            assert (got.plan.root, got.report.cost, got.report.candidates) == want
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_incremental_ii_equals_full_repricing(self, alpha):
         for pattern, stats in self.cases():
-            model = self.model_of(pattern, stats, alpha)
+            model = model_of(pattern, stats, alpha)
             for seed in (0, 1, 7):
                 (got,) = generate_plan(pattern, stats, "ii-random", alpha, seed).conjuncts
                 want = reference_ii(model, seed, II_RANDOM_RESTARTS)
