@@ -7,8 +7,8 @@ module holds what must agree between them so the engines themselves keep
 only their joins and extensions: the engine core, the match record
 ``make_report`` builds once per match, the absence test for negated
 positions, the absence tracker (checkpoint, completion and pending
-tests, blocker buffers, pending matches), the selection-strategy
-replay, and the metrics snapshot.
+tests, pending matches), the selection-strategy replay, and the metrics
+snapshot.
 
 ``EngineCore`` is one conjunct's state in either engine.  A slot is a
 chain position of the NFA or a node of the tree engine.  The engine
@@ -18,8 +18,13 @@ covering node).  The core places everything by it: each predicate
 becomes a condition of its slot, each negation with dependencies gets
 its checkpoint there, and each Kleene alias its slot.  Per slot the core
 keeps the stored ``Partial`` records and a floor on their ``min_ts``; per
-type it keeps the raw-event pools the engine draws on (the NFA's backlog
-buffers, the tree's Kleene pools).
+type it keeps the raw-event pools the engine and the absence tests draw
+on (the NFA's backlog buffers, the tree's Kleene pools, every negated
+type's blockers).  A type is never both positive and negated in one
+conjunct, and a blocker joins nothing, so ``_settle`` pools every
+arrival after its joins.  A ``Partial`` carries its bindings' earliest
+and latest timestamps, and every window and absence test reads that one
+span.
 
 Every slot's store is a keyed store: a dict from key to a bucket of
 records in store order.  The engine supplies a second rule,
@@ -45,16 +50,17 @@ plus ``d``, and ``v - d <= S``.  A ``pserial`` part is not cut: a
 partition's next ``pserial`` does not follow from the global serial.
 
 ``live`` and ``held`` count stored partials and held events (pooled
-events, and records in ``held_slots``, the tree's singleton leaves) on
-every store, prune and eviction, so no arrival recounts them.
+events, blockers among them, and records in ``held_slots``, the tree's
+singleton leaves) on every store, prune and eviction, so no arrival
+recounts them.
 ``kleene_groups`` builds every Kleene group either engine tries.
 
 It also holds the engines' time index.  Events arrive in time order, so
-every per-type buffer is sorted by timestamp.  ``ts_order`` reads the
+every per-type pool is sorted by timestamp.  ``ts_order`` reads the
 strict ``x.ts < y.ts`` predicates of a conjunct, or of a negated
 position, once, and ``TimeRange`` turns them and the window into the
 timestamps the next alias to bind, or a blocker, may take; the engines
-and the absence tracker bisect their buffers to that range and test
+and the absence tracker bisect their pools to that range and test
 only what lies inside, still through the module-level
 ``evaluate_predicate`` and ``blocks``.  A negated position's predicates
 are thus the only description of its absence interval.  The same order
@@ -66,11 +72,14 @@ stored.
 Eviction runs once per arrival, at its end, with the span test's own
 comparison.  The core keeps one horizon, the oldest timestamp anything
 it holds may bind, and returns at once while no stored record, pooled
-event or blocker can have expired.  Every record binds the arrival or
-events already held, so nothing stored after a pass is older than the
+event or pending match can have expired.  Every record binds the arrival
+or events already held, so nothing stored after a pass is older than the
 horizon that pass left.  A pass cuts each bucket in place, finding the
 slot's oldest ``min_ts`` as it goes, and deletes the emptied ones, so a
-store never holds more keys than records.
+store never holds more keys than records.  The same pass releases,
+under the arrival's serial, each pending match the arrival is more than
+a window past, by the same comparison; the oldest pending ``min_ts``
+bounds the horizon, so no pass is skipped while a pending match is due.
 """
 from __future__ import annotations
 
@@ -98,22 +107,6 @@ DEFAULT_KL_CAP = 8  # the largest Kleene group either engine builds
 TIMESTAMP = attrgetter("timestamp")
 # the canonical order of a batch: emission serial, completion serial, serials
 REPORT_ORDER = attrgetter("emit_serial", "completion_serial", "serials")
-
-
-def binding_events(bindings: Bindings) -> list[Event]:
-    out: list[Event] = []
-    for value in bindings.values():
-        if isinstance(value, Event):
-            out.append(value)
-        else:
-            out.extend(value)
-    return out
-
-
-def binding_span(bindings: Bindings) -> tuple[float, float]:
-    events = binding_events(bindings)
-    ts = [e.timestamp for e in events]
-    return min(ts), max(ts)
 
 
 def make_report(bindings: Bindings, alias_order: tuple[str, ...],
@@ -194,17 +187,17 @@ class TimeRange:
         return items[lo:hi]
 
 
-def evict_expired(buffers, latest: float, window: float) -> tuple[int, float]:
-    """Drop from each time-ordered buffer the prefix no later span can
+def evict_expired(pools, latest: float, window: float) -> tuple[int, float]:
+    """Drop from each time-ordered pool the prefix no later span can
     reach; return how many events that was and the oldest timestamp
-    left (``inf`` when every buffer is empty).
+    left (``inf`` when every pool is empty).
 
     An event has expired once ``latest - ts > window``, the span test's
     own comparison; ``ts < latest - window`` can round the other way and
     drop an event a later span would still accept.
     """
     dropped, oldest = 0, math.inf
-    for events in buffers:
+    for events in pools:
         if events and latest - events[0].timestamp > window:
             cut = bisect_left(events, True,
                               key=lambda e: latest - e.timestamp <= window)
@@ -279,44 +272,37 @@ def _alias_ts_bounds(value) -> tuple[float, float]:
     return min(ts), max(ts)
 
 
-def blocks(spec: NegationSpec, blocker: Event, bindings: Bindings,
+class Partial:
+    """A partial or full match: its bindings and the earliest and latest
+    timestamps they hold, the span every window and absence test reads."""
+
+    __slots__ = ("bindings", "min_ts", "max_ts")
+
+    def __init__(self, bindings: Bindings, min_ts: float, max_ts: float):
+        self.bindings = bindings
+        self.min_ts = min_ts
+        self.max_ts = max_ts
+
+
+def blocks(spec: NegationSpec, blocker: Event, match: Partial,
            window: float) -> bool:
-    """True when ``blocker`` forbids the match held in ``bindings``.
+    """True when ``blocker`` forbids ``match``.
 
     The blocker must fall inside the match window and satisfy the spec's
     predicates, which carry any order a sequence put on it.  A window
     edge is the span test's own comparison, the blocker's distance to the
     far end of the match, so it rounds as every other window test does.
     """
-    lo, hi = binding_span(bindings)
     ts = blocker.timestamp
-    if hi - ts > window or ts - lo > window:
+    if match.max_ts - ts > window or ts - match.min_ts > window:
         return False
-    probe = dict(bindings)
+    probe = dict(match.bindings)
     probe[spec.alias] = blocker
     return all(evaluate_predicate(p, probe) for p in spec.predicates)
 
 
-class _PendingMatch:
-    """A full match whose absence test stays open until its deadline: the
-    first arrival more than a window after the match's earliest event
-    ``start``, which no blocker can reach.  ``arrived`` is the arrival
-    time of its completing event, which its report's latency runs from.
-
-    Blockers that could still invalidate it are applied as they arrive,
-    so resolution itself needs no buffer scan.
-    """
-
-    __slots__ = ("bindings", "start", "arrived")
-
-    def __init__(self, bindings: Bindings, start: float, arrived: float):
-        self.bindings = bindings
-        self.start = start
-        self.arrived = arrived
-
-
 class AbsenceTracker:
-    """Absence state of one conjunct, held by either engine.
+    """The absence tests of one conjunct, run by either engine.
 
     ``EngineCore`` passes the checkpoint slot of each spec with
     dependencies, the first slot where every one is bound.  A
@@ -327,22 +313,27 @@ class AbsenceTracker:
     other spec is checked on the full match, where the window
     edges are known and the outcome cannot depend on plan order; when
     blockers may still arrive after completion the match waits as pending
-    until its deadline.  The engine passes the blocker test ``blocks``
-    into each call, so every engine's tests are counted under its own
-    module's name.  Blocker buffers are in arrival order, so each test
-    bisects a buffer to the ``TimeRange`` the spec's predicates and the
-    window give the blocker and calls ``blocks`` on those alone.
+    until its deadline: the first arrival more than a window after its
+    ``min_ts``, which no blocker can reach.  The engine passes the
+    blocker test ``blocks`` into each call, so every engine's tests are
+    counted under its own module's name.  Blockers are held in the
+    core's pools, in arrival order, so each test bisects a pool to the
+    ``TimeRange`` the spec's predicates and the window give the blocker
+    and calls ``blocks`` on those alone.
 
     Each arrival passes through ``arrive`` first, which records its
-    serial and arrival time: a match completed by that arrival is found
-    as ``(bindings, serial, arrived)``, one released later keeps its own
-    ``arrived`` and takes the releasing arrival's serial.  ``buffered``
-    counts the blocker buffers' events as they are added and evicted.
+    serial and arrival time and cancels the pending matches it blocks: a
+    match completed by that arrival is found as ``(bindings, serial,
+    arrived)``.  A pending match is held as ``(match, arrived)`` until
+    the core's eviction pass calls ``release``; it keeps its own
+    ``arrived``, which its report's latency runs from, and takes the
+    releasing arrival's serial.
     """
 
     def __init__(self, negations, slot_of: dict[str, int], slots: int,
-                 window: float):
+                 window: float, pools: dict[str, list[Event]]):
         self.window = window
+        self.pools = pools  # the core's, which hold each negated type's blockers
         self.order = {spec.alias: ts_order(spec.predicates) for spec in negations}
         self.at_slot: list[list[NegationSpec]] = [[] for _ in range(slots)]
         completion: list[NegationSpec] = []
@@ -354,88 +345,71 @@ class AbsenceTracker:
         self.pending_specs = tuple(s for s in negations if s.needs_pending)
         self.on_completion = tuple(completion) + self.pending_specs
         self.pending_types = frozenset(s.type_name for s in self.pending_specs)
-        self.buffers: dict[str, list[Event]] = {
-            s.type_name: [] for s in negations
-        }
-        self.buffered = 0
-        self.pending: list[_PendingMatch] = []
+        self.pending: list[tuple[Partial, float]] = []
         self.serial = -1
         self.arrived = 0.0
 
-    def _blocked(self, specs, bindings: Bindings, blocks) -> bool:
+    def _blocked(self, specs, match: Partial, blocks) -> bool:
         for spec in specs:
-            for blocker in self._interval(spec, bindings):
-                if blocks(spec, blocker, bindings, self.window):
+            for blocker in self._interval(spec, match):
+                if blocks(spec, blocker, match, self.window):
                     return True
         return False
 
-    def _interval(self, spec: NegationSpec, bindings: Bindings) -> list[Event]:
-        """The buffered blockers ``blocks`` may accept: inside the window
+    def _interval(self, spec: NegationSpec, match: Partial) -> list[Event]:
+        """The pooled blockers ``blocks`` may accept: inside the window
         and on the side of each bound alias that the spec's strict time
         order puts them, each edge cut with ``blocks``'s own comparison."""
-        lo, hi = binding_span(bindings)
+        bindings = match.bindings
         time_range = TimeRange(spec.alias, bindings, self.order[spec.alias],
                                self.window)
-        return time_range.bisect(self.buffers[spec.type_name], TIMESTAMP,
-                                 bindings, lo, hi)
+        return time_range.bisect(self.pools[spec.type_name], TIMESTAMP,
+                                 bindings, match.min_ts, match.max_ts)
 
-    def blocked_at(self, slot: int, bindings: Bindings, blocks) -> bool:
-        """Whether a buffered blocker rules out a partial match at ``slot``."""
-        return self._blocked(self.at_slot[slot], bindings, blocks)
+    def blocked_at(self, slot: int, match: Partial, blocks) -> bool:
+        """Whether a pooled blocker rules out a partial match at ``slot``."""
+        return self._blocked(self.at_slot[slot], match, blocks)
 
-    def complete(self, bindings: Bindings, out: list, blocks) -> None:
+    def complete(self, match: Partial, out: list, blocks) -> None:
         """Emit a full match, hold it as pending, or drop it as blocked."""
-        if self._blocked(self.on_completion, bindings, blocks):
+        if self._blocked(self.on_completion, match, blocks):
             return
         if self.pending_specs:
-            self.pending.append(
-                _PendingMatch(bindings, binding_span(bindings)[0], self.arrived)
-            )
+            self.pending.append((match, self.arrived))
             return
-        out.append((bindings, self.serial, self.arrived))
+        out.append((match.bindings, self.serial, self.arrived))
 
-    def arrive(self, event: Event, arrived: float, out: list, blocks) -> None:
-        """Record the arrival, release the pending matches whose deadline
-        ``event`` passes, cancel those it blocks, and buffer it if it is
-        a blocker."""
+    def arrive(self, event: Event, arrived: float, blocks) -> None:
+        """Record the arrival and cancel the pending matches it blocks.  A
+        match whose deadline it passes is not tested: the arrival's
+        eviction pass releases it."""
         self.serial = event.serial
         self.arrived = arrived
-        if self.pending:
-            self._release(event.timestamp, event.serial, out)
-            if event.type_name in self.pending_types:
-                self.pending = [
-                    entry for entry in self.pending
-                    if not any(
-                        spec.type_name == event.type_name
-                        and blocks(spec, event, entry.bindings, self.window)
-                        for spec in self.pending_specs
-                    )
-                ]
-        buffer = self.buffers.get(event.type_name)
-        if buffer is not None:
-            buffer.append(event)
-            self.buffered += 1
+        if self.pending and event.type_name in self.pending_types:
+            ts, window = event.timestamp, self.window
+            self.pending = [
+                (match, at) for match, at in self.pending
+                if ts - match.min_ts > window or not any(
+                    spec.type_name == event.type_name
+                    and blocks(spec, event, match, window)
+                    for spec in self.pending_specs
+                )
+            ]
 
-    def evict(self, latest: float) -> float:
-        """Cut expired blockers; return the oldest timestamp still held."""
-        dropped, oldest = evict_expired(self.buffers.values(), latest, self.window)
-        self.buffered -= dropped
-        return oldest
-
-    def end(self, max_serial: int) -> list:
-        """Release every pending match once the stream has ended."""
-        out: list = []
-        self._release(float("inf"), max_serial + 1, out)
-        return out
-
-    def _release(self, now_ts: float, emission_serial: int, out: list) -> None:
-        keep = []
-        for entry in self.pending:
-            if now_ts - entry.start > self.window:
-                out.append((entry.bindings, emission_serial, entry.arrived))
+    def release(self, latest: float, serial: int, out: list) -> float:
+        """Emit under ``serial`` each pending match whose deadline
+        ``latest`` passes; return the oldest ``min_ts`` still pending
+        (``inf`` when none is)."""
+        keep, oldest = [], math.inf
+        for match, at in self.pending:
+            if latest - match.min_ts > self.window:
+                out.append((match.bindings, serial, at))
             else:
-                keep.append(entry)
+                keep.append((match, at))
+                if match.min_ts < oldest:
+                    oldest = match.min_ts
         self.pending = keep
+        return oldest
 
 
 class SelectionReplay:
@@ -479,14 +453,17 @@ class SelectionReplay:
 
 @dataclass
 class EngineMetrics:
-    """Runtime counts shared by both engines.  ``live_partials`` and
-    ``buffered`` are kept up to date by the engine on every store, prune
-    and eviction, so they are exact after every processed event."""
+    """Runtime counts shared by both engines.  ``live_partials`` counts
+    stored partials and pending matches, ``held`` the events held in
+    pools (backlog, Kleene and blocker pools) and in the tree's singleton
+    leaves.  The core keeps both up to date on every store, prune and
+    eviction, so they are exact after every processed event;
+    ``peak_buffered`` is the peak of ``held``."""
 
     matches: int = 0
     live_partials: int = 0
     peak_partials: int = 0
-    buffered: int = 0
+    held: int = 0
     peak_buffered: int = 0
     instances_created: int = 0
     kl_overflows: int = 0
@@ -495,20 +472,8 @@ class EngineMetrics:
     def note_usage(self) -> None:
         if self.live_partials > self.peak_partials:
             self.peak_partials = self.live_partials
-        if self.buffered > self.peak_buffered:
-            self.peak_buffered = self.buffered
-
-
-class Partial:
-    """A stored partial match: its bindings and the earliest and latest
-    timestamps they hold."""
-
-    __slots__ = ("bindings", "min_ts", "max_ts")
-
-    def __init__(self, bindings: Bindings, min_ts: float, max_ts: float):
-        self.bindings = bindings
-        self.min_ts = min_ts
-        self.max_ts = max_ts
+        if self.held > self.peak_buffered:
+            self.peak_buffered = self.held
 
 
 class EngineCore:
@@ -516,7 +481,7 @@ class EngineCore:
     see the module docstring.  An engine calls ``__init__``, builds its
     shape, then ``_place``; per arrival it calls ``absence.arrive``, does
     its joins through ``_bucket`` and ``_store``, and closes with
-    ``_settle``."""
+    ``_settle``, which pools the arrival if its type has a pool."""
 
     held_slots: frozenset[int] = frozenset()
 
@@ -531,7 +496,10 @@ class EngineCore:
         self.alias_order = tuple(l.alias for l in core.leaves())
         self.time_order = ts_order(core.predicates)
         self.kl_cap = kl_cap
-        self.pools: dict[str, list[Event]] = {}
+        # each negated type's blockers; an engine adds its own pools
+        self.pools: dict[str, list[Event]] = {
+            spec.type_name: [] for spec in conjunct.negations
+        }
         self.live = 0
         self.held = 0
         # the oldest timestamp anything held may bind, as of the last
@@ -580,7 +548,8 @@ class EngineCore:
         self.records: list[dict[tuple, list[Partial]]] = [{} for _ in range(slots)]
         self.oldest = [math.inf] * slots
         self.absence = AbsenceTracker(
-            conjunct.negations, self.checkpoint_slot, slots, self.window
+            conjunct.negations, self.checkpoint_slot, slots, self.window,
+            self.pools,
         )
 
     def _bucket(self, slot: int, bindings: Bindings) -> Sequence[Partial]:
@@ -612,10 +581,15 @@ class EngineCore:
         else:
             self.live -= count
 
-    def _settle(self, event: Event) -> None:
-        """Close one arrival: drop the buckets no later arrival can probe,
-        evict what the window has passed, if the horizon says anything has,
-        and note the state counts."""
+    def _settle(self, event: Event, out: list) -> None:
+        """Close one arrival: pool it, drop the buckets no later arrival
+        can probe, evict what the window has passed and release into
+        ``out`` the pending matches it has, if the horizon says anything
+        has, and note the state counts."""
+        pool = self.pools.get(event.type_name)
+        if pool is not None:
+            pool.append(event)
+            self.held += 1
         serial = event.serial
         for slot, j, offset in self.serial_cuts:
             store = self.records[slot]
@@ -627,13 +601,13 @@ class EngineCore:
                 self._uncount(slot, dropped)
         latest = event.timestamp
         if latest - self.horizon > self.window:
-            self._evict(latest)
+            self._evict(latest, serial, out)
         metrics = self.metrics
         metrics.live_partials = self.live + len(self.absence.pending)
-        metrics.buffered = self.held + self.absence.buffered
+        metrics.held = self.held
         metrics.note_usage()
 
-    def _evict(self, latest: float) -> None:
+    def _evict(self, latest: float, serial: int, out: list) -> None:
         window, oldest = self.window, self.oldest
         horizon = latest
         for slot, store in enumerate(self.records):
@@ -658,8 +632,11 @@ class EngineCore:
                 horizon = oldest[slot]
         dropped, pooled = evict_expired(self.pools.values(), latest, window)
         self.held -= dropped
-        self.horizon = min(horizon, pooled, self.absence.evict(latest))
+        pending = self.absence.release(latest, serial, out)
+        self.horizon = min(horizon, pooled, pending)
 
     def end(self, max_serial: int) -> list:
         """Release every pending match once the stream has ended."""
-        return self.absence.end(max_serial)
+        out: list = []
+        self.absence.release(math.inf, max_serial + 1, out)
+        return out

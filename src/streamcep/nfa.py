@@ -17,12 +17,12 @@ every bound alias the predicates order before it, before every one they
 order after it, and within the window.  A position that must precede an
 alias bound earlier in the chain is dead: no later arrival can fill it,
 so its partials are forked over the backlog and never stored, and
-arrivals of its type probe nothing.  A type is pooled only if some
-backlog fork can draw on it: every partial that reaches a position holds
-the newest arrival at an earlier one, so when the predicates order every
-earlier position before it, its backlog fork starts after that arrival
-and is empty.  The first position is read only by its own Kleene
-arrivals.
+arrivals of its type probe nothing.  A positive type is pooled only if
+some backlog fork can draw on it: every partial that reaches a position
+holds the newest arrival at an earlier one, so when the predicates order
+every earlier position before it, its backlog fork starts after that
+arrival and is empty.  The first position is read only by its own Kleene
+arrivals.  The core pools every negated type's blockers as well.
 """
 from __future__ import annotations
 
@@ -59,10 +59,10 @@ class NfaEngine(EngineCore):
         ]
         # The dead-state and pooling rules of the module docstring.
         self.dead = [bool(r.before) for r in self.ranges]
-        self.pools = {
-            t: [] for i, t in enumerate(plan.order)
+        self.pools.update(
+            (t, []) for i, t in enumerate(plan.order)
             if i in self.kl_slots or len(self.ranges[i].after) < i
-        }
+        )
 
     def _slot_of(self, aliases) -> int:
         return max(self.aliases.index(a) for a in aliases)
@@ -100,14 +100,14 @@ class NfaEngine(EngineCore):
         if not all(evaluate_predicate(p, bindings)
                    for p in self.conditions[position]):
             return
-        if self.absence.blocked_at(position, bindings, blocks):
+        new = Partial(bindings, lo, hi)
+        if self.absence.blocked_at(position, new, blocks):
             return
         self.metrics.instances_created += 1
         position += 1
         if position == len(self.types):
-            self.absence.complete(bindings, out, blocks)
+            self.absence.complete(new, out, blocks)
             return
-        new = Partial(bindings, lo, hi)
         if not self.dead[position]:
             self._store(position, new)
         for value in self._backlog_values(new, position):
@@ -117,7 +117,7 @@ class NfaEngine(EngineCore):
         """Feed one arrival; return the matches it completes or releases,
         as ``(bindings, emission serial, arrival time)``."""
         out: list = []
-        self.absence.arrive(event, arrived, out, blocks)
+        self.absence.arrive(event, arrived, blocks)
         position = self.position_of.get(event.type_name)
         pool = self.pools.get(event.type_name)
         if position is not None and not self.dead[position]:
@@ -134,8 +134,5 @@ class NfaEngine(EngineCore):
                 for partial in self._bucket(position, probe):
                     for value in values:
                         self._try_extend(partial, position, value, out)
-        if pool is not None:
-            pool.append(event)
-            self.held += 1
-        self._settle(event)
+        self._settle(event, out)
         return out

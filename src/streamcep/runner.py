@@ -156,7 +156,7 @@ class PatternRunner:
             found = engine.process_event(event, arrived)
             if found:
                 self._build(index, engine, found, batch)
-            memory += engine.metrics.live_partials + engine.metrics.buffered
+            memory += engine.metrics.live_partials + engine.metrics.held
         if memory > self.memory_peak:
             self.memory_peak = memory
         return self._emit(batch) if batch else []

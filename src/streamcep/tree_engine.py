@@ -18,10 +18,12 @@ A new instance always holds the arrival that made it, the newest event
 of the stream so far.  From the conjunct's strict timestamp order the
 engine derives, per node, whether its instances can join any later
 sibling instance (if not, they are joined with the stored ones and never
-stored themselves), which arrivals can join no stored sibling instance
-(their probe loop is skipped), and, when the sibling is a singleton
-leaf, the ``TimeRange`` its time-ordered bucket is bisected to before
-the probe.
+stored themselves), and, when the sibling is a singleton leaf, the
+``TimeRange`` its time-ordered bucket is bisected to before the probe.
+Under a total time order (every conjunct a sequence gives), an arrival
+that must precede an alias of its sibling finds that sibling's store
+empty: the sibling's instances could join no later instance, so none
+was stored.
 """
 from __future__ import annotations
 
@@ -68,12 +70,11 @@ class TreeEngine(EngineCore):
             self.under.append(self.under[li] | self.under[ri])
         self._place(conjunct, len(nodes))
         self.held_slots = frozenset(self.leaf_index.values()) - self.kl_slots
-        self.pools = {t: [] for t in conjunct.kl_types()}
-        # The dead-state, probe-skip and sibling-range rules of the
-        # module docstring, per node, from the aliases under each side.
+        self.pools.update((t, []) for t in conjunct.kl_types())
+        # The dead-state and sibling-range rules of the module docstring,
+        # per node, from the aliases under each side.
         order = self.time_order
         self.stored = [False] * len(nodes)
-        self.probe_skip: list[frozenset[str]] = [frozenset()] * len(nodes)
         self.sibling_range: list[TimeRange | None] = [None] * len(nodes)
         for i, sibling in enumerate(self.sibling):
             if sibling == -1:
@@ -81,9 +82,6 @@ class TreeEngine(EngineCore):
             own, other = self.under[i], self.under[sibling]
             self.stored[i] = not all(
                 any((y, x) in order for x in own) for y in other
-            )
-            self.probe_skip[i] = frozenset(
-                x for x in own if any((x, y) in order for y in other)
             )
             if sibling in self.held_slots:
                 (alias,) = other
@@ -103,16 +101,15 @@ class TreeEngine(EngineCore):
 
     # -- instance propagation ------------------------------------------------
 
-    def _propagate(self, node: int, instance: Partial, arrival: str,
-                   out: list) -> None:
+    def _propagate(self, node: int, instance: Partial, out: list) -> None:
         self.metrics.instances_created += 1
         if node == self.root_index:
-            self.absence.complete(instance.bindings, out, blocks)
+            self.absence.complete(instance, out, blocks)
             return
         if self.stored[node]:
             self._store(node, instance)
         sibling = self.sibling[node]
-        if arrival in self.probe_skip[node] or not self.records[sibling]:
+        if not self.records[sibling]:
             return
         others = self._bucket(sibling, instance.bindings)
         time_range = self.sibling_range[node]
@@ -122,10 +119,10 @@ class TreeEngine(EngineCore):
             )
         parent = self.parent[node]
         for other in others:
-            self._try_join(parent, instance, other, arrival, out)
+            self._try_join(parent, instance, other, out)
 
     def _try_join(self, parent: int, left: Partial, right: Partial,
-                  arrival: str, out: list) -> None:
+                  out: list) -> None:
         lo = min(left.min_ts, right.min_ts)
         hi = max(left.max_ts, right.max_ts)
         if hi - lo > self.window:
@@ -134,9 +131,10 @@ class TreeEngine(EngineCore):
         if not all(evaluate_predicate(p, bindings)
                    for p in self.conditions[parent]):
             return
-        if self.absence.blocked_at(parent, bindings, blocks):
+        joined = Partial(bindings, lo, hi)
+        if self.absence.blocked_at(parent, joined, blocks):
             return
-        self._propagate(parent, Partial(bindings, lo, hi), arrival, out)
+        self._propagate(parent, joined, out)
 
     def _leaf_instances(self, node: int, alias: str, event: Event) -> list[Partial]:
         singleton = {alias: event}
@@ -146,15 +144,12 @@ class TreeEngine(EngineCore):
         ts = event.timestamp
         if node not in self.kl_slots:
             return [Partial(singleton, ts, ts)]
-        pool = self.pools[event.type_name]
-        made = [
+        return [
             Partial({alias: group}, group[0].timestamp, ts)
-            for group in kleene_groups(pool, self.kl_cap, self.metrics, event)
+            for group in kleene_groups(self.pools[event.type_name], self.kl_cap,
+                                       self.metrics, event)
             if ts - group[0].timestamp <= self.window
         ]
-        pool.append(event)
-        self.held += 1
-        return made
 
     # -- public protocol -----------------------------------------------------
 
@@ -162,11 +157,11 @@ class TreeEngine(EngineCore):
         """Feed one arrival; return the matches it completes or releases,
         as ``(bindings, emission serial, arrival time)``."""
         out: list = []
-        self.absence.arrive(event, arrived, out, blocks)
+        self.absence.arrive(event, arrived, blocks)
         leaf = self.leaf_index.get(event.type_name)
         if leaf is not None:
-            arrival = self.type_alias[event.type_name]
-            for instance in self._leaf_instances(leaf, arrival, event):
-                self._propagate(leaf, instance, arrival, out)
-        self._settle(event)
+            alias = self.type_alias[event.type_name]
+            for instance in self._leaf_instances(leaf, alias, event):
+                self._propagate(leaf, instance, out)
+        self._settle(event, out)
         return out

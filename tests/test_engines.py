@@ -268,6 +268,25 @@ class TestNegation:
         for engine in ("auto", "tree"):
             assert run_keys(p, events, engine=engine) == {(0, 1)}
 
+    def test_pending_match_released_after_its_events_left_the_stores(self):
+        # under strict contiguity the match's own events leave the stores
+        # once they can no longer be followed, so only the pending match
+        # itself holds the eviction horizon back until Y@2.6 passes its
+        # deadline (start 0.5 + window 2)
+        p = Pattern(
+            OperatorNode(SEQ, (Leaf("A", "a"), Leaf("B", "b"), Leaf("N", "n", (NOT,)))),
+            (), 2.0, SelectionStrategy(STRICT_CONTIGUITY),
+        )
+        events = [ev(t, ts, i) for i, (t, ts) in enumerate(
+            [("Z", 0.0), ("A", 0.1), ("Z", 0.2), ("A", 0.5), ("B", 1.0),
+             ("Y", 2.15), ("Y", 2.6), ("Y", 9.0)])]
+        expected = [((3, 4), 6)]
+        assert [(r.serials, r.emit_serial) for r in oracle_match(p, events)] == expected
+        for algorithm, engine in (("greedy", "nfa"), ("greedy", "tree"), ("dp-b", "tree")):
+            result = PatternRunner(p, bundle_for(p, algorithm), engine=engine).run(events)
+            assert [(r.serials, r.emit_serial) for r in result.reports] == expected, (
+                algorithm, engine)
+
     def test_blockers_on_the_window_edges_block(self):
         # AND(a, b, NOT n) within 2: a blocker exactly on either window edge
         # of the match, buffered before the completing event, still blocks
@@ -589,7 +608,7 @@ class TestKeyedStores:
                 for store in e.records:
                     assert all(store.values())  # no empty bucket is kept
                 buckets = sum(len(store) for store in e.records)
-                assert buckets <= e.metrics.live_partials + e.metrics.buffered
+                assert buckets <= e.metrics.live_partials + e.metrics.held
                 most = max(most, buckets)
         assert 0 < most < 100
 
@@ -609,7 +628,7 @@ class TestMetrics:
         p = Pattern(OperatorNode(AND, (Leaf("A", "a"), Leaf("B", "b"))), (), 10.0)
         result = PatternRunner(p, bundle_for(p, "dp-b"), engine="tree").run([ev("A", 0.0, 0)])
         metrics = result.engine_metrics[0]
-        assert metrics.buffered >= 1
+        assert metrics.held >= 1
         assert metrics.live_partials == 0
         assert result.memory_peak >= 1
 
@@ -629,11 +648,10 @@ class TestMetrics:
 
 
 def recount(engine) -> tuple[int, int]:
-    """Live partials and held events, counted over the engine's stores."""
-    absence = engine.absence
-    live = len(absence.pending)
-    held = sum(len(b) for b in absence.buffers.values())
-    held += sum(len(pool) for pool in engine.pools.values())
+    """Live partials and held events, counted over the engine's stores;
+    the pools hold the blockers too."""
+    live = len(engine.absence.pending)
+    held = sum(len(pool) for pool in engine.pools.values())
     for slot, store in enumerate(engine.records):
         stored = sum(len(bucket) for bucket in store.values())
         if slot in engine.held_slots:
@@ -689,7 +707,7 @@ class TestRunnerBookkeeping:
             runner.process(event)
             memory = 0
             for e in runner.engines:
-                assert (e.metrics.live_partials, e.metrics.buffered) == recount(e)
+                assert (e.metrics.live_partials, e.metrics.held) == recount(e)
                 memory += sum(recount(e))
             peak = max(peak, memory)
             assert runner.memory_peak == peak
@@ -708,8 +726,7 @@ class TestRunnerBookkeeping:
                 held = [r.min_ts for store in e.records
                         for bucket in store.values() for r in bucket]
                 held += [x.timestamp for pool in e.pools.values() for x in pool]
-                held += [x.timestamp for buffer in e.absence.buffers.values()
-                         for x in buffer]
+                held += [match.min_ts for match, _ in e.absence.pending]
                 assert all(event.timestamp - ts <= e.window for ts in held)
                 assert all(ts >= e.horizon for ts in held)
 
