@@ -30,7 +30,7 @@ from .plangen import (
     generate_plan,
 )
 from .runner import PatternRunner
-from .stream import estimate_statistics, ingest_csv
+from .stream import DEFAULT_PAIR_SAMPLE, estimate_statistics, ingest_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="estimate statistics from a CSV stream")
     stats.add_argument("stream", help="CSV stream file")
     stats.add_argument("patterns", nargs="+", help="pattern files")
-    stats.add_argument("--max-pairs", type=_positive_int, default=100_000)
+    stats.add_argument("--max-pairs", type=_positive_int, default=DEFAULT_PAIR_SAMPLE)
     stats.add_argument("--out", default=None, help="statistics file (default: stdout)")
     common(stats)
     stats.set_defaults(func=cmd_stats)

@@ -1,26 +1,25 @@
 """Shared runtime semantics for the two evaluation engines.
 
 Both engines reduce a conjunct to the same currency: per processed
-event, the full matches it completes or releases, each as its bindings,
-its emission serial and the arrival time of its completing event.  This
-module holds what must agree between them so the engines themselves keep
-only their joins and extensions: the engine core, the match record
-``make_report`` builds once per match, the absence test for negated
-positions, the absence tracker (checkpoint, completion and pending
-tests, pending matches), the selection-strategy replay, and the metrics
-snapshot.
+event, the full matches it completes or releases, each as its bindings
+and the arrival time of its completing event; the runner emits them
+under the arrival's serial.  This module holds what must agree between
+them so the engines themselves keep only their joins and extensions: the
+engine core with its absence tests and pending matches, the match record
+``make_report`` builds once per match, the blocker test ``blocks``, the
+selection-strategy replay, and the metrics snapshot.
 
 ``EngineCore`` is one conjunct's state in either engine.  A slot is a
 chain position of the NFA or a node of the tree engine.  The engine
 supplies one rule, ``_slot_of``: the first slot where every named alias
 is bound (the NFA's latest position among them, the tree's lowest
 covering node).  The core places everything by it: each predicate
-becomes a condition of its slot, each negation with dependencies gets
-its checkpoint there, and each Kleene alias its slot.  Per slot the core
-keeps the stored ``Partial`` records and a floor on their ``min_ts``; per
-type it keeps the raw-event pools the engine and the absence tests draw
-on (the NFA's backlog buffers, the tree's Kleene pools, every negated
-type's blockers).  A type is never both positive and negated in one
+becomes a condition of its slot, each Kleene alias its slot, and each
+``ts_confined`` absence test the slot of its dependencies.  Per slot the
+core keeps the stored ``Partial`` records and a floor on their
+``min_ts``; per type it keeps the raw-event pools the engine and the
+absence tests draw on (the NFA's backlog buffers, the tree's Kleene
+pools, every negated type's blockers).  A type is never both positive and negated in one
 conjunct, and a blocker joins nothing, so ``_settle`` pools every
 arrival after its joins.  A ``Partial`` carries its bindings' earliest
 and latest timestamps, and every window and absence test reads that one
@@ -60,7 +59,7 @@ every per-type pool is sorted by timestamp.  ``ts_order`` reads the
 strict ``x.ts < y.ts`` predicates of a conjunct, or of a negated
 position, once, and ``TimeRange`` turns them and the window into the
 timestamps the next alias to bind, or a blocker, may take; the engines
-and the absence tracker bisect their pools to that range and test
+and the absence tests bisect their pools to that range and test
 only what lies inside, still through the module-level
 ``evaluate_predicate`` and ``blocks``.  A negated position's predicates
 are thus the only description of its absence interval.  The same order
@@ -69,6 +68,20 @@ every bound event, so it can never bind an alias that must precede a
 bound one, and a partial that only such an arrival could extend is never
 stored.
 
+The absence tests are the core's own.  ``_place`` gives each negation
+one ``TimeRange``, built from its dependencies, the only aliases its
+predicates order it against.  A ``ts_confined`` spec, which always has
+dependencies, is tested on every partial at its checkpoint slot, the
+first where they are all bound: its predicates pin the blocker between
+members bound there, and, the upper bound being strict and timestamps
+non-decreasing, every qualifying blocker has arrived by then.  Every
+other spec is tested on the full match, where the window edges are
+known and the outcome cannot depend on plan order.  When blockers may
+still arrive after completion, the match waits in ``pending`` with its
+own arrival time, which its latency runs from, until its deadline: the
+first arrival more than a window after its ``min_ts``, which no blocker
+can reach.  Each arrival first cancels the pending matches it blocks.
+
 Eviction runs once per arrival, at its end, with the span test's own
 comparison.  The core keeps one horizon, the oldest timestamp anything
 it holds may bind, and returns at once while no stored record, pooled
@@ -76,9 +89,9 @@ event or pending match can have expired.  Every record binds the arrival
 or events already held, so nothing stored after a pass is older than the
 horizon that pass left.  A pass cuts each bucket in place, finding the
 slot's oldest ``min_ts`` as it goes, and deletes the emptied ones, so a
-store never holds more keys than records.  The same pass releases,
-under the arrival's serial, each pending match the arrival is more than
-a window past, by the same comparison; the oldest pending ``min_ts``
+store never holds more keys than records.  The same pass releases each
+pending match the arrival is more than a window past, by the same
+comparison; the oldest pending ``min_ts``
 bounds the horizon, so no pass is skipped while a pending match is due.
 """
 from __future__ import annotations
@@ -284,132 +297,17 @@ class Partial:
         self.max_ts = max_ts
 
 
-def blocks(spec: NegationSpec, blocker: Event, match: Partial,
-           window: float) -> bool:
-    """True when ``blocker`` forbids ``match``.
+def blocks(spec: NegationSpec, blocker: Event, match: Partial) -> bool:
+    """True when ``blocker`` satisfies the spec's predicates against
+    ``match``, which carry any order a sequence put on it.
 
-    The blocker must fall inside the match window and satisfy the spec's
-    predicates, which carry any order a sequence put on it.  A window
-    edge is the span test's own comparison, the blocker's distance to the
-    far end of the match, so it rounds as every other window test does.
+    Callers pass only blockers inside the match window: ``_blocked`` cuts
+    the pool with the span test's own comparisons, and pending matches
+    past their deadline are never tested.
     """
-    ts = blocker.timestamp
-    if match.max_ts - ts > window or ts - match.min_ts > window:
-        return False
     probe = dict(match.bindings)
     probe[spec.alias] = blocker
     return all(evaluate_predicate(p, probe) for p in spec.predicates)
-
-
-class AbsenceTracker:
-    """The absence tests of one conjunct, run by either engine.
-
-    ``EngineCore`` passes the checkpoint slot of each spec with
-    dependencies, the first slot where every one is bound.  A
-    ``ts_confined`` spec, which always has dependencies, is checked at
-    that slot: its predicates pin the blocker between members bound
-    there, and, the upper bound being strict and timestamps
-    non-decreasing, every qualifying blocker has arrived by then.  Every
-    other spec is checked on the full match, where the window
-    edges are known and the outcome cannot depend on plan order; when
-    blockers may still arrive after completion the match waits as pending
-    until its deadline: the first arrival more than a window after its
-    ``min_ts``, which no blocker can reach.  The engine passes the
-    blocker test ``blocks`` into each call, so every engine's tests are
-    counted under its own module's name.  Blockers are held in the
-    core's pools, in arrival order, so each test bisects a pool to the
-    ``TimeRange`` the spec's predicates and the window give the blocker
-    and calls ``blocks`` on those alone.
-
-    Each arrival passes through ``arrive`` first, which records its
-    serial and arrival time and cancels the pending matches it blocks: a
-    match completed by that arrival is found as ``(bindings, serial,
-    arrived)``.  A pending match is held as ``(match, arrived)`` until
-    the core's eviction pass calls ``release``; it keeps its own
-    ``arrived``, which its report's latency runs from, and takes the
-    releasing arrival's serial.
-    """
-
-    def __init__(self, negations, slot_of: dict[str, int], slots: int,
-                 window: float, pools: dict[str, list[Event]]):
-        self.window = window
-        self.pools = pools  # the core's, which hold each negated type's blockers
-        self.order = {spec.alias: ts_order(spec.predicates) for spec in negations}
-        self.at_slot: list[list[NegationSpec]] = [[] for _ in range(slots)]
-        completion: list[NegationSpec] = []
-        for spec in negations:
-            if spec.ts_confined:
-                self.at_slot[slot_of[spec.alias]].append(spec)
-            elif not spec.needs_pending:
-                completion.append(spec)
-        self.pending_specs = tuple(s for s in negations if s.needs_pending)
-        self.on_completion = tuple(completion) + self.pending_specs
-        self.pending_types = frozenset(s.type_name for s in self.pending_specs)
-        self.pending: list[tuple[Partial, float]] = []
-        self.serial = -1
-        self.arrived = 0.0
-
-    def _blocked(self, specs, match: Partial, blocks) -> bool:
-        for spec in specs:
-            for blocker in self._interval(spec, match):
-                if blocks(spec, blocker, match, self.window):
-                    return True
-        return False
-
-    def _interval(self, spec: NegationSpec, match: Partial) -> list[Event]:
-        """The pooled blockers ``blocks`` may accept: inside the window
-        and on the side of each bound alias that the spec's strict time
-        order puts them, each edge cut with ``blocks``'s own comparison."""
-        bindings = match.bindings
-        time_range = TimeRange(spec.alias, bindings, self.order[spec.alias],
-                               self.window)
-        return time_range.bisect(self.pools[spec.type_name], TIMESTAMP,
-                                 bindings, match.min_ts, match.max_ts)
-
-    def blocked_at(self, slot: int, match: Partial, blocks) -> bool:
-        """Whether a pooled blocker rules out a partial match at ``slot``."""
-        return self._blocked(self.at_slot[slot], match, blocks)
-
-    def complete(self, match: Partial, out: list, blocks) -> None:
-        """Emit a full match, hold it as pending, or drop it as blocked."""
-        if self._blocked(self.on_completion, match, blocks):
-            return
-        if self.pending_specs:
-            self.pending.append((match, self.arrived))
-            return
-        out.append((match.bindings, self.serial, self.arrived))
-
-    def arrive(self, event: Event, arrived: float, blocks) -> None:
-        """Record the arrival and cancel the pending matches it blocks.  A
-        match whose deadline it passes is not tested: the arrival's
-        eviction pass releases it."""
-        self.serial = event.serial
-        self.arrived = arrived
-        if self.pending and event.type_name in self.pending_types:
-            ts, window = event.timestamp, self.window
-            self.pending = [
-                (match, at) for match, at in self.pending
-                if ts - match.min_ts > window or not any(
-                    spec.type_name == event.type_name
-                    and blocks(spec, event, match, window)
-                    for spec in self.pending_specs
-                )
-            ]
-
-    def release(self, latest: float, serial: int, out: list) -> float:
-        """Emit under ``serial`` each pending match whose deadline
-        ``latest`` passes; return the oldest ``min_ts`` still pending
-        (``inf`` when none is)."""
-        keep, oldest = [], math.inf
-        for match, at in self.pending:
-            if latest - match.min_ts > self.window:
-                out.append((match.bindings, serial, at))
-            else:
-                keep.append((match, at))
-                if match.min_ts < oldest:
-                    oldest = match.min_ts
-        self.pending = keep
-        return oldest
 
 
 class SelectionReplay:
@@ -477,11 +375,15 @@ class EngineMetrics:
 
 
 class EngineCore:
-    """One conjunct's slots, placement, keyed stores, counts and eviction;
-    see the module docstring.  An engine calls ``__init__``, builds its
-    shape, then ``_place``; per arrival it calls ``absence.arrive``, does
-    its joins through ``_bucket`` and ``_store``, and closes with
-    ``_settle``, which pools the arrival if its type has a pool."""
+    """One conjunct's slots, placement, keyed stores, absence tests,
+    counts and eviction; see the module docstring.  An engine calls
+    ``__init__``, builds its shape, then ``_place``; per arrival it calls
+    ``_arrive``, does its joins through ``_bucket`` and ``_store``, tests
+    each new partial with ``_blocked`` and hands each full match to
+    ``_complete``, and closes with ``_settle``, which pools the arrival if
+    its type has a pool.  The engine passes its own module's ``blocks``
+    into each absence call, so every engine's tests are counted under its
+    own module's name."""
 
     held_slots: frozenset[int] = frozenset()
 
@@ -500,6 +402,10 @@ class EngineCore:
         self.pools: dict[str, list[Event]] = {
             spec.type_name: [] for spec in conjunct.negations
         }
+        # (full match, arrival time of its completing event) per match
+        # that waits for its trailing absence interval to close
+        self.pending: list[tuple[Partial, float]] = []
+        self.arrived = 0.0  # the current arrival's time
         self.live = 0
         self.held = 0
         # the oldest timestamp anything held may bind, as of the last
@@ -522,10 +428,23 @@ class EngineCore:
         self.conditions: list[list] = [[] for _ in range(slots)]
         for pred in conjunct.core.predicates:
             self.conditions[self._slot_of(pred.aliases())].append(pred)
-        self.checkpoint_slot = {
-            spec.alias: self._slot_of([alias[t] for t in spec.dependencies])
-            for spec in conjunct.negations if spec.dependencies
-        }
+        # (spec, the blocker's range) per absence test, by where it runs;
+        # a spec's time order names no alias but its dependencies
+        self.slot_checks: list[list] = [[] for _ in range(slots)]
+        completion, pending = [], []
+        for spec in conjunct.negations:
+            bound = [alias[t] for t in spec.dependencies]
+            check = (spec, TimeRange(spec.alias, bound, ts_order(spec.predicates),
+                                     self.window))
+            if spec.ts_confined:
+                self.slot_checks[self._slot_of(bound)].append(check)
+            elif spec.needs_pending:
+                pending.append(check)
+            else:
+                completion.append(check)
+        self.pending_checks = tuple(pending)
+        self.completion_checks = tuple(completion + pending)
+        self.pending_types = frozenset(spec.type_name for spec, _ in pending)
         self.kl_slots = frozenset(
             self._slot_of((alias[t],)) for t in conjunct.kl_types()
         )
@@ -547,10 +466,6 @@ class EngineCore:
         ]
         self.records: list[dict[tuple, list[Partial]]] = [{} for _ in range(slots)]
         self.oldest = [math.inf] * slots
-        self.absence = AbsenceTracker(
-            conjunct.negations, self.checkpoint_slot, slots, self.window,
-            self.pools,
-        )
 
     def _bucket(self, slot: int, bindings: Bindings) -> Sequence[Partial]:
         """The records of ``slot`` whose key equals the probe's: the only
@@ -581,6 +496,57 @@ class EngineCore:
         else:
             self.live -= count
 
+    def _arrive(self, event: Event, arrived: float, blocks) -> None:
+        """Record the arrival's time and cancel the pending matches it
+        blocks.  A match whose deadline it passes is not tested: the
+        arrival's eviction pass releases it."""
+        self.arrived = arrived
+        if self.pending and event.type_name in self.pending_types:
+            ts, window = event.timestamp, self.window
+            self.pending = [
+                (match, at) for match, at in self.pending
+                if ts - match.min_ts > window or not any(
+                    spec.type_name == event.type_name
+                    and blocks(spec, event, match)
+                    for spec, _ in self.pending_checks
+                )
+            ]
+
+    def _blocked(self, checks, match: Partial, blocks) -> bool:
+        """Whether a pooled blocker rules out ``match`` under one of
+        ``checks``: ``blocks`` sees only the blockers its spec's range
+        leaves in the pool."""
+        for spec, time_range in checks:
+            for blocker in time_range.bisect(
+                    self.pools[spec.type_name], TIMESTAMP, match.bindings,
+                    match.min_ts, match.max_ts):
+                if blocks(spec, blocker, match):
+                    return True
+        return False
+
+    def _complete(self, match: Partial, out: list, blocks) -> None:
+        """Emit a full match, hold it as pending, or drop it as blocked."""
+        if self._blocked(self.completion_checks, match, blocks):
+            return
+        if self.pending_checks:
+            self.pending.append((match, self.arrived))
+        else:
+            out.append((match.bindings, self.arrived))
+
+    def _release(self, latest: float, out: list) -> float:
+        """Emit each pending match whose deadline ``latest`` passes; return
+        the oldest ``min_ts`` still pending (``inf`` when none is)."""
+        keep, oldest = [], math.inf
+        for match, at in self.pending:
+            if latest - match.min_ts > self.window:
+                out.append((match.bindings, at))
+            else:
+                keep.append((match, at))
+                if match.min_ts < oldest:
+                    oldest = match.min_ts
+        self.pending = keep
+        return oldest
+
     def _settle(self, event: Event, out: list) -> None:
         """Close one arrival: pool it, drop the buckets no later arrival
         can probe, evict what the window has passed and release into
@@ -601,13 +567,13 @@ class EngineCore:
                 self._uncount(slot, dropped)
         latest = event.timestamp
         if latest - self.horizon > self.window:
-            self._evict(latest, serial, out)
+            self._evict(latest, out)
         metrics = self.metrics
-        metrics.live_partials = self.live + len(self.absence.pending)
+        metrics.live_partials = self.live + len(self.pending)
         metrics.held = self.held
         metrics.note_usage()
 
-    def _evict(self, latest: float, serial: int, out: list) -> None:
+    def _evict(self, latest: float, out: list) -> None:
         window, oldest = self.window, self.oldest
         horizon = latest
         for slot, store in enumerate(self.records):
@@ -632,11 +598,11 @@ class EngineCore:
                 horizon = oldest[slot]
         dropped, pooled = evict_expired(self.pools.values(), latest, window)
         self.held -= dropped
-        pending = self.absence.release(latest, serial, out)
+        pending = self._release(latest, out)
         self.horizon = min(horizon, pooled, pending)
 
-    def end(self, max_serial: int) -> list:
+    def end(self) -> list:
         """Release every pending match once the stream has ended."""
         out: list = []
-        self.absence.release(math.inf, max_serial + 1, out)
+        self._release(math.inf, out)
         return out

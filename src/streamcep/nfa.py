@@ -101,12 +101,12 @@ class NfaEngine(EngineCore):
                    for p in self.conditions[position]):
             return
         new = Partial(bindings, lo, hi)
-        if self.absence.blocked_at(position, new, blocks):
+        if self._blocked(self.slot_checks[position], new, blocks):
             return
         self.metrics.instances_created += 1
         position += 1
         if position == len(self.types):
-            self.absence.complete(new, out, blocks)
+            self._complete(new, out, blocks)
             return
         if not self.dead[position]:
             self._store(position, new)
@@ -115,9 +115,9 @@ class NfaEngine(EngineCore):
 
     def process_event(self, event: Event, arrived: float) -> list:
         """Feed one arrival; return the matches it completes or releases,
-        as ``(bindings, emission serial, arrival time)``."""
+        as ``(bindings, arrival time of the completing event)``."""
         out: list = []
-        self.absence.arrive(event, arrived, blocks)
+        self._arrive(event, arrived, blocks)
         position = self.position_of.get(event.type_name)
         pool = self.pools.get(event.type_name)
         if position is not None and not self.dead[position]:

@@ -5,7 +5,10 @@ finds becomes one ``MatchReport``, built once by ``make_report``; the
 records of one arrival are merged, ordered canonically, deduplicated
 across conjuncts, and filtered by the pattern's selection strategy, so
 the reported match set is identical for every plan and engine family.
-An arrival that finds no match skips all of that.
+An arrival that finds no match skips all of that.  The runner assigns
+emission serials: every match an arrival yields, completed or released
+from pending, is emitted under that arrival's serial, and the matches
+the stream's end releases under one past the last serial.
 
 The runner's own work per arrival is constant: one clock reading, taken
 as the arrival time, plus one more when the arrival reports matches; the
@@ -155,7 +158,7 @@ class PatternRunner:
         for index, engine in enumerate(self.engines):
             found = engine.process_event(event, arrived)
             if found:
-                self._build(index, engine, found, batch)
+                self._build(index, engine, found, event.serial, batch)
             memory += engine.metrics.live_partials + engine.metrics.held
         if memory > self.memory_peak:
             self.memory_peak = memory
@@ -164,13 +167,14 @@ class PatternRunner:
     def end(self) -> list[MatchReport]:
         batch: list[MatchReport] = []
         for index, engine in enumerate(self.engines):
-            self._build(index, engine, engine.end(self.max_serial), batch)
+            self._build(index, engine, engine.end(), self.max_serial + 1, batch)
         return self._emit(batch) if batch else []
 
     @staticmethod
-    def _build(index: int, engine, found, batch: list[MatchReport]) -> None:
+    def _build(index: int, engine, found, emit_serial: int,
+               batch: list[MatchReport]) -> None:
         order = engine.alias_order
-        for bindings, emit_serial, arrived in found:
+        for bindings, arrived in found:
             batch.append(make_report(bindings, order, emit_serial, arrived, index))
 
     def _emit(self, batch: list[MatchReport]) -> list[MatchReport]:

@@ -104,7 +104,7 @@ class TreeEngine(EngineCore):
     def _propagate(self, node: int, instance: Partial, out: list) -> None:
         self.metrics.instances_created += 1
         if node == self.root_index:
-            self.absence.complete(instance, out, blocks)
+            self._complete(instance, out, blocks)
             return
         if self.stored[node]:
             self._store(node, instance)
@@ -132,7 +132,7 @@ class TreeEngine(EngineCore):
                    for p in self.conditions[parent]):
             return
         joined = Partial(bindings, lo, hi)
-        if self.absence.blocked_at(parent, joined, blocks):
+        if self._blocked(self.slot_checks[parent], joined, blocks):
             return
         self._propagate(parent, joined, out)
 
@@ -155,9 +155,9 @@ class TreeEngine(EngineCore):
 
     def process_event(self, event: Event, arrived: float) -> list:
         """Feed one arrival; return the matches it completes or releases,
-        as ``(bindings, emission serial, arrival time)``."""
+        as ``(bindings, arrival time of the completing event)``."""
         out: list = []
-        self.absence.arrive(event, arrived, blocks)
+        self._arrive(event, arrived, blocks)
         leaf = self.leaf_index.get(event.type_name)
         if leaf is not None:
             alias = self.type_alias[event.type_name]

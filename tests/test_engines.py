@@ -314,6 +314,73 @@ class TestNegation:
         for engine in ("auto", "tree"):
             assert run_keys(p, events, engine=engine) == set()
 
+    def test_blocks_is_given_only_blockers_inside_the_window(self, monkeypatch):
+        # ``blocks`` has no window test of its own: the pool bisection and
+        # the pending deadline keep every blocker it is given within a
+        # window of both ends of the match
+        trailing = Pattern(
+            OperatorNode(SEQ, (Leaf("A", "a"), Leaf("B", "b"), Leaf("N", "n", (NOT,)))),
+            (), 2.0,
+        )
+        edges = Pattern(
+            OperatorNode(AND, (Leaf("A", "a"), Leaf("B", "b"), Leaf("N", "n", (NOT,)))),
+            (), 2.0,
+        )
+        cases = [
+            (edges, [ev("A", 0.0, 0), ev("N", 2.0, 1), ev("B", 2.0, 2)]),
+            (edges, [ev("N", 0.0, 0), ev("A", 0.0, 1), ev("B", 2.0, 2)]),
+            (Pattern(self.BETWEEN.root, (), 0.7),
+             [ev("A", 0.2, 0), ev("N", 0.20000000000000004, 1),
+              ev("C", 0.9, 2), ev("B", 0.9, 3)]),
+            # N@2.5 cancels the pending (2, 3) and passes the deadline of
+            # the two that start at 0, which the same arrival releases
+            (trailing, [ev("A", 0.0, 0), ev("B", 0.5, 1), ev("A", 1.0, 2),
+                        ev("B", 1.5, 3), ev("N", 2.5, 4)]),
+        ]
+        calls = {}
+
+        def guarded(module):
+            real = module.blocks
+
+            def guard(spec, blocker, match):
+                ts = blocker.timestamp
+                assert match.max_ts - ts <= window and ts - match.min_ts <= window
+                calls[module.__name__] = calls.get(module.__name__, 0) + 1
+                return real(spec, blocker, match)
+            monkeypatch.setattr(module, "blocks", guard)
+
+        guarded(streamcep.nfa)
+        guarded(streamcep.tree_engine)
+        for pattern, events in cases:
+            window = pattern.window
+            expected = sorted((r.serials, r.emit_serial) for r in oracle_match(pattern, events))
+            for algorithm, engine in (("trivial", "nfa"), ("trivial", "tree"), ("dp-b", "tree")):
+                result = PatternRunner(pattern, bundle_for(pattern, algorithm),
+                                       engine=engine).run(events)
+                got = sorted((r.serials, r.emit_serial) for r in result.reports)
+                assert got == expected, (events, algorithm, engine)
+        assert expected == [((0, 1), 4), ((0, 3), 4)]
+        assert set(calls) == {"streamcep.nfa", "streamcep.tree_engine"}
+
+    def test_blocker_ranges_are_built_with_the_engine(self, monkeypatch):
+        # each negation's blocker range is fixed by its dependencies, so the
+        # engines build it once and no absence test builds another
+        events = [ev("A", 0.0, 0), ev("N", 1.0, 1), ev("B", 2.0, 2),
+                  ev("A", 3.0, 3), ev("B", 4.0, 4)]
+        runners = [PatternRunner(self.BETWEEN, bundle_for(self.BETWEEN), engine=engine)
+                   for engine in ("nfa", "tree")]
+        built = []
+        init = TimeRange.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(TimeRange, "__init__", counted)
+        for runner in runners:
+            assert match_keys(runner.run(events).reports) == {(3, 4)}
+        assert built == []
+
     def test_trailing_absence_closed_by_a_strict_bound_is_not_deferred(self):
         # n must precede a, so no blocker can follow the match's completion
         p = Pattern(
@@ -650,7 +717,7 @@ class TestMetrics:
 def recount(engine) -> tuple[int, int]:
     """Live partials and held events, counted over the engine's stores;
     the pools hold the blockers too."""
-    live = len(engine.absence.pending)
+    live = len(engine.pending)
     held = sum(len(pool) for pool in engine.pools.values())
     for slot, store in enumerate(engine.records):
         stored = sum(len(bucket) for bucket in store.values())
@@ -726,7 +793,7 @@ class TestRunnerBookkeeping:
                 held = [r.min_ts for store in e.records
                         for bucket in store.values() for r in bucket]
                 held += [x.timestamp for pool in e.pools.values() for x in pool]
-                held += [match.min_ts for match, _ in e.absence.pending]
+                held += [match.min_ts for match, _ in e.pending]
                 assert all(event.timestamp - ts <= e.window for ts in held)
                 assert all(ts >= e.horizon for ts in held)
 
@@ -736,7 +803,7 @@ class TestRunnerBookkeeping:
         pending = 0
         for event in events:
             runner.process(event)
-            pending = max(pending, len(runner.engines[0].absence.pending))
+            pending = max(pending, len(runner.engines[0].pending))
         assert pending > 0
 
     @pytest.mark.parametrize("algorithm, engine", PLANS)
