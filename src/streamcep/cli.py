@@ -1,7 +1,8 @@
 """Command-line interface: optimize, run, stats, verify.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
-failure, 4 resource limit.
+failure, 4 resource limit (also a ``run`` that cut Kleene enumerations
+at ``--kl-cap``).
 """
 from __future__ import annotations
 
@@ -161,6 +162,7 @@ def cmd_run(args) -> int:
             f"warning: {result.kl_overflows} Kleene enumerations were cut at "
             f"kl_cap={args.kl_cap}; groups larger than the cap were not matched\n"
         )
+        return EXIT_RESOURCE
     return EXIT_OK
 
 

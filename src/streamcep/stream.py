@@ -7,8 +7,11 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .model import (
     AttrRef,
@@ -240,6 +243,68 @@ def _pair_test(predicate: Predicate):
     return test
 
 
+# ``_compare`` on two numbers is the bare comparison
+_OPERATORS = {
+    "<": operator.lt, "<=": operator.le, "=": operator.eq,
+    ">=": operator.ge, ">": operator.gt, "!=": operator.ne,
+}
+
+
+def _numeric_column(events: list[Event], attribute: str, offset: float):
+    """Each event's value of ``attribute`` plus ``offset``, or None unless
+    every event has the attribute, every value is a number and every sum
+    is one; the per-pair path then raises what a measured pair reaches."""
+    try:
+        values = [event.value(attribute) for event in events]
+        if not all(map(isinstance, values, repeat(_NUMERIC))):
+            return None
+        return [value + offset for value in values] if offset else values
+    except (DataError, OverflowError):
+        return None
+
+
+def _pair_hits(predicate: Predicate, events_a: list[Event], events_b: list[Event],
+               spans: list, indices) -> int:
+    """How many of the pairs at ``indices`` (a ``range`` of all of them, or
+    a sorted draw) satisfy a two-alias predicate.
+
+    Values are read once per event into columns, and each a's value is
+    compared with its partners' by one C-level ``map``.  A drawn index
+    falls in the span whose offsets hold it, at its place there, one
+    position further once it reaches a's own.
+    """
+    left = _numeric_column(events_a, predicate.left.attribute, 0)
+    right = _numeric_column(events_b, predicate.right.attribute, predicate.right_offset)
+    if left is None or right is None:
+        # Text, None or a missing attribute: pair by pair, as the engines
+        # evaluate it, so that text = and != are measured, and an error
+        # (text ordering, None, no such attribute) is raised only when a
+        # measured pair reaches it, as the same error.
+        test = _pair_test(predicate)
+        return sum(1 for a, b in _pairs_at(spans, events_b, indices) if test(a, b))
+    compare = _OPERATORS[predicate.comparator]
+    if isinstance(indices, range):
+        hits = sum(
+            sum(map(compare, repeat(av, stop - start), right[start:stop]))
+            for av, (_, start, stop, _) in zip(left, spans)
+        )
+        if events_a is events_b:
+            hits -= sum(map(compare, left, right))  # each a with itself
+        return hits
+    hits = lo = offset = 0
+    for av, (_, start, stop, own) in zip(left, spans):
+        end = offset + stop - start - (own >= 0)
+        hi = bisect_left(indices, end, lo)
+        shift = start - offset
+        cut = hi if own < 0 else bisect_left(indices, own - shift, lo, hi)
+        for first, last, step in ((lo, cut, shift), (cut, hi, shift + 1)):
+            partners = map(right.__getitem__,
+                           map(operator.add, indices[first:last], repeat(step)))
+            hits += sum(map(compare, repeat(av, last - first), partners))
+        lo, offset = hi, end
+    return hits
+
+
 def _type_resolved(predicate: Predicate, alias_types: dict[str, str]) -> tuple:
     """A predicate's form with each alias replaced by its type name.
 
@@ -271,8 +336,12 @@ def estimate_statistics(
 
     The selectivity of a predicate is the satisfied fraction over sampled
     event pairs co-resident within the pattern's window (events of one
-    type for single-position filters).  The in-window pairs are counted,
-    at most ``max_pairs`` of them drawn, and only those are built.  Per
+    type for single-position filters).  The in-window pairs are counted
+    and at most ``max_pairs`` of them drawn.  Values are compared by
+    column: each event's value is read once, and the drawn pairs are
+    compared in C.  A column holding anything but numbers (text, None, a
+    missing attribute) is measured pair by pair instead, and a drawn pair
+    that cannot be compared raises the engines' error.  Per
     catalog key, distinct predicates multiply, matching the catalog's
     combined-selectivity meaning; a repeated one counts once.  A
     predicate is identified by its type-resolved form (each alias
@@ -324,10 +393,9 @@ def estimate_statistics(
                 )
                 fraction = hits / len(sample)
             else:
+                events_a = by_type[alias_types[aliases[0]]]
                 events_b = by_type[alias_types[aliases[1]]]
-                spans = list(_window_spans(
-                    by_type[alias_types[aliases[0]]], events_b, pattern.window
-                ))
+                spans = list(_window_spans(events_a, events_b, pattern.window))
                 count = sum(stop - start - (own >= 0) for _, start, stop, own in spans)
                 if not count:
                     continue
@@ -335,8 +403,7 @@ def estimate_statistics(
                 if count > max_pairs:
                     # the same draw as sampling the materialised pair list
                     indices = sorted(rng.sample(indices, max_pairs))
-                test = _pair_test(predicate)
-                hits = sum(1 for a, b in _pairs_at(spans, events_b, indices) if test(a, b))
+                hits = _pair_hits(predicate, events_a, events_b, spans, indices)
                 fraction = hits / len(indices)
             sels[key] = sels.get(key, 1.0) * fraction
     return StatisticsCatalog(rates=rates, selectivities=sels)

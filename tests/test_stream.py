@@ -361,3 +361,134 @@ class TestPairSampling:
         p = seq_pattern(("A", "B"), 4.0, [Predicate(AttrRef("a", "x"), "!=", AttrRef("b", "x"))])
         stats = estimate_statistics(self.hand_stream({"x": "up"}), p)
         assert stats.sel("A", "B") == 1.0
+
+    # Numeric columns are compared by column; the cases below hold that
+    # path to the per-pair semantics of reference_selectivities.
+
+    def valued_stream(self, value_of):
+        """The synthetic stream with each event's x replaced by
+        ``value_of(rng, event)``."""
+        source, rng = self.stream(), random.Random(8)
+        return from_events(
+            [Event(e.type_name, e.timestamp, e.serial, dict(e.attrs, x=value_of(rng, e)))
+             for e in source.events],
+            duration=source.duration,
+        )
+
+    def pair_pattern(self, comparator="<"):
+        p = Predicate(AttrRef("a", "x"), comparator, AttrRef("b", "x"))
+        return seq_pattern(("A", "B"), 2.0, [p])
+
+    def agree(self, source, pattern, max_pairs, seed=0):
+        """estimate_statistics gives the reference's selectivities, or
+        raises the reference's error; returns what both gave."""
+        def outcome(measure):
+            try:
+                return measure()
+            except (DataError, UnsupportedPatternError) as exc:
+                return type(exc), str(exc)
+
+        got = outcome(lambda: estimate_statistics(
+            source, pattern, max_pairs=max_pairs, seed=seed).selectivities)
+        want = outcome(lambda: reference_selectivities(source, pattern, max_pairs, seed))
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("max_pairs", [7, 100_000])
+    @pytest.mark.parametrize("comparator", ["<", "<=", "=", "!="])
+    def test_int_and_mixed_columns_match_the_pair_path(self, max_pairs, comparator):
+        ints = self.valued_stream(lambda rng, e: rng.randrange(4))
+        mixed = self.valued_stream(
+            lambda rng, e: rng.randrange(4) if e.serial % 2 else rng.randrange(4) + 0.0)
+        for source in (ints, mixed):
+            for seed in (0, 4):
+                got = self.agree(source, self.pair_pattern(comparator), max_pairs, seed)
+                if max_pairs == 100_000:  # every pair: ties and non-ties both occur
+                    assert 0.0 < got[("A", "B")] < 1.0
+
+    @pytest.mark.parametrize("max_pairs", [7, 50, 100_000])
+    def test_same_type_offset_on_serial_matches_the_pair_path(self, max_pairs):
+        source = self.stream()
+        for comparator, offset in (("<", -3), ("<=", 2), ("=", 1), ("!=", -1)):
+            pred = Predicate(AttrRef("a1", "serial"), comparator, AttrRef("a2", "serial"),
+                             right_offset=offset)
+            pattern = seq_pattern(("A", "A"), 2.0, [pred], aliases=("a1", "a2"))
+            for seed in (0, 4):
+                got = self.agree(source, pattern, max_pairs, seed)
+                assert ("A",) in got
+
+    @pytest.mark.parametrize("max_pairs", [7, 100_000])
+    def test_nan_values_match_the_pair_path(self, max_pairs):
+        source = self.valued_stream(
+            lambda rng, e: math.nan if e.serial % 5 == 0 else rng.random())
+        # a NaN is unequal to everything, itself too, and below nothing;
+        # the other values are distinct reals
+        for comparator, bounds in (("=", (0.0, 0.0)), ("!=", (1.0, 1.0)), ("<", (0.0, 1.0))):
+            got = self.agree(source, self.pair_pattern(comparator), max_pairs)
+            assert bounds[0] <= got[("A", "B")] <= bounds[1]
+
+    @pytest.mark.parametrize("max_pairs", [1, 100_000])
+    def test_none_on_a_measured_pair_is_the_same_data_error(self, max_pairs):
+        p = self.pair_pattern()
+        with pytest.raises(DataError, match="cannot compare float with NoneType"):
+            estimate_statistics(self.hand_stream({"x": None}), p, max_pairs=max_pairs)
+        source = self.valued_stream(lambda rng, e: None if e.type_name == "B" else 0.5)
+        assert self.agree(source, p, max_pairs) == (
+            DataError, "cannot compare float with NoneType")
+
+    @pytest.mark.parametrize("b_attrs", [{"x": None}, {"y": 1.0}, {"x": "up"}])
+    def test_an_unreached_bad_value_is_not_an_error(self, b_attrs):
+        # the last B is outside every A's window
+        events = [ev("A", 0.0, 0, x=0.1), ev("B", 1.0, 1, x=0.5),
+                  ev("B", 3.0, 2, x=0.9), ev("B", 9.0, 3, **b_attrs)]
+        p = self.pair_pattern()
+        stats = estimate_statistics(from_events(events, duration=10.0), p)
+        assert stats.sel("A", "B") == 1.0
+
+    def test_an_undrawn_bad_value_is_not_an_error(self):
+        # one B without x among many in-window pairs: a small draw errs
+        # only when it lands on that B, and then as the reference does
+        source = self.valued_stream(lambda rng, e: rng.random())
+        bad = next(e for e in source.events if e.type_name == "B" and e.timestamp > 30)
+        events = [e if e is not bad else ev("B", e.timestamp, e.serial)
+                  for e in source.events]
+        source = from_events(events, duration=source.duration)
+        p = self.pair_pattern()
+        outcomes = [self.agree(source, p, 60, seed) for seed in range(20)]
+        missing = (DataError, f"event B#{bad.serial} has no attribute 'x'")
+        assert missing in outcomes
+        assert any(isinstance(got, dict) for got in outcomes)
+        assert self.agree(source, p, 100_000) == missing
+
+
+class TestColumnReads:
+    """Numeric columns are read once per event, however many pairs."""
+
+    def count_reads(self, monkeypatch, source, pattern, max_pairs):
+        calls = []
+        value = Event.value
+
+        def counted(event, attribute):
+            calls.append(attribute)
+            return value(event, attribute)
+
+        monkeypatch.setattr(Event, "value", counted)
+        estimate_statistics(source, pattern, max_pairs=max_pairs)
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_reads_scale_with_events_not_pairs(self, monkeypatch):
+        source = generate_synthetic(SyntheticConfig(rates={"A": 4.0, "B": 4.0},
+                                                    duration=60.0, seed=2))
+        by_type = {t: [e for e in source.events if e.type_name == t] for t in "AB"}
+        window = 3.0
+        for types, offset in ((("A", "B"), 0.0), (("A", "A"), 0.1)):
+            pairs = sum(1 for _ in pairs_within(by_type[types[0]], by_type[types[1]], window))
+            assert pairs >= 10 * len(source)
+            pred = Predicate(AttrRef("a", "x"), "<", AttrRef("b", "x"), right_offset=offset)
+            pattern = seq_pattern(types, window, [pred], aliases=("a", "b"))
+            # every pair, then a draw of half of them: either way the pair
+            # path would read two values per measured pair
+            for max_pairs in (pairs, pairs // 2):
+                reads = self.count_reads(monkeypatch, source, pattern, max_pairs)
+                assert 0 < reads <= 2 * len(source) < max_pairs
