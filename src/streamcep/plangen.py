@@ -137,10 +137,11 @@ def _neighbors(order: list[int]):
 
 
 def _search_ii(
-    model: CostModel, seed: int, restarts: int, init: str
+    model: CostModel, seed: int | None = None, *, restarts: int, init: str
 ) -> tuple[list[int], float, int]:
     """Iterative improvement: move to the cheapest neighbour until none is
-    cheaper.
+    cheaper, from ``restarts`` random orders drawn with ``seed`` or from
+    the greedy order.
 
     A neighbour is priced from the current order's cached steps: the
     running total before its first moved position, fresh steps over the
@@ -151,7 +152,6 @@ def _search_ii(
     keyed by ``prefix * n + index``.
     """
     n = len(model.types)
-    rng = random.Random(seed)
     step_cost, add = model.step_cost, model.add
     memo: dict[int, float] = {}
 
@@ -174,10 +174,10 @@ def _search_ii(
         return steps, totals, prefixes
 
     candidates = 0
-    greedy_order = None
     if init == "greedy":
-        greedy_order, _, greedy_count = _search_greedy(model)
-        candidates += greedy_count
+        greedy_order, _, candidates = _search_greedy(model)
+    else:
+        rng = random.Random(seed)
 
     best_order = None
     best_cost = None
@@ -351,7 +351,7 @@ _PLANNERS = {
         "order", partial(_search_ii, restarts=II_RANDOM_RESTARTS, init="random"), True
     ),
     "ii-greedy": (
-        "order", partial(_search_ii, restarts=II_GREEDY_RESTARTS, init="greedy"), True
+        "order", partial(_search_ii, restarts=II_GREEDY_RESTARTS, init="greedy"), False
     ),
     "dp-ld": ("order", _search_dp_ld, False),
     "zstream": ("tree", lambda model: _search_zstream(model, range(len(model.types))), False),

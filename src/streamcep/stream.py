@@ -23,7 +23,6 @@ from .model import (
     Predicate,
     StatisticsCatalog,
     _NUMERIC,
-    _compare,
     evaluate_predicate,
     predicate_selectivity_key,
 )
@@ -189,7 +188,7 @@ def generate_synthetic(config: SyntheticConfig) -> StreamSource:
 
 
 def _window_spans(events_a: list[Event], events_b: list[Event], window: float):
-    """Two-pointer walk: per event a, in order, ``(a, start, stop, own)``
+    """Two-pointer walk: per event a, in order, ``(start, stop, own)``
     where ``events_b[start:stop]`` are the events whose timestamps differ
     from a's by at most the window.  ``own`` is a's index in events_b when
     both lists are one type's events (a is never paired with itself; by
@@ -204,43 +203,7 @@ def _window_spans(events_a: list[Event], events_b: list[Event], window: float):
         stop = max(stop, start)
         while stop < size and events_b[stop].timestamp <= a.timestamp + window:
             stop += 1
-        yield a, start, stop, index if same else -1
-
-
-def _pairs_at(spans, events_b: list[Event], indices):
-    """The (a, b) pairs at the given ascending indices of the sequence the
-    spans enumerate: a's partners in window order, a after a."""
-    targets = iter(indices)
-    target = next(targets, None)
-    offset = 0
-    for a, start, stop, own in spans:
-        size = stop - start - (own >= 0)
-        while target is not None and target < offset + size:
-            j = start + target - offset
-            if 0 <= own <= j:
-                j += 1
-            yield a, events_b[j]
-            target = next(targets, None)
-        offset += size
-
-
-def _pair_test(predicate: Predicate):
-    """``evaluate_predicate`` of a two-alias predicate as a test that reads
-    the (left event, right event) pair directly: the same values, the
-    offset on numbers only, and ``_compare``'s semantics and errors."""
-    left_attr = predicate.left.attribute
-    right_attr = predicate.right.attribute
-    offset = predicate.right_offset
-    comparator = predicate.comparator
-
-    def test(a: Event, b: Event) -> bool:
-        lv = a.value(left_attr)
-        rv = b.value(right_attr)
-        if offset and isinstance(rv, _NUMERIC):
-            rv = rv + offset
-        return _compare(comparator, lv, rv)
-
-    return test
+        yield start, stop, index if same else -1
 
 
 # ``_compare`` on two numbers is the bare comparison
@@ -253,7 +216,7 @@ _OPERATORS = {
 def _numeric_column(events: list[Event], attribute: str, offset: float):
     """Each event's value of ``attribute`` plus ``offset``, or None unless
     every event has the attribute, every value is a number and every sum
-    is one; the per-pair path then raises what a measured pair reaches."""
+    is one; the events themselves are then the column."""
     try:
         values = [event.value(attribute) for event in events]
         if not all(map(isinstance, values, repeat(_NUMERIC))):
@@ -268,31 +231,35 @@ def _pair_hits(predicate: Predicate, events_a: list[Event], events_b: list[Event
     """How many of the pairs at ``indices`` (a ``range`` of all of them, or
     a sorted draw) satisfy a two-alias predicate.
 
-    Values are read once per event into columns, and each a's value is
-    compared with its partners' by one C-level ``map``.  A drawn index
-    falls in the span whose offsets hold it, at its place there, one
-    position further once it reaches a's own.
+    Each side is a column, and each a's entry is compared with its
+    partners' by one C-level ``map``.  Numbers are read once per event
+    and compared by the bare operator.  Any other column (text, None, a
+    missing attribute) is the events themselves, compared by
+    ``evaluate_predicate`` as the engines evaluate it: text = and != are
+    measured, and an error is raised only when a measured pair reaches
+    it, as the same error.  A drawn index falls in the span whose offsets
+    hold it, at its place there, one position further once it reaches
+    a's own; the unsampled walk slices around a's own.
     """
     left = _numeric_column(events_a, predicate.left.attribute, 0)
     right = _numeric_column(events_b, predicate.right.attribute, predicate.right_offset)
     if left is None or right is None:
-        # Text, None or a missing attribute: pair by pair, as the engines
-        # evaluate it, so that text = and != are measured, and an error
-        # (text ordering, None, no such attribute) is raised only when a
-        # measured pair reaches it, as the same error.
-        test = _pair_test(predicate)
-        return sum(1 for a, b in _pairs_at(spans, events_b, indices) if test(a, b))
-    compare = _OPERATORS[predicate.comparator]
+        left, right = events_a, events_b
+        a_alias, b_alias = predicate.aliases()
+
+        def compare(a: Event, b: Event) -> bool:
+            return evaluate_predicate(predicate, {a_alias: a, b_alias: b})
+    else:
+        compare = _OPERATORS[predicate.comparator]
     if isinstance(indices, range):
-        hits = sum(
-            sum(map(compare, repeat(av, stop - start), right[start:stop]))
-            for av, (_, start, stop, _) in zip(left, spans)
+        return sum(
+            sum(map(compare, repeat(av, stop - start), right[start:stop])) if own < 0
+            else sum(map(compare, repeat(av, own - start), right[start:own]))
+            + sum(map(compare, repeat(av, stop - own - 1), right[own + 1:stop]))
+            for av, (start, stop, own) in zip(left, spans)
         )
-        if events_a is events_b:
-            hits -= sum(map(compare, left, right))  # each a with itself
-        return hits
     hits = lo = offset = 0
-    for av, (_, start, stop, own) in zip(left, spans):
+    for av, (start, stop, own) in zip(left, spans):
         end = offset + stop - start - (own >= 0)
         hi = bisect_left(indices, end, lo)
         shift = start - offset
@@ -340,14 +307,14 @@ def estimate_statistics(
     and at most ``max_pairs`` of them drawn.  Values are compared by
     column: each event's value is read once, and the drawn pairs are
     compared in C.  A column holding anything but numbers (text, None, a
-    missing attribute) is measured pair by pair instead, and a drawn pair
-    that cannot be compared raises the engines' error.  Per
-    catalog key, distinct predicates multiply, matching the catalog's
-    combined-selectivity meaning; a repeated one counts once.  A
-    predicate is identified by its type-resolved form (each alias
-    replaced by its type name), so a copy in another pattern, under other
-    aliases, is the same predicate; it is measured under the window of
-    the first pattern that names it.
+    missing attribute) is the events themselves, each drawn pair is
+    compared by ``evaluate_predicate``, and one that cannot be compared
+    raises the engines' error.  Per catalog key, distinct predicates
+    multiply, matching the catalog's combined-selectivity meaning; a
+    repeated one counts once.  A predicate is identified by its
+    type-resolved form (each alias replaced by its type name), so a copy
+    in another pattern, under other aliases, is the same predicate; it is
+    measured under the window of the first pattern that names it.
     """
     if max_pairs < 1:
         raise ContractError(f"max_pairs must be at least 1, not {max_pairs}")
@@ -396,7 +363,7 @@ def estimate_statistics(
                 events_a = by_type[alias_types[aliases[0]]]
                 events_b = by_type[alias_types[aliases[1]]]
                 spans = list(_window_spans(events_a, events_b, pattern.window))
-                count = sum(stop - start - (own >= 0) for _, start, stop, own in spans)
+                count = sum(stop - start - (own >= 0) for start, stop, own in spans)
                 if not count:
                     continue
                 indices = range(count)

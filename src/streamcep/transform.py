@@ -380,8 +380,6 @@ def normalize_pattern(pattern: Pattern) -> NormalizedPattern:
             if strategy.contiguous:
                 conjunct = add_contiguity_predicates(conjunct, strategy)
             conjunct = seq_to_and(conjunct)
-        elif strategy.contiguous:
-            raise UnsupportedPatternError("contiguity requires a sequence pattern")
         core, negations = split_negation(conjunct)
         conjuncts.append(
             NormalizedConjunct(core=core, negations=negations, seq_aliases=seq_aliases)

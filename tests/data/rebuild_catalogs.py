@@ -2,15 +2,19 @@
 
     python3 tests/data/rebuild_catalogs.py           # compare with catalogs_seed1.json
     python3 tests/data/rebuild_catalogs.py --write   # rewrite catalogs_seed1.json
+    python3 tests/data/rebuild_catalogs.py --seed 7  # print seed 7's catalogs as JSON
 
 For every distinct pattern text of every perfbench workload at seed 1,
 ``estimate_statistics`` runs as the benchmark's set-up runs it, and the
 catalog's ``to_json()`` is kept under the workload and the text.  The
 comparison is of the whole file's text, so a catalog that moves by one
 digit fails it; the names of the differing patterns are printed.
+``--seed`` prints another seed's catalogs in the same form, to diff two
+checkouts' outputs.
 """
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -45,12 +49,20 @@ def render(doc: dict) -> str:
 
 
 def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Rebuild the benchmark streams' catalogs.")
+    action = parser.add_mutually_exclusive_group()
+    action.add_argument("--write", action="store_true",
+                        help=f"rewrite {STORED.name} in place of comparing with it")
+    action.add_argument("--seed", type=int,
+                        help="print this seed's catalogs as JSON in place of comparing")
+    args = parser.parse_args(argv)
+    if args.seed is not None:
+        sys.stdout.write(render(catalogs(args.seed)))
+        return 0
     built = catalogs(SEED)
-    if argv == ["--write"]:
+    if args.write:
         STORED.write_text(render(built))
         return 0
-    if argv:
-        sys.exit(f"usage: {sys.argv[0]} [--write]")
     stored = json.loads(STORED.read_text())
     differing = [
         f"{name}: {text}"

@@ -6,6 +6,9 @@ import itertools
 import random
 from typing import Mapping, Sequence, Union
 
+import streamcep.nfa
+import streamcep.tree_engine
+from streamcep.matching import TimeRange
 from streamcep.model import (
     AttrRef,
     Leaf,
@@ -20,6 +23,7 @@ from streamcep.model import (
     leaf,
     selectivity_key,
 )
+from streamcep.runner import PatternRunner
 from streamcep.stream import SyntheticConfig, generate_synthetic
 
 UNIVERSE = tuple(chr(ord("A") + i) for i in range(12))
@@ -254,3 +258,40 @@ def cost_bj(
 
     total, _, _ = walk(tree.root if isinstance(tree, TreePlan) else tree)
     return total
+
+
+# A small stream on which a planted engine fault shows in every way the
+# verification gates report one.  SEQ(A a, B b) with a.price < b.price
+# matches serials (0,1), (0,3), (0,5) and (4,5).
+GATE_PATTERN = "PATTERN SEQ(A a, B b) WHERE (a.price < b.price) WITHIN 10 seconds"
+GATE_STREAM = "A,1,10\nB,2,12\nA,3,15\nB,4,11\nA,5,9\nB,6,14\n"
+# the same matches under a negation of a type the stream lacks
+GATE_ABSENT_TYPE = "PATTERN SEQ(A a, NOT(N n), B b) WHERE (a.price < b.price) WITHIN 10 seconds"
+
+
+def plant_fault(monkeypatch, fault: str) -> None:
+    """Break the engines in one known way, for the run of one test.
+
+    ``missing``: every ``TimeRange.bisect`` drops its last item, so a probe
+    loses its latest candidate.  ``extra``: both engines' predicate test
+    passes everything.  ``late``: every match is emitted one serial after
+    the arrival that reports it.  ``error``: the tree engine raises on each
+    arrival.
+    """
+    if fault == "missing":
+        bisect = TimeRange.bisect
+        monkeypatch.setattr(TimeRange, "bisect",
+                            lambda self, *args: bisect(self, *args)[:-1])
+    elif fault == "extra":
+        for module in (streamcep.nfa, streamcep.tree_engine):
+            monkeypatch.setattr(module, "evaluate_predicate", lambda predicate, bindings: True)
+    elif fault == "late":
+        build = PatternRunner._build
+        monkeypatch.setattr(PatternRunner, "_build", staticmethod(
+            lambda index, engine, found, emit_serial, batch:
+                build(index, engine, found, emit_serial + 1, batch)))
+    else:
+        def process_event(self, event, arrived):
+            raise RuntimeError("planted fault")
+
+        monkeypatch.setattr(streamcep.tree_engine.TreeEngine, "process_event", process_event)

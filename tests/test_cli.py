@@ -7,6 +7,8 @@ import pytest
 from streamcep import cli, ingest_csv, oracle_match, parse_pattern
 from streamcep.plangen import bundle_from_json
 
+from helpers import GATE_ABSENT_TYPE, GATE_PATTERN, GATE_STREAM, plant_fault
+
 PATTERN = "PATTERN SEQ(A a, B b) WITHIN 10 seconds"
 STREAM = "A,0,1.0\nB,1,2.0\n"
 
@@ -191,6 +193,40 @@ def test_verify_corpus_passes_every_cell(capsys):
     assert cli.main(["verify", "--corpus"]) == cli.EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 225
+    assert all(line.startswith("PASS ") for line in lines)
+
+
+def verify_gate_stream(tmp_path, pattern_text=GATE_PATTERN):
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(pattern_text)
+    stream = tmp_path / "stream.csv"
+    stream.write_text(GATE_STREAM)
+    return cli.main(["verify", str(pattern), str(stream)])
+
+
+@pytest.mark.parametrize("fault, detail", [
+    ("missing", "  missing: 0,1 4,5"),
+    ("extra", "  extra: 2,3 2,5"),
+    ("late", "  extra: " + " ".join(f"order/groups differ at index {i}" for i in range(3))),
+    ("error", "  error: RuntimeError: planted fault"),
+])
+def test_verify_prints_a_planted_fault_and_exits_3(tmp_path, capsys, monkeypatch,
+                                                    fault, detail):
+    assert verify_gate_stream(tmp_path) == cli.EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+    plant_fault(monkeypatch, fault)
+    assert verify_gate_stream(tmp_path) == cli.EXIT_VERIFY == 3
+    lines = capsys.readouterr().out.splitlines()
+    failed = [i for i, line in enumerate(lines) if line.startswith("FAIL pattern.txt ")]
+    assert failed
+    assert all(lines[i + 1] == detail for i in failed)
+    assert len(lines) == 15 + len(failed)
+
+
+def test_verify_plans_a_type_absent_from_the_stream(tmp_path, capsys):
+    assert verify_gate_stream(tmp_path, GATE_ABSENT_TYPE) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 15
     assert all(line.startswith("PASS ") for line in lines)
 
 

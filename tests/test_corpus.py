@@ -1,6 +1,13 @@
-"""The built-in corpus that `verify --corpus` and the benchmark's corpus gate check."""
-from streamcep import builtin_corpus
+"""The built-in corpus that `verify --corpus` and the benchmark's corpus gate check,
+and verification reporting a planted engine fault."""
+import pytest
+
+from streamcep import builtin_corpus, estimate_statistics, ingest_csv, parse_pattern
+from streamcep.corpus import verify_pattern
+from streamcep.model import DataError
 from streamcep.parser import render_pattern
+
+from helpers import GATE_ABSENT_TYPE, GATE_PATTERN, GATE_STREAM, plant_fault
 
 # Recorded from the generator; a reordered random draw changes these texts.
 CORPUS = (
@@ -40,3 +47,66 @@ CORPUS = (
 def test_builtin_corpus_is_pinned():
     rendered = [(g.pattern_id, render_pattern(g.pattern)) for g in builtin_corpus()]
     assert rendered == list(CORPUS)
+
+
+# the first three of the four reports, capped there
+LATE = tuple(f"order/groups differ at index {i}" for i in range(3))
+
+
+def gate_source(tmp_path):
+    path = tmp_path / "stream.csv"
+    path.write_text(GATE_STREAM)
+    return ingest_csv(str(path))
+
+
+def gate_cells(tmp_path, pattern_text=GATE_PATTERN):
+    return verify_pattern(parse_pattern(pattern_text), gate_source(tmp_path))
+
+
+class TestVerifyReportsFaults:
+    def test_the_real_engines_pass_every_cell(self, tmp_path):
+        cells = gate_cells(tmp_path)
+        assert len(cells) == 15
+        assert all(cell.passed for cell in cells)
+
+    def test_lost_matches_are_listed_as_missing(self, tmp_path, monkeypatch):
+        # each probe loses its latest A: B#1 its only one, B#5 A#4; every
+        # tree cell probes a bisected bucket, the chain NFA only when its
+        # plan forks a backlog
+        plant_fault(monkeypatch, "missing")
+        cells = gate_cells(tmp_path)
+        failed = [cell for cell in cells if not cell.passed]
+        assert all(cell in failed for cell in cells if cell.engine == "tree")
+        assert all(cell.missing == ("0,1", "4,5") and cell.extra == () and cell.error is None
+                   for cell in failed)
+
+    def test_matches_past_a_failed_predicate_are_listed_as_extra(self, tmp_path, monkeypatch):
+        plant_fault(monkeypatch, "extra")
+        cells = gate_cells(tmp_path)
+        assert all(not cell.passed and cell.missing == () and cell.extra == ("2,3", "2,5")
+                   for cell in cells)
+
+    def test_the_same_matches_emitted_late_are_listed_by_index(self, tmp_path, monkeypatch):
+        plant_fault(monkeypatch, "late")
+        cells = gate_cells(tmp_path)
+        assert all(not cell.passed and cell.missing == () and cell.extra == LATE
+                   for cell in cells)
+
+    def test_an_engine_that_raises_gives_error_cells(self, tmp_path, monkeypatch):
+        plant_fault(monkeypatch, "error")
+        for cell in gate_cells(tmp_path):
+            if cell.engine == "tree":
+                assert not cell.passed
+                assert cell.error == "RuntimeError: planted fault"
+                assert cell.missing == cell.extra == ()
+            else:
+                assert cell.passed
+
+    def test_a_type_absent_from_the_stream_still_gets_planned(self, tmp_path):
+        # the stream has no N, so statistics cannot be measured; the cells
+        # are planned from counted rates and still find the four matches
+        with pytest.raises(DataError, match="no events of type 'N'"):
+            estimate_statistics(gate_source(tmp_path), parse_pattern(GATE_ABSENT_TYPE))
+        cells = gate_cells(tmp_path, GATE_ABSENT_TYPE)
+        assert len(cells) == 15
+        assert all(cell.passed for cell in cells)

@@ -19,6 +19,7 @@ from streamcep.model import (
     Event,
     KLEENE,
     Leaf,
+    Literal,
     NOT,
     OR,
     OperatorNode,
@@ -94,6 +95,33 @@ class TestBasicAgreement:
         ]
         assert run_keys(p, events) == {(0, 2)}
         assert run_keys(p, events, engine="tree") == {(0, 2)}
+
+    def test_single_position_filters_reject_events(self, monkeypatch):
+        # a.price > 11 is A's own filter: A#0 and A#3 never bind, and the
+        # tree engine turns them away at the leaf
+        p = seq_pattern(("A", "B"), 10.0, predicates=(
+            Predicate(AttrRef("a", "price"), ">", Literal(11)),))
+        events = [ev("A", 0.0, 0, price=10), ev("A", 1.0, 1, price=12),
+                  ev("B", 2.0, 2, price=0), ev("A", 3.0, 3, price=11),
+                  ev("B", 4.0, 4, price=0)]
+        expected = {(1, 2), (1, 4)}
+        assert match_keys(oracle_match(p, events)) == expected
+        rejected = []
+        leaf_instances = streamcep.tree_engine.TreeEngine._leaf_instances
+
+        def recorded(engine, node, alias, event):
+            found = leaf_instances(engine, node, alias, event)
+            if not found:
+                rejected.append(event.serial)
+            return found
+
+        monkeypatch.setattr(streamcep.tree_engine.TreeEngine, "_leaf_instances", recorded)
+        for algorithm in ("trivial", "dp-ld"):
+            assert run_keys(p, events, algorithm, engine="nfa") == expected
+        for algorithm in ("trivial", "zstream", "dp-b"):
+            rejected.clear()
+            assert run_keys(p, events, algorithm, engine="tree") == expected
+            assert rejected == [0, 3]
 
     def test_out_of_window_partials_are_evicted(self):
         p = seq_pattern(("A", "B"), 1.0)

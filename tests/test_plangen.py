@@ -192,6 +192,20 @@ class TestSearchProperties:
         assert a.conjuncts[0].plan == b.conjuncts[0].plan
         assert a.conjuncts[0].report.seed == 5
 
+    def test_greedy_started_improvement_takes_no_seed(self):
+        rng = random.Random(11)
+        for n in (4, 6, 8):
+            stats = random_catalog(rng, n)
+            pattern = and_pattern(*sorted(stats.rates))
+            bundles = [generate_plan(pattern, stats, "ii-greedy", seed=seed)
+                       for seed in (0, 5, 123)]
+            assert len({
+                (c.plan, c.report.cost, c.report.candidates, c.report.seed)
+                for b in bundles for c in b.conjuncts
+            }) == 1
+            assert bundles[0].conjuncts[0].report.seed is None
+            assert bundle_to_json(bundles[0])["conjuncts"][0]["seed"] is None
+
     def test_local_search_never_beats_dp(self):
         rng = random.Random(14)
         for _ in range(5):

@@ -460,6 +460,46 @@ class TestPairSampling:
         assert any(isinstance(got, dict) for got in outcomes)
         assert self.agree(source, p, 100_000) == missing
 
+    # Any other column is the events themselves, each measured pair
+    # compared by evaluate_predicate; the cases below hold that walk to
+    # reference_selectivities too.
+
+    @pytest.mark.parametrize("max_pairs", [7, 50, 100_000])
+    def test_same_type_text_inequality_matches_the_pair_path(self, max_pairs):
+        source = self.valued_stream(lambda rng, e: rng.choice(("up", "down", "flat")))
+        pred = Predicate(AttrRef("a1", "x"), "!=", AttrRef("a2", "x"))
+        pattern = seq_pattern(("A", "A"), 2.0, [pred], aliases=("a1", "a2"))
+        for seed in (0, 4):
+            got = self.agree(source, pattern, max_pairs, seed)
+            if max_pairs == 100_000:  # every pair: equal and unequal texts both occur
+                assert 0.0 < got[("A",)] < 1.0
+
+    @pytest.mark.parametrize("max_pairs", [7, 100_000])
+    def test_a_numeric_column_against_a_text_column(self, max_pairs):
+        # A's x is a number; B's is a number or a text, so B is measured
+        # by its events: a number never equals a text
+        source = self.valued_stream(
+            lambda rng, e: "up" if e.type_name == "B" and e.serial % 3 == 0 else rng.randrange(3))
+        for comparator in ("=", "!="):
+            for seed in (0, 4):
+                got = self.agree(source, self.pair_pattern(comparator), max_pairs, seed)
+                if max_pairs == 100_000:
+                    assert 0.0 < got[("A", "B")] < 1.0
+        assert self.agree(source, self.pair_pattern("<"), max_pairs) == (
+            UnsupportedPatternError, "comparator '<' is not defined for text attributes")
+
+    @pytest.mark.parametrize("attrs", [{"x": None}, {"x": "up"}, {}])
+    def test_a_bad_event_without_a_partner_of_its_type_is_not_an_error(self, attrs):
+        # the last A has no other A in its window; only a comparison with
+        # itself would reach its value
+        events = [ev("A", 0.0, 0, x=0.1), ev("A", 1.0, 1, x=0.5), ev("A", 9.0, 2, **attrs)]
+        pred = Predicate(AttrRef("a1", "x"), "<", AttrRef("a2", "x"))
+        pattern = seq_pattern(("A", "A"), 2.0, [pred], aliases=("a1", "a2"))
+        source = from_events(events, duration=10.0)
+        assert self.agree(source, pattern, 100_000) == {("A",): 0.5}
+        for seed in range(4):
+            assert self.agree(source, pattern, 1, seed)[("A",)] in (0.0, 1.0)
+
 
 class TestColumnReads:
     """Numeric columns are read once per event, however many pairs."""
