@@ -121,7 +121,7 @@ class CostModel:
             raise ContractError(
                 f"latency anchor {last!r} is not one of the types {self.types}"
             )
-        self._last_bit = 0 if last is None else 1 << self.bit_of(last)
+        self.last_bit = 0 if last is None else 1 << self.bit_of(last)
 
         n = len(self.types)
         log2_wr = [log2_weight(stats.rate(t), window, t in kleene) for t in self.types]
@@ -268,7 +268,7 @@ class CostModel:
         """Full objective contribution of appending ``new_bit``."""
         value = self.step_pm(prefix_bits | new_bit)
         alpha = self.objective.alpha
-        if alpha > 0 and self._last_bit and (prefix_bits & self._last_bit):
+        if alpha > 0 and self.last_bit and (prefix_bits & self.last_bit):
             value = self.add(value, self.scale(alpha, self._wr[new_bit.bit_length() - 1]))
         return value
 
@@ -293,10 +293,10 @@ class CostModel:
         """Objective contribution of joining two subtrees (the new node)."""
         value = self.node_pm(left_bits | right_bits)
         alpha = self.objective.alpha
-        if alpha > 0 and self._last_bit:
-            if left_bits & self._last_bit:
+        if alpha > 0 and self.last_bit:
+            if left_bits & self.last_bit:
                 value = self.add(value, self.scale(alpha, self.node_pm(right_bits)))
-            elif right_bits & self._last_bit:
+            elif right_bits & self.last_bit:
                 value = self.add(value, self.scale(alpha, self.node_pm(left_bits)))
         return value
 

@@ -34,12 +34,13 @@ side to one on the other, neither a Kleene alias, make the key: the
 contiguity rewrite's ``b.serial = a.serial + 1`` and
 ``b.pserial = a.pserial + 1``.  A record's key is its stored-side values
 and a probe's key its probe-side values, so a probe reads the one bucket
-whose records can meet those conditions; every candidate still goes
-through ``evaluate_predicate``.  A slot with no such condition keeps one
-bucket under ``()``.  Only serial adjacency is keyed: a user's ``=`` on
-a user attribute may compare text with a number, which
-``evaluate_predicate`` refuses with a ``DataError`` and a hash lookup
-would hide.
+whose records can meet those conditions; each candidate in it is still
+tested against every condition by ``evaluate_predicate``, one call per
+condition, which runs the predicate's compiled tester.  A slot with no
+such condition keeps one bucket under ``()``.  Only serial adjacency is
+keyed: a user's ``=`` on a user attribute may compare text with a
+number, which ``evaluate_predicate`` refuses with a ``DataError`` and a
+hash lookup would hide.
 
 A slot that one alias probes (every NFA position after the first, every
 tree node whose sibling is a leaf) is probed only by arrivals.  Serials
@@ -307,7 +308,10 @@ def blocks(spec: NegationSpec, blocker: Event, match: Partial) -> bool:
     """
     probe = dict(match.bindings)
     probe[spec.alias] = blocker
-    return all(evaluate_predicate(p, probe) for p in spec.predicates)
+    for p in spec.predicates:
+        if not evaluate_predicate(p, probe):
+            return False
+    return True
 
 
 class SelectionReplay:

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Sequence, Union
+from functools import partial
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 SEQ = "SEQ"
 AND = "AND"
@@ -141,6 +143,9 @@ class Predicate:
     used by the contiguity rewrite (serial adjacency: next = prev + 1) and
     is zero for predicates written in the pattern language.  ``origin``
     records whether the predicate came from the user or from a rewrite.
+    The first ``evaluate_predicate`` call compiles the predicate's tester
+    and keeps it on the instance; it is not a field, so equality, hashing
+    and ``repr`` ignore it and ``dataclasses.replace`` starts without one.
     """
 
     left: AttrRef
@@ -152,6 +157,18 @@ class Predicate:
     def __post_init__(self) -> None:
         if self.comparator not in COMPARATORS:
             raise PatternStructureError(f"unknown comparator {self.comparator!r}")
+
+    def _tester(self, bindings: Binding) -> bool:
+        # the first call compiles the tester, which then shadows this
+        # method on the instance
+        tester = compile_predicate(self)
+        object.__setattr__(self, "_tester", tester)
+        return tester(bindings)
+
+    def __reduce__(self):
+        # pickled by its fields; the tester is compiled again after load
+        return (Predicate, (self.left, self.comparator, self.right,
+                            self.right_offset, self.origin))
 
     def aliases(self) -> tuple[str, ...]:
         if isinstance(self.right, AttrRef) and self.right.alias != self.left.alias:
@@ -326,13 +343,17 @@ def _compare(comparator: str, left: object, right: object) -> bool:
 Binding = Mapping[str, Union[Event, Sequence[Event]]]
 
 
-def evaluate_predicate(predicate: Predicate, bindings: Binding) -> bool:
+def interpret_predicate(predicate: Predicate, bindings: Binding) -> bool:
     """Evaluate a predicate against partially bound positions.
 
-    Aliases missing from ``bindings`` make the predicate vacuously true
-    (their constraints are rechecked when they bind).  An alias bound to a
-    sequence of events (a Kleene position) satisfies the predicate only if
-    every member does.
+    This is the definition of predicate semantics; ``evaluate_predicate``
+    gives the same answer, or raises the same error, by a compiled
+    tester, and ``oracle_match`` and statistics estimation call this
+    function directly.  Aliases missing from ``bindings`` make the
+    predicate vacuously true (their constraints are rechecked when they
+    bind), though a bound side is still read.  An alias bound to a
+    sequence of events (a Kleene position) satisfies the predicate only
+    if every member does.
     """
 
     def operands(side: Union[AttrRef, Literal], offset: float) -> list[object] | None:
@@ -357,6 +378,65 @@ def evaluate_predicate(predicate: Predicate, bindings: Binding) -> bool:
     return all(
         _compare(predicate.comparator, lv, rv) for lv in lefts for rv in rights
     )
+
+
+# ``_compare`` on two numbers (``bool`` aside) is the bare comparison
+OPERATORS = {
+    "<": operator.lt, "<=": operator.le, "=": operator.eq,
+    ">=": operator.ge, ">": operator.gt, "!=": operator.ne,
+}
+_FAST = frozenset((int, float))  # exact types: a bool is an int, but not fast
+_FIELDS = {"ts": "timestamp", "timestamp": "timestamp", "serial": "serial"}
+_MISSING = object()
+
+
+def compile_predicate(predicate: Predicate) -> Callable[[Binding], bool]:
+    """The tester ``evaluate_predicate`` calls for ``predicate``.
+
+    When both sides are bound to plain ``Event``s whose values are
+    ``int`` or ``float``, the tester adds the right offset (when it is
+    not zero) and makes one ``OPERATORS`` call, which is what
+    ``_compare`` does with two numbers.  A value is read as
+    ``Event.value`` reads it: ``ts``, ``timestamp`` and ``serial`` are
+    fields, any other attribute an ``attrs`` key.  Every other case (a
+    literal, a Kleene tuple, text, ``None``, ``bool``, a missing
+    attribute or an unbound alias) goes to ``interpret_predicate``, so
+    both give the same answer or the same error.
+    """
+    left, right = predicate.left, predicate.right
+    if not isinstance(right, AttrRef):
+        return partial(interpret_predicate, predicate)
+    op = OPERATORS[predicate.comparator]
+    offset = predicate.right_offset
+    left_alias, right_alias = left.alias, right.alias
+    left_key = right_key = None
+    if left.attribute in _FIELDS:
+        left_field = operator.attrgetter(_FIELDS[left.attribute])
+    else:
+        left_field, left_key = None, left.attribute
+    if right.attribute in _FIELDS:
+        right_field = operator.attrgetter(_FIELDS[right.attribute])
+    else:
+        right_field, right_key = None, right.attribute
+
+    def tester(bindings: Binding) -> bool:
+        a = bindings.get(left_alias)
+        b = bindings.get(right_alias)
+        if type(a) is Event and type(b) is Event:
+            x = left_field(a) if left_key is None else a.attrs.get(left_key, _MISSING)
+            y = right_field(b) if right_key is None else b.attrs.get(right_key, _MISSING)
+            if type(x) in _FAST and type(y) in _FAST:
+                return op(x, y + offset) if offset else op(x, y)
+        return interpret_predicate(predicate, bindings)
+
+    return tester
+
+
+def evaluate_predicate(predicate: Predicate, bindings: Binding) -> bool:
+    """``interpret_predicate``'s answer, or error, by the tester the
+    predicate was compiled into (see ``compile_predicate``).  The engines
+    and their absence tests call this once per (predicate, candidate)."""
+    return predicate._tester(bindings)
 
 
 # ---------------------------------------------------------------------------

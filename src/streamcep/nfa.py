@@ -88,18 +88,24 @@ class NfaEngine(EngineCore):
 
     def _try_extend(self, partial: Partial, position: int, value,
                     out: list) -> None:
-        events = (value,) if isinstance(value, Event) else value
         lo, hi = partial.min_ts, partial.max_ts
-        for e in events:
-            lo = min(lo, e.timestamp)
-            hi = max(hi, e.timestamp)
+        if isinstance(value, Event):
+            ts = value.timestamp
+            if ts < lo:
+                lo = ts
+            if ts > hi:
+                hi = ts
+        else:
+            for e in value:
+                lo = min(lo, e.timestamp)
+                hi = max(hi, e.timestamp)
         if hi - lo > self.window:
             return
         bindings = dict(partial.bindings)
         bindings[self.aliases[position]] = value
-        if not all(evaluate_predicate(p, bindings)
-                   for p in self.conditions[position]):
-            return
+        for p in self.conditions[position]:
+            if not evaluate_predicate(p, bindings):
+                return
         new = Partial(bindings, lo, hi)
         if self._blocked(self.slot_checks[position], new, blocks):
             return

@@ -5,7 +5,8 @@ combination search, with no plans, buffers, or rewrites involved.  The
 evaluation engines are tested against this module; it therefore
 re-derives sequence ordering, negation intervals, Kleene subsets, and
 strategy replay from the operator definitions instead of importing the
-engines' shared machinery.
+engines' shared machinery, and it tests predicates with
+``interpret_predicate``, not the compiled testers the engines call.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .model import (
     SelectionStrategy,
     STRICT_CONTIGUITY,
     UnsupportedPatternError,
-    evaluate_predicate,
+    interpret_predicate,
 )
 from .matching import make_report
 
@@ -210,7 +211,7 @@ class _Variant:
         for pred in self.predicates:
             names = pred.aliases()
             if alias in names and all(n in bindings for n in names):
-                if not evaluate_predicate(pred, bindings):
+                if not interpret_predicate(pred, bindings):
                     return False
         return True
 
@@ -245,7 +246,7 @@ class _Variant:
                         continue
                 probe = dict(bindings)
                 probe[ctx.leaf.alias] = blocker
-                if all(evaluate_predicate(p, probe) for p in ctx.predicates):
+                if all(interpret_predicate(p, probe) for p in ctx.predicates):
                     return True
         return False
 

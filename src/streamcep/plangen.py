@@ -294,29 +294,36 @@ def _search_zstream_ord(model: CostModel) -> tuple[TreeNode, float, int]:
 def _search_dp_b(model: CostModel, limit: int = DP_B_LIMIT) -> tuple[TreeNode, float, int]:
     """Every subset's cheapest tree over its proper splits, the left half
     holding the subset's lowest type, splits in descending order of the
-    left half.  Without a latency term (``alpha`` 0) a join costs the
-    node's own instances whatever the split, so it is priced once per
-    subset."""
+    left half.  A join costs the node's own instances whatever the split,
+    priced once per subset.  With a latency term (``alpha`` above 0), a
+    subset holding the anchor leaf adds ``alpha`` times the instances of
+    the split's other side, and that term is priced once per side: the
+    same sums ``join_cost`` makes for each split."""
     n = len(model.types)
     if n > limit:
         raise ResourceLimitError(
             f"tree search by dynamic programming is limited to {limit} types; "
             f"the pattern has {n}"
         )
-    add, join_cost = model.add, model.join_cost
-    per_split = model.objective.alpha > 0
+    add, join_cost, node_pm = model.add, model.join_cost, model.node_pm
+    alpha = model.objective.alpha
+    anchor = model.last_bit if alpha > 0 else 0
     size = 1 << n
+    latency = [model.scale(alpha, node_pm(m)) for m in range(size)] if anchor else None
     dp_cost = [model.zero] * size
     dp_left = [0] * size  # the left half of a subset's best split
     for i in range(n):
-        dp_cost[1 << i] = model.node_pm(1 << i)
+        dp_cost[1 << i] = node_pm(1 << i)
     candidates = 0
     for mask in range(3, size):  # every submask is numerically smaller
         low = mask & -mask
         rest = mask ^ low
         if not rest:  # a single type
             continue
-        node = 0.0 if per_split else join_cost(low, rest)
+        if mask & anchor:
+            node, terms = node_pm(mask), latency
+        else:
+            node, terms = join_cost(low, rest), None
         best = None
         sub = rest
         while sub:  # left = low | sub over the proper submasks sub of rest
@@ -325,7 +332,8 @@ def _search_dp_b(model: CostModel, limit: int = DP_B_LIMIT) -> tuple[TreeNode, f
             right = rest ^ sub
             cand = add(
                 add(dp_cost[left], dp_cost[right]),
-                join_cost(left, right) if per_split else node,
+                node if terms is None
+                else add(node, terms[right if left & anchor else left]),
             )
             if best is None or cand < best:
                 best, best_left = cand, left

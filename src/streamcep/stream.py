@@ -19,11 +19,12 @@ from .model import (
     DataError,
     Event,
     Literal,
+    OPERATORS,
     Pattern,
     Predicate,
     StatisticsCatalog,
     _NUMERIC,
-    evaluate_predicate,
+    interpret_predicate,
     predicate_selectivity_key,
 )
 
@@ -206,13 +207,6 @@ def _window_spans(events_a: list[Event], events_b: list[Event], window: float):
         yield start, stop, index if same else -1
 
 
-# ``_compare`` on two numbers is the bare comparison
-_OPERATORS = {
-    "<": operator.lt, "<=": operator.le, "=": operator.eq,
-    ">=": operator.ge, ">": operator.gt, "!=": operator.ne,
-}
-
-
 def _numeric_column(events: list[Event], attribute: str, offset: float):
     """Each event's value of ``attribute`` plus ``offset``, or None unless
     every event has the attribute, every value is a number and every sum
@@ -235,11 +229,12 @@ def _pair_hits(predicate: Predicate, events_a: list[Event], events_b: list[Event
     partners' by one C-level ``map``.  Numbers are read once per event
     and compared by the bare operator.  Any other column (text, None, a
     missing attribute) is the events themselves, compared by
-    ``evaluate_predicate`` as the engines evaluate it: text = and != are
-    measured, and an error is raised only when a measured pair reaches
-    it, as the same error.  A drawn index falls in the span whose offsets
-    hold it, at its place there, one position further once it reaches
-    a's own; the unsampled walk slices around a's own.
+    ``interpret_predicate``, whose answers the engines' testers give:
+    text = and != are measured, and an error is raised only when a
+    measured pair reaches it, as the same error.  A drawn index falls in
+    the span whose offsets hold it, at its place there, one position
+    further once it reaches a's own; the unsampled walk slices around
+    a's own.
     """
     left = _numeric_column(events_a, predicate.left.attribute, 0)
     right = _numeric_column(events_b, predicate.right.attribute, predicate.right_offset)
@@ -248,9 +243,9 @@ def _pair_hits(predicate: Predicate, events_a: list[Event], events_b: list[Event
         a_alias, b_alias = predicate.aliases()
 
         def compare(a: Event, b: Event) -> bool:
-            return evaluate_predicate(predicate, {a_alias: a, b_alias: b})
+            return interpret_predicate(predicate, {a_alias: a, b_alias: b})
     else:
-        compare = _OPERATORS[predicate.comparator]
+        compare = OPERATORS[predicate.comparator]
     if isinstance(indices, range):
         return sum(
             sum(map(compare, repeat(av, stop - start), right[start:stop])) if own < 0
@@ -308,7 +303,7 @@ def estimate_statistics(
     column: each event's value is read once, and the drawn pairs are
     compared in C.  A column holding anything but numbers (text, None, a
     missing attribute) is the events themselves, each drawn pair is
-    compared by ``evaluate_predicate``, and one that cannot be compared
+    compared by ``interpret_predicate``, and one that cannot be compared
     raises the engines' error.  Per catalog key, distinct predicates
     multiply, matching the catalog's combined-selectivity meaning; a
     repeated one counts once.  A predicate is identified by its
@@ -356,7 +351,7 @@ def estimate_statistics(
                 if len(sample) > max_pairs:
                     sample = rng.sample(pool, max_pairs)
                 hits = sum(
-                    1 for e in sample if evaluate_predicate(predicate, {alias: e})
+                    1 for e in sample if interpret_predicate(predicate, {alias: e})
                 )
                 fraction = hits / len(sample)
             else:

@@ -38,6 +38,7 @@ from .matching import (
     kleene_groups,
 )
 from .model import (
+    AttrRef,
     Event,
     TreePlan,
     evaluate_predicate,
@@ -128,27 +129,42 @@ class TreeEngine(EngineCore):
         if hi - lo > self.window:
             return
         bindings = {**left.bindings, **right.bindings}
-        if not all(evaluate_predicate(p, bindings)
-                   for p in self.conditions[parent]):
-            return
+        for p in self.conditions[parent]:
+            if not evaluate_predicate(p, bindings):
+                return
         joined = Partial(bindings, lo, hi)
         if self._blocked(self.slot_checks[parent], joined, blocks):
             return
         self._propagate(parent, joined, out)
 
+    def _admits(self, node: int, bindings: dict) -> bool:
+        """Whether ``bindings`` pass a leaf's conditions."""
+        for p in self.conditions[node]:
+            if not evaluate_predicate(p, bindings):
+                return False
+        return True
+
     def _leaf_instances(self, node: int, alias: str, event: Event) -> list[Partial]:
         singleton = {alias: event}
-        if not all(evaluate_predicate(p, singleton)
-                   for p in self.conditions[node]):
+        if not self._admits(node, singleton):
             return []
         ts = event.timestamp
         if node not in self.kl_slots:
             return [Partial(singleton, ts, ts)]
+        # A group passes a filter on its own alias only if each member
+        # does, so groups are drawn from the members that pass; a
+        # condition between two of the alias's references compares every
+        # pair of members, so it is tested on each group as well.
+        pool = self.pools[event.type_name]
+        pairwise = False
+        if self.conditions[node]:
+            pool = [e for e in pool if self._admits(node, {alias: e})]
+            pairwise = any(isinstance(p.right, AttrRef) for p in self.conditions[node])
         return [
             Partial({alias: group}, group[0].timestamp, ts)
-            for group in kleene_groups(self.pools[event.type_name], self.kl_cap,
-                                       self.metrics, event)
+            for group in kleene_groups(pool, self.kl_cap, self.metrics, event)
             if ts - group[0].timestamp <= self.window
+            and (not pairwise or self._admits(node, {alias: group}))
         ]
 
     # -- public protocol -----------------------------------------------------

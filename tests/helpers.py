@@ -3,9 +3,11 @@ streams, trees, brute-force planners and relational join costs."""
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from typing import Mapping, Sequence, Union
 
+import streamcep.model
 import streamcep.nfa
 import streamcep.tree_engine
 from streamcep.matching import TimeRange
@@ -267,6 +269,15 @@ GATE_PATTERN = "PATTERN SEQ(A a, B b) WHERE (a.price < b.price) WITHIN 10 second
 GATE_STREAM = "A,1,10\nB,2,12\nA,3,15\nB,4,11\nA,5,9\nB,6,14\n"
 # the same matches under a negation of a type the stream lacks
 GATE_ABSENT_TYPE = "PATTERN SEQ(A a, NOT(N n), B b) WHERE (a.price < b.price) WITHIN 10 seconds"
+# in either order: a.price < b.price matches (0,1), (0,3), (0,5), (1,4),
+# (3,4) and (4,5); a.price > b.price would match (1,2), (2,3) and (2,5)
+GATE_CONJUNCTION = "PATTERN AND(A a, B b) WHERE (a.price < b.price) WITHIN 10 seconds"
+
+# each comparator's converse: x < y holds exactly when y > x
+CONVERSE = {
+    "<": operator.gt, "<=": operator.ge, "=": operator.eq,
+    ">=": operator.le, ">": operator.lt, "!=": operator.ne,
+}
 
 
 def plant_fault(monkeypatch, fault: str) -> None:
@@ -276,7 +287,11 @@ def plant_fault(monkeypatch, fault: str) -> None:
     loses its latest candidate.  ``extra``: both engines' predicate test
     passes everything.  ``late``: every match is emitted one serial after
     the arrival that reports it.  ``error``: the tree engine raises on each
-    arrival.
+    arrival.  ``compiled``: every tester compiled from then on, at its
+    predicate's first evaluation, makes the converse numeric comparison
+    (``a < b`` tested as ``a > b``).  Only the engines call testers; the
+    interpreter, which ``oracle_match`` and statistics call and every
+    tester falls back to, is untouched.
     """
     if fault == "missing":
         bisect = TimeRange.bisect
@@ -285,6 +300,8 @@ def plant_fault(monkeypatch, fault: str) -> None:
     elif fault == "extra":
         for module in (streamcep.nfa, streamcep.tree_engine):
             monkeypatch.setattr(module, "evaluate_predicate", lambda predicate, bindings: True)
+    elif fault == "compiled":
+        monkeypatch.setattr(streamcep.model, "OPERATORS", CONVERSE)
     elif fault == "late":
         build = PatternRunner._build
         monkeypatch.setattr(PatternRunner, "_build", staticmethod(

@@ -7,7 +7,13 @@ import pytest
 from streamcep import cli, ingest_csv, oracle_match, parse_pattern
 from streamcep.plangen import bundle_from_json
 
-from helpers import GATE_ABSENT_TYPE, GATE_PATTERN, GATE_STREAM, plant_fault
+from helpers import (
+    GATE_ABSENT_TYPE,
+    GATE_CONJUNCTION,
+    GATE_PATTERN,
+    GATE_STREAM,
+    plant_fault,
+)
 
 PATTERN = "PATTERN SEQ(A a, B b) WITHIN 10 seconds"
 STREAM = "A,0,1.0\nB,1,2.0\n"
@@ -209,6 +215,8 @@ def verify_gate_stream(tmp_path, pattern_text=GATE_PATTERN):
     ("extra", "  extra: 2,3 2,5"),
     ("late", "  extra: " + " ".join(f"order/groups differ at index {i}" for i in range(3))),
     ("error", "  error: RuntimeError: planted fault"),
+    # the sequence's a.ts < b.ts is tested as a.ts > b.ts too: nothing matches
+    ("compiled", "  missing: 0,1 0,3 0,5 4,5"),
 ])
 def test_verify_prints_a_planted_fault_and_exits_3(tmp_path, capsys, monkeypatch,
                                                     fault, detail):
@@ -221,6 +229,19 @@ def test_verify_prints_a_planted_fault_and_exits_3(tmp_path, capsys, monkeypatch
     assert failed
     assert all(lines[i + 1] == detail for i in failed)
     assert len(lines) == 15 + len(failed)
+
+
+def test_verify_prints_a_converse_tester_and_exits_3(tmp_path, capsys, monkeypatch):
+    # the engines test a.price > b.price: they lose every match and find
+    # three that the exhaustive matcher, which interprets, does not
+    assert verify_gate_stream(tmp_path, GATE_CONJUNCTION) == cli.EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+    plant_fault(monkeypatch, "compiled")
+    assert verify_gate_stream(tmp_path, GATE_CONJUNCTION) == cli.EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 15 * 3
+    assert lines[1::3] == ["  missing: 0,1 0,3 0,5 1,4 3,4 4,5"] * 15
+    assert lines[2::3] == ["  extra: 1,2 2,3 2,5"] * 15
 
 
 def test_verify_plans_a_type_absent_from_the_stream(tmp_path, capsys):

@@ -5,9 +5,16 @@ import pytest
 from streamcep import builtin_corpus, estimate_statistics, ingest_csv, parse_pattern
 from streamcep.corpus import verify_pattern
 from streamcep.model import DataError
+from streamcep.oracle import oracle_match
 from streamcep.parser import render_pattern
 
-from helpers import GATE_ABSENT_TYPE, GATE_PATTERN, GATE_STREAM, plant_fault
+from helpers import (
+    GATE_ABSENT_TYPE,
+    GATE_CONJUNCTION,
+    GATE_PATTERN,
+    GATE_STREAM,
+    plant_fault,
+)
 
 # Recorded from the generator; a reordered random draw changes these texts.
 CORPUS = (
@@ -101,6 +108,26 @@ class TestVerifyReportsFaults:
                 assert cell.missing == cell.extra == ()
             else:
                 assert cell.passed
+
+    def test_a_converse_tester_is_caught_by_the_interpreting_oracle(self, tmp_path,
+                                                                    monkeypatch):
+        # every cell's engine compiles a.price > b.price; the exhaustive
+        # matcher interprets a.price < b.price, so it still finds the six
+        # matches, and every cell reports them missing and the converse
+        # ones extra
+        pattern = parse_pattern(GATE_CONJUNCTION)
+        assert all(cell.passed for cell in gate_cells(tmp_path, GATE_CONJUNCTION))
+        expected = {r.serials for r in oracle_match(pattern, list(gate_source(tmp_path).events))}
+        plant_fault(monkeypatch, "compiled")
+        faulty = parse_pattern(GATE_CONJUNCTION)
+        assert {r.serials for r in oracle_match(faulty, list(gate_source(tmp_path).events))} \
+            == expected == {(0, 1), (0, 3), (0, 5), (1, 4), (3, 4), (4, 5)}
+        cells = gate_cells(tmp_path, GATE_CONJUNCTION)
+        assert len(cells) == 15
+        assert all(not cell.passed and cell.error is None
+                   and cell.missing == ("0,1", "0,3", "0,5", "1,4", "3,4", "4,5")
+                   and cell.extra == ("1,2", "2,3", "2,5")
+                   for cell in cells)
 
     def test_a_type_absent_from_the_stream_still_gets_planned(self, tmp_path):
         # the stream has no N, so statistics cannot be measured; the cells

@@ -468,6 +468,35 @@ class TestKleene:
             assert full.kl_overflows == 0, engine
             assert match_keys(full.reports) == match_keys(oracle_match(self.P, events))
 
+    # SEQ(A a, KL(B b)) over A#0 and three Bs; a condition on b alone is
+    # the Kleene leaf's own filter, which a group meets only if every
+    # member does, and one between two of b's attributes compares every
+    # pair of members
+    LEAF_STREAM = [ev("A", 0.0, 0, difference=0.0, y=0.0),
+                   ev("B", 1.0, 1, difference=0.1, y=0.2),
+                   ev("B", 2.0, 2, difference=0.9, y=0.5),
+                   ev("B", 3.0, 3, difference=0.8, y=2.0)]
+
+    @pytest.mark.parametrize("condition, expected", [
+        # B#1 fails b.difference > 0.5, so no group may hold it
+        (Predicate(AttrRef("b", "difference"), ">", Literal(0.5)),
+         {(0, 2), (0, 3), (0, 2, 3)}),
+        # B#2 fails alone; B#1 and B#3 pass alone but not together
+        # (B#3's 0.8 is not below B#1's 0.2)
+        (Predicate(AttrRef("b", "difference"), "<", AttrRef("b", "y")),
+         {(0, 1), (0, 3)}),
+    ])
+    def test_a_kleene_leaf_filters_its_pooled_members(self, condition, expected):
+        p = Pattern(OperatorNode(SEQ, (Leaf("A", "a"), Leaf("B", "b", (KLEENE,)))),
+                    (condition,), 10.0)
+        want = grouped_keys(oracle_match(p, self.LEAF_STREAM))
+        assert {serials for serials, _ in want} == expected
+        for algorithm, engine in (("trivial", "nfa"), ("greedy", "nfa"), ("trivial", "tree"),
+                                  ("zstream", "tree"), ("dp-b", "tree")):
+            result = PatternRunner(p, bundle_for(p, algorithm), engine=engine).run(
+                self.LEAF_STREAM)
+            assert grouped_keys(result.reports) == want, (algorithm, engine)
+
     def test_cap_below_one_is_a_contract_error(self):
         for cap in (0, -1):
             with pytest.raises(ContractError):

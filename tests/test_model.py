@@ -1,6 +1,8 @@
 """Core data model: events, patterns, predicates, statistics, plan shapes."""
+import dataclasses
 import json
 import math
+import pickle
 
 import pytest
 
@@ -28,7 +30,9 @@ from streamcep.model import (
     NEXT_MATCH,
     PARTITION_CONTIGUITY,
     STRICT_CONTIGUITY,
+    COMPARATORS,
     evaluate_predicate,
+    interpret_predicate,
     iter_nodes,
     join,
     leaf,
@@ -213,6 +217,142 @@ class TestPredicateEvaluation:
         pred = Predicate(AttrRef("q", "x"), "<", Literal(1.0))
         with pytest.raises(PatternStructureError):
             predicate_selectivity_key(p, pred)
+
+
+ABSENT = object()  # the attribute is missing from the event
+# numbers, bool, the float specials, ints past the float range, None, text
+VALUES = (0, 1, -3, 2.5, 0.0, -0.0, True, False, math.nan, math.inf, -math.inf,
+          10 ** 400, -(10 ** 400), None, "hot", "1")
+OFFSETS = (0.0, 0.5, 1, -math.inf)
+FIELDS = ("ts", "timestamp", "serial")
+
+
+def valued(type_name, attribute, value):
+    """An event whose ``attribute`` reads ``value``; its ``attrs`` hold
+    numbers under the fields' names, which ``Event.value`` never reads."""
+    attrs = {"ts": 99.5, "timestamp": 99.5, "serial": 99}
+    ts, serial = 0.0, 0
+    if attribute in ("ts", "timestamp"):
+        ts = value
+    elif attribute == "serial":
+        serial = value
+    elif value is not ABSENT:
+        attrs[attribute] = value
+    return Event(type_name, ts, serial, attrs)
+
+
+def outcome(evaluate, predicate, bindings):
+    """The answer with its type, or the error's type and message."""
+    try:
+        answer = evaluate(predicate, bindings)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(answer), answer
+
+
+def disagreements(cases):
+    """The (predicate, bindings) cases where the compiled tester and the
+    interpreter differ; NaN answers never occur, so == suffices."""
+    return [
+        (predicate, bindings, got, want)
+        for predicate, bindings in cases
+        for got, want in [(outcome(evaluate_predicate, predicate, bindings),
+                           outcome(interpret_predicate, predicate, bindings))]
+        if got != want
+    ]
+
+
+class TestCompiledTesters:
+    """``evaluate_predicate`` runs each predicate's compiled tester, which
+    must give the interpreter's bool or raise its error, case by case."""
+
+    @pytest.mark.parametrize("comparator", COMPARATORS)
+    def test_two_bound_events(self, comparator):
+        attribute_pairs = [("x", "x"), ("x", "y"), ("ts", "x"), ("x", "serial"),
+                           ("timestamp", "serial"), ("serial", "ts")]
+        cases = []
+        for left_attr, right_attr in attribute_pairs:
+            lefts = VALUES + (() if left_attr in FIELDS else (ABSENT,))
+            rights = VALUES + (() if right_attr in FIELDS else (ABSENT,))
+            for offset in OFFSETS:
+                pred = Predicate(AttrRef("a", left_attr), comparator,
+                                 AttrRef("b", right_attr), right_offset=offset)
+                cases += [
+                    (pred, {"a": valued("A", left_attr, lv), "b": valued("B", right_attr, rv)})
+                    for lv in lefts for rv in rights
+                ]
+        assert disagreements(cases) == []
+
+    @pytest.mark.parametrize("comparator", COMPARATORS)
+    def test_one_event_two_attributes(self, comparator):
+        cases = []
+        for lv in VALUES + (ABSENT,):
+            for rv in VALUES + (ABSENT,):
+                attrs = {k: v for k, v in (("x", lv), ("y", rv)) if v is not ABSENT}
+                event = Event("A", 1.0, 4, attrs)
+                for offset in OFFSETS:
+                    pred = Predicate(AttrRef("a", "x"), comparator, AttrRef("a", "y"),
+                                     right_offset=offset)
+                    cases.append((pred, {"a": event}))
+        assert disagreements(cases) == []
+
+    @pytest.mark.parametrize("comparator", COMPARATORS)
+    def test_an_unbound_side_still_reads_the_bound_one(self, comparator):
+        # vacuously true, unless reading the bound side raises
+        pred = Predicate(AttrRef("a", "x"), comparator, AttrRef("b", "x"), right_offset=0.5)
+        cases = [(pred, {})]
+        for value in VALUES + (ABSENT,):
+            cases += [(pred, {"a": valued("A", "x", value)}),
+                      (pred, {"b": valued("B", "x", value)})]
+        assert disagreements(cases) == []
+        assert outcome(evaluate_predicate, pred, {"b": valued("B", "x", ABSENT)})[0] is DataError
+        assert outcome(evaluate_predicate, pred, {"b": valued("B", "x", 10 ** 400)})[0] \
+            is OverflowError
+
+    @pytest.mark.parametrize("comparator", COMPARATORS)
+    def test_literals(self, comparator):
+        cases = [
+            (Predicate(AttrRef("a", attribute), comparator, Literal(literal),
+                       right_offset=offset), {"a": valued("A", attribute, value)})
+            for attribute in ("x", "ts", "serial")
+            for value in VALUES + (() if attribute in FIELDS else (ABSENT,))
+            for literal in VALUES
+            for offset in (0.0, 0.5)
+        ]
+        assert disagreements(cases) == []
+
+    @pytest.mark.parametrize("comparator", COMPARATORS)
+    def test_kleene_groups_of_mixed_members(self, comparator):
+        members = [valued("K", "x", v) for v in (1, 2.5, True, math.nan, None, "hot")]
+        groups = [tuple(members[:2]), tuple(members[:3]), list(members[1:4]),
+                  tuple(members[3:]), (members[0],), ()]
+        single = valued("B", "x", 2)
+        cases = []
+        for group in groups:
+            for offset in (0.0, 0.5):
+                pred = Predicate(AttrRef("k", "x"), comparator, AttrRef("b", "x"),
+                                 right_offset=offset)
+                back = Predicate(AttrRef("b", "x"), comparator, AttrRef("k", "x"),
+                                 right_offset=offset)
+                cases += [(pred, {"k": group, "b": single}), (back, {"k": group, "b": single}),
+                          (pred, {"k": group, "b": groups[0]})]
+        assert disagreements(cases) == []
+
+    def test_the_tester_is_not_part_of_the_value(self):
+        pred = Predicate(AttrRef("a", "x"), "<", AttrRef("b", "x"), right_offset=0.5)
+        twin = Predicate(AttrRef("a", "x"), "<", AttrRef("b", "x"), right_offset=0.5)
+        assert pred == twin and hash(pred) == hash(twin)
+        assert repr(pred) == (
+            "Predicate(left=AttrRef(alias='a', attribute='x'), comparator='<', "
+            "right=AttrRef(alias='b', attribute='x'), right_offset=0.5, origin='user')"
+        )
+        bindings = {"a": ev("A", 0.0, 0, x=1.0), "b": ev("B", 1.0, 1, x=0.8)}
+        assert evaluate_predicate(pred, bindings)
+        moved = dataclasses.replace(pred, comparator=">")
+        assert not evaluate_predicate(moved, bindings)
+        assert dataclasses.asdict(pred) == dataclasses.asdict(twin)
+        loaded = pickle.loads(pickle.dumps(pred))
+        assert loaded == pred and evaluate_predicate(loaded, bindings)
 
 
 class TestStatisticsCatalog:

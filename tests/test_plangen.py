@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from streamcep.cost import CostModel, CostObjective
 from streamcep.model import (
     AND,
     ContractError,
@@ -40,6 +41,7 @@ from streamcep.plangen import (
     II_RANDOM_RESTARTS,
     ORDER_ALGORITHMS,
     TREE_ALGORITHMS,
+    _search_dp_b,
     bundle_from_json,
     bundle_to_json,
     conjunct_model,
@@ -292,7 +294,7 @@ def reference_dp_b(model):
         cost[mask] = best
         tree[mask] = join(tree[split[0]], tree[split[1]])
     full = (1 << n) - 1
-    return tree[full], model.costs(cost[full])[0], candidates
+    return tree[full], cost[full], candidates
 
 
 def kleene_and_pattern(types, kleene_type):
@@ -345,8 +347,25 @@ class TestSearchesAgainstReferences:
         for pattern, stats in self.cases():
             model = model_of(pattern, stats, alpha)
             (got,) = generate_plan(pattern, stats, "dp-b", alpha).conjuncts
-            want = reference_dp_b(model)
+            tree, cost, candidates = reference_dp_b(model)
+            want = (tree, model.costs(cost)[0], candidates)
             assert (got.plan.root, got.report.cost, got.report.candidates) == want
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    @pytest.mark.parametrize("log_space", [False, True])
+    def test_dp_b_latency_terms_match_join_cost_on_large_catalogs(self, alpha, log_space):
+        # the latency term is priced once per side, not once per split;
+        # the plan and the cost must be those of join_cost to the bit
+        rng = random.Random(29)
+        for n in range(8, 13):
+            stats = random_catalog(rng, n)
+            types = sorted(stats.rates)
+            objective = CostObjective(alpha=alpha, last_type=rng.choice(types))
+            model = CostModel(types, stats, W, objective, log_space=log_space)
+            tree, cost, candidates = _search_dp_b(model)
+            want_tree, want_cost, want_candidates = reference_dp_b(model)
+            assert (tree, candidates) == (want_tree, want_candidates)
+            assert cost.hex() == want_cost.hex()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_incremental_ii_equals_full_repricing(self, alpha):
