@@ -15,15 +15,22 @@ supplies one rule, ``_slot_of``: the first slot where every named alias
 is bound (the NFA's latest position among them, the tree's lowest
 covering node).  The core places everything by it: each predicate
 becomes a condition of its slot, each Kleene alias its slot, and each
-``ts_confined`` absence test the slot of its dependencies.  Per slot the
+``ts_confined`` absence test the slot of its dependencies.  A predicate
+on a Kleene alias alone is a member filter of its slot: a member that
+fails it fails every group holding it, and both engines draw every group
+through ``_groups``, by ``kleene_groups`` over the pooled members, and
+the arrival, that pass.  A group passes a filter against a literal
+exactly when each member does; one between two of the alias's references
+compares every pair of members, so it stays a condition too.  Per slot the
 core keeps the stored ``Partial`` records and a floor on their
 ``min_ts``; per type it keeps the raw-event pools the engine and the
-absence tests draw on (the NFA's backlog buffers, the tree's Kleene
-pools, every negated type's blockers).  A type is never both positive and negated in one
-conjunct, and a blocker joins nothing, so ``_settle`` pools every
-arrival after its joins.  A ``Partial`` carries its bindings' earliest
-and latest timestamps, and every window and absence test reads that one
-span.
+absence tests draw on (every Kleene type's members, every negated
+type's blockers, the NFA's backlog buffers).  A type is never both
+positive and negated in one conjunct, and a blocker joins nothing, so
+``_settle`` pools every arrival after its joins.  A ``Partial`` carries
+its bindings' earliest and latest timestamps, and every window and
+absence test reads that one span; a Kleene group keeps pool order, so
+its first and last members give its own.
 
 Every slot's store is a keyed store: a dict from key to a bucket of
 records in store order.  The engine supplies a second rule,
@@ -53,7 +60,6 @@ partition's next ``pserial`` does not follow from the global serial.
 events, blockers among them, and records in ``held_slots``, the tree's
 singleton leaves) on every store, prune and eviction, so no arrival
 recounts them.
-``kleene_groups`` builds every Kleene group either engine tries.
 
 It also holds the engines' time index.  Events arrive in time order, so
 every per-type pool is sorted by timestamp.  ``ts_order`` reads the
@@ -64,10 +70,10 @@ and the absence tests bisect their pools to that range and test
 only what lies inside, still through the module-level
 ``evaluate_predicate`` and ``blocks``.  A negated position's predicates
 are thus the only description of its absence interval.  The same order
-gives the dead-state rule: a later arrival has a timestamp at or after
-every bound event, so it can never bind an alias that must precede a
-bound one, and a partial that only such an arrival could extend is never
-stored.
+gives the store rule, ``stored``: a later arrival has a timestamp at or
+after every bound event, so it can never bind an alias that must precede
+a bound one, and a slot whose probe-side aliases all must precede one of
+its stored aliases stores nothing.
 
 The absence tests are the core's own.  ``_place`` gives each negation
 one ``TimeRange``, built from its dependencies, the only aliases its
@@ -226,8 +232,8 @@ def kleene_groups(pool: list[Event], cap: int, metrics: EngineMetrics,
                   last: Event | None = None) -> list[tuple[Event, ...]]:
     """Every Kleene group of at most ``cap`` events drawn from ``pool`` in
     its order, each ending with ``last`` when it is given (an arrival that
-    every group must hold).  A pool larger than a group can draw from
-    counts one overflow in ``metrics``."""
+    every group must hold).  A pool of more qualifying members than a
+    group can hold counts one overflow in ``metrics``."""
     tail = () if last is None else (last,)
     room = cap - len(tail)
     if len(pool) > room:
@@ -282,8 +288,7 @@ def key_of(parts, bindings: Bindings) -> tuple:
 def _alias_ts_bounds(value) -> tuple[float, float]:
     if isinstance(value, Event):
         return value.timestamp, value.timestamp
-    ts = [e.timestamp for e in value]
-    return min(ts), max(ts)
+    return value[0].timestamp, value[-1].timestamp  # groups keep pool order
 
 
 class Partial:
@@ -382,12 +387,13 @@ class EngineCore:
     """One conjunct's slots, placement, keyed stores, absence tests,
     counts and eviction; see the module docstring.  An engine calls
     ``__init__``, builds its shape, then ``_place``; per arrival it calls
-    ``_arrive``, does its joins through ``_bucket`` and ``_store``, tests
-    each new partial with ``_blocked`` and hands each full match to
-    ``_complete``, and closes with ``_settle``, which pools the arrival if
-    its type has a pool.  The engine passes its own module's ``blocks``
-    into each absence call, so every engine's tests are counted under its
-    own module's name."""
+    ``_arrive``, draws Kleene groups through ``_groups``, does its joins
+    through ``_bucket`` and ``_store``, tests each new partial with
+    ``_blocked`` and hands each full match to ``_complete``, and closes
+    with ``_settle``, which pools the arrival if its type has a pool.  The
+    engine passes its own module's ``blocks`` into each absence call and
+    its ``evaluate_predicate`` into ``_groups``, so every engine's tests
+    are counted under its own module's name."""
 
     held_slots: frozenset[int] = frozenset()
 
@@ -402,10 +408,10 @@ class EngineCore:
         self.alias_order = tuple(l.alias for l in core.leaves())
         self.time_order = ts_order(core.predicates)
         self.kl_cap = kl_cap
-        # each negated type's blockers; an engine adds its own pools
-        self.pools: dict[str, list[Event]] = {
-            spec.type_name: [] for spec in conjunct.negations
-        }
+        # each Kleene type's members and each negated type's blockers; an
+        # engine adds its own pools
+        self.pools: dict[str, list[Event]] = {t: [] for t in conjunct.kl_types()}
+        self.pools.update((spec.type_name, []) for spec in conjunct.negations)
         # (full match, arrival time of its completing event) per match
         # that waits for its trailing absence interval to close
         self.pending: list[tuple[Partial, float]] = []
@@ -429,9 +435,17 @@ class EngineCore:
 
     def _place(self, conjunct: NormalizedConjunct, slots: int) -> None:
         alias = self.type_alias
+        kleene = frozenset(alias[t] for t in conjunct.kl_types())
+        self.kl_slots = frozenset(self._slot_of((a,)) for a in kleene)
         self.conditions: list[list] = [[] for _ in range(slots)]
+        self.member_filters: list[list] = [[] for _ in range(slots)]
         for pred in conjunct.core.predicates:
-            self.conditions[self._slot_of(pred.aliases())].append(pred)
+            slot = self._slot_of(pred.aliases())
+            if len(pred.aliases()) == 1 and pred.left.alias in kleene:
+                self.member_filters[slot].append(pred)
+                if not isinstance(pred.right, AttrRef):
+                    continue
+            self.conditions[slot].append(pred)
         # (spec, the blocker's range) per absence test, by where it runs;
         # a spec's time order names no alias but its dependencies
         self.slot_checks: list[list] = [[] for _ in range(slots)]
@@ -449,11 +463,11 @@ class EngineCore:
         self.pending_checks = tuple(pending)
         self.completion_checks = tuple(completion + pending)
         self.pending_types = frozenset(spec.type_name for spec, _ in pending)
-        self.kl_slots = frozenset(
-            self._slot_of((alias[t],)) for t in conjunct.kl_types()
-        )
-        kleene = frozenset(alias[t] for t in conjunct.kl_types())
         sides = [self._join_sides(slot) for slot in range(slots)]
+        # the store rule of the module docstring: where an engine may _store
+        order = self.time_order
+        self.stored = [side is not None and not all(
+            any((p, s) in order for s in side[1]) for p in side[2]) for side in sides]
         self.key_pairs = [
             () if side is None else serial_equalities(
                 self.conditions[side[0]], side[1], side[2], kleene)
@@ -477,6 +491,19 @@ class EngineCore:
         Callers skip an empty store before building the probe."""
         parts = self.probe_key[slot]
         return self.records[slot].get(key_of(parts, bindings) if parts else (), ())
+
+    def _groups(self, slot: int, pool: list[Event], evaluate,
+                last: Event | None = None) -> list[tuple[Event, ...]]:
+        """``kleene_groups`` over the members of ``pool`` that pass the
+        member filters of ``slot``, each ending with ``last`` when it is
+        given; none when ``last`` fails them."""
+        filters = self.member_filters[slot]
+        if filters:
+            alias = filters[0].left.alias
+            if last is not None and not all(evaluate(p, {alias: last}) for p in filters):
+                return []
+            pool = [e for e in pool if all(evaluate(p, {alias: e}) for p in filters)]
+        return kleene_groups(pool, self.kl_cap, self.metrics, last)
 
     def _store(self, slot: int, record: Partial) -> None:
         parts = self.stored_key[slot]

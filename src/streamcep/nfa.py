@@ -16,13 +16,14 @@ A backlog fork bisects the pool to the position's ``TimeRange``: after
 every bound alias the predicates order before it, before every one they
 order after it, and within the window.  A position that must precede an
 alias bound earlier in the chain is dead: no later arrival can fill it,
-so its partials are forked over the backlog and never stored, and
-arrivals of its type probe nothing.  A positive type is pooled only if
-some backlog fork can draw on it: every partial that reaches a position
-holds the newest arrival at an earlier one, so when the predicates order
-every earlier position before it, its backlog fork starts after that
-arrival and is empty.  The first position is read only by its own Kleene
-arrivals.  The core pools every negated type's blockers as well.
+so the core's store rule stores none of its partials, which are forked
+over the backlog, and arrivals of its type probe nothing.  A positive
+type is pooled only if some backlog fork can draw on it: every partial
+that reaches a position holds the newest arrival at an earlier one, so
+when the predicates order every earlier position before it, its backlog
+fork starts after that arrival and is empty.  The core pools every
+Kleene type, which its own arrivals read, and every negated type's
+blockers as well.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ from .matching import (
     Partial,
     TimeRange,
     blocks,
-    kleene_groups,
 )
 from .model import (
     Event,
@@ -57,12 +57,9 @@ class NfaEngine(EngineCore):
             TimeRange(alias, self.aliases[:i], self.time_order, self.window)
             for i, alias in enumerate(self.aliases)
         ]
-        # The dead-state and pooling rules of the module docstring.
-        self.dead = [bool(r.before) for r in self.ranges]
-        self.pools.update(
-            (t, []) for i, t in enumerate(plan.order)
-            if i in self.kl_slots or len(self.ranges[i].after) < i
-        )
+        # The pooling rule of the module docstring.
+        self.pools.update((t, []) for i, t in enumerate(plan.order)
+                          if len(self.ranges[i].after) < i)
 
     def _slot_of(self, aliases) -> int:
         return max(self.aliases.index(a) for a in aliases)
@@ -83,22 +80,17 @@ class NfaEngine(EngineCore):
             pool, TIMESTAMP, partial.bindings, partial.min_ts, partial.max_ts,
         )
         if position in self.kl_slots:
-            return kleene_groups(pool, self.kl_cap, self.metrics)
+            return self._groups(position, pool, evaluate_predicate)
         return pool
 
     def _try_extend(self, partial: Partial, position: int, value,
                     out: list) -> None:
-        lo, hi = partial.min_ts, partial.max_ts
         if isinstance(value, Event):
-            ts = value.timestamp
-            if ts < lo:
-                lo = ts
-            if ts > hi:
-                hi = ts
-        else:
-            for e in value:
-                lo = min(lo, e.timestamp)
-                hi = max(hi, e.timestamp)
+            first = last = value.timestamp
+        else:  # a group keeps pool order
+            first, last = value[0].timestamp, value[-1].timestamp
+        lo = first if first < partial.min_ts else partial.min_ts
+        hi = last if last > partial.max_ts else partial.max_ts
         if hi - lo > self.window:
             return
         bindings = dict(partial.bindings)
@@ -114,7 +106,7 @@ class NfaEngine(EngineCore):
         if position == len(self.types):
             self._complete(new, out, blocks)
             return
-        if not self.dead[position]:
+        if self.stored[position]:
             self._store(position, new)
         for value in self._backlog_values(new, position):
             self._try_extend(new, position, value, out)
@@ -125,10 +117,10 @@ class NfaEngine(EngineCore):
         out: list = []
         self._arrive(event, arrived, blocks)
         position = self.position_of.get(event.type_name)
-        pool = self.pools.get(event.type_name)
-        if position is not None and not self.dead[position]:
+        if position is not None and (position == 0 or self.stored[position]):
             if position in self.kl_slots:
-                values = kleene_groups(pool, self.kl_cap, self.metrics, event)
+                values = self._groups(position, self.pools[event.type_name],
+                                      evaluate_predicate, event)
             else:
                 values = (event,)
             if position == 0:

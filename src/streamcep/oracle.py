@@ -139,8 +139,6 @@ class _Variant:
         self.not_contexts: list[_NotContext] = []
 
         def walk(node):
-            if isinstance(node, Leaf):
-                return
             if node.op == SEQ:
                 kids = node.children
                 if any(isinstance(k, OperatorNode) for k in kids):
@@ -270,16 +268,16 @@ def partition_serials(events: list[Event], key: str) -> dict[int, int]:
 def oracle_match(
     pattern: Pattern,
     events: list[Event],
-    strategy: SelectionStrategy | None = None,
     max_coresident: int = DEFAULT_CORESIDENT_LIMIT,
 ) -> list[MatchReport]:
-    """Exhaustively enumerate the pattern's matches over a finite stream.
+    """Exhaustively enumerate the pattern's matches over a finite stream,
+    under the pattern's selection strategy.
 
     Events must be in arrival order (non-decreasing timestamps, strictly
     increasing serials).  Raises a resource error when more events share a
     window span than the configured bound allows.
     """
-    strategy = strategy if strategy is not None else pattern.strategy
+    strategy = pattern.strategy
     window = pattern.window
     bound = coresident_bound(events, window)
     if bound > max_coresident:

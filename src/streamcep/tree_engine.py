@@ -16,10 +16,11 @@ the core drops the buckets no later arrival can probe.
 
 A new instance always holds the arrival that made it, the newest event
 of the stream so far.  From the conjunct's strict timestamp order the
-engine derives, per node, whether its instances can join any later
-sibling instance (if not, they are joined with the stored ones and never
-stored themselves), and, when the sibling is a singleton leaf, the
-``TimeRange`` its time-ordered bucket is bisected to before the probe.
+core's store rule decides, per node, whether its instances can join any
+later sibling instance (if not, they are joined with the stored ones and
+never stored themselves), and the engine derives, when the sibling is a
+singleton leaf, the ``TimeRange`` its time-ordered bucket is bisected to
+before the probe.
 Under a total time order (every conjunct a sequence gives), an arrival
 that must precede an alias of its sibling finds that sibling's store
 empty: the sibling's instances could join no later instance, so none
@@ -35,10 +36,8 @@ from .matching import (
     Partial,
     TimeRange,
     blocks,
-    kleene_groups,
 )
 from .model import (
-    AttrRef,
     Event,
     TreePlan,
     evaluate_predicate,
@@ -71,22 +70,13 @@ class TreeEngine(EngineCore):
             self.under.append(self.under[li] | self.under[ri])
         self._place(conjunct, len(nodes))
         self.held_slots = frozenset(self.leaf_index.values()) - self.kl_slots
-        self.pools.update((t, []) for t in conjunct.kl_types())
-        # The dead-state and sibling-range rules of the module docstring,
-        # per node, from the aliases under each side.
-        order = self.time_order
-        self.stored = [False] * len(nodes)
+        # The sibling-range rule of the module docstring, per node.
         self.sibling_range: list[TimeRange | None] = [None] * len(nodes)
         for i, sibling in enumerate(self.sibling):
-            if sibling == -1:
-                continue
-            own, other = self.under[i], self.under[sibling]
-            self.stored[i] = not all(
-                any((y, x) in order for x in own) for y in other
-            )
             if sibling in self.held_slots:
-                (alias,) = other
-                self.sibling_range[i] = TimeRange(alias, own, order, self.window)
+                (alias,) = self.under[sibling]
+                self.sibling_range[i] = TimeRange(alias, self.under[i],
+                                                  self.time_order, self.window)
 
     def _slot_of(self, aliases) -> int:
         # post-order puts the lowest covering node before its ancestors
@@ -145,26 +135,18 @@ class TreeEngine(EngineCore):
         return True
 
     def _leaf_instances(self, node: int, alias: str, event: Event) -> list[Partial]:
-        singleton = {alias: event}
-        if not self._admits(node, singleton):
-            return []
         ts = event.timestamp
         if node not in self.kl_slots:
-            return [Partial(singleton, ts, ts)]
-        # A group passes a filter on its own alias only if each member
-        # does, so groups are drawn from the members that pass; a
-        # condition between two of the alias's references compares every
-        # pair of members, so it is tested on each group as well.
-        pool = self.pools[event.type_name]
-        pairwise = False
-        if self.conditions[node]:
-            pool = [e for e in pool if self._admits(node, {alias: e})]
-            pairwise = any(isinstance(p.right, AttrRef) for p in self.conditions[node])
+            singleton = {alias: event}
+            return [Partial(singleton, ts, ts)] if self._admits(node, singleton) else []
+        # a Kleene leaf's conditions compare two of the alias's references
+        conditions = self.conditions[node]
         return [
             Partial({alias: group}, group[0].timestamp, ts)
-            for group in kleene_groups(pool, self.kl_cap, self.metrics, event)
+            for group in self._groups(node, self.pools[event.type_name],
+                                      evaluate_predicate, event)
             if ts - group[0].timestamp <= self.window
-            and (not pairwise or self._admits(node, {alias: group}))
+            and (not conditions or self._admits(node, {alias: group}))
         ]
 
     # -- public protocol -----------------------------------------------------

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence, Union
 import streamcep.model
 import streamcep.nfa
 import streamcep.tree_engine
-from streamcep.matching import TimeRange
+from streamcep.matching import EngineCore, TimeRange, kleene_groups
 from streamcep.model import (
     AttrRef,
     Leaf,
@@ -272,6 +272,10 @@ GATE_ABSENT_TYPE = "PATTERN SEQ(A a, NOT(N n), B b) WHERE (a.price < b.price) WI
 # in either order: a.price < b.price matches (0,1), (0,3), (0,5), (1,4),
 # (3,4) and (4,5); a.price > b.price would match (1,2), (2,3) and (2,5)
 GATE_CONJUNCTION = "PATTERN AND(A a, B b) WHERE (a.price < b.price) WITHIN 10 seconds"
+# a Kleene alias with a filter of its own: a group passes it only if
+# every member does
+KLEENE_FILTER = ("PATTERN SEQ(A a, KL(B b)) WHERE (b.difference > 0.5) "
+                 "WITHIN 100 seconds")
 
 # each comparator's converse: x < y holds exactly when y > x
 CONVERSE = {
@@ -291,7 +295,9 @@ def plant_fault(monkeypatch, fault: str) -> None:
     predicate's first evaluation, makes the converse numeric comparison
     (``a < b`` tested as ``a > b``).  Only the engines call testers; the
     interpreter, which ``oracle_match`` and statistics call and every
-    tester falls back to, is untouched.
+    tester falls back to, is untouched.  ``kleene-unfiltered``: both
+    engines draw Kleene groups from the whole pool, past the alias's
+    member filters.
     """
     if fault == "missing":
         bisect = TimeRange.bisect
@@ -302,6 +308,10 @@ def plant_fault(monkeypatch, fault: str) -> None:
             monkeypatch.setattr(module, "evaluate_predicate", lambda predicate, bindings: True)
     elif fault == "compiled":
         monkeypatch.setattr(streamcep.model, "OPERATORS", CONVERSE)
+    elif fault == "kleene-unfiltered":
+        monkeypatch.setattr(EngineCore, "_groups",
+                            lambda self, slot, pool, evaluate, last=None:
+                                kleene_groups(pool, self.kl_cap, self.metrics, last))
     elif fault == "late":
         build = PatternRunner._build
         monkeypatch.setattr(PatternRunner, "_build", staticmethod(

@@ -12,6 +12,7 @@ from helpers import (
     GATE_CONJUNCTION,
     GATE_PATTERN,
     GATE_STREAM,
+    KLEENE_FILTER,
     plant_fault,
 )
 
@@ -182,6 +183,78 @@ def test_a_non_finite_timestamp_is_a_data_error(tmp_path, capsys, value):
                  ["verify", str(pattern), str(stream)]):
         assert cli.main(argv) == cli.EXIT_DATA
         assert f"stream.csv:2: timestamp {value} is not finite" in capsys.readouterr().err
+
+
+def gate_run(tmp_path, *options):
+    """``run`` of the gate pattern over the gate stream in the order A, B."""
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(GATE_PATTERN)
+    stream = tmp_path / "stream.csv"
+    stream.write_text(GATE_STREAM)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"conjuncts": [{"order": ["A", "B"]}]}))
+    return cli.main(["run", str(plan), str(pattern), str(stream),
+                     "--out", str(tmp_path / "matches.txt"), *options])
+
+
+def test_run_takes_a_selection_strategy(tmp_path):
+    # next-match claims A#0 and B#1 first, which leaves only A#4 and B#5
+    assert gate_run(tmp_path, "--strategy", "next-match") == cli.EXIT_OK
+    assert (tmp_path / "matches.txt").read_text() == "0,1\n4,5\n"
+
+
+def test_an_unknown_strategy_is_a_usage_error(tmp_path, capsys):
+    assert gate_run(tmp_path, "--strategy", "bogus") == cli.EXIT_USAGE
+    assert "unknown selection strategy 'bogus'" in capsys.readouterr().err
+
+
+def test_verify_takes_every_engine_or_known_ones(tmp_path, capsys):
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(GATE_PATTERN)
+    stream = tmp_path / "stream.csv"
+    stream.write_text(GATE_STREAM)
+    verify = ["verify", str(pattern), str(stream), "--engine"]
+    assert cli.main(verify + ["bogus"]) == cli.EXIT_USAGE
+    assert "unknown engine 'bogus'" in capsys.readouterr().err
+    assert cli.main(verify + ["all"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 15 and all(line.startswith("PASS ") for line in lines)
+    assert {line.rsplit("engine=", 1)[1] for line in lines} == {"nfa", "tree"}
+
+
+# A#0, then twelve Bs: only B#4, B#8 and B#12 rise by more than 0.5
+KLEENE_FILTER_STREAM = "".join(
+    f"{line}\n" for line in ("A,0,10 B,1,10.10 B,2,10.20 B,3,10.30 B,4,11.30 B,5,11.40 "
+                             "B,6,11.50 B,7,11.60 B,8,12.60 B,9,12.70 B,10,12.80 "
+                             "B,11,12.90 B,12,13.90").split()
+)
+
+
+def test_a_filtered_kleene_position_runs_alike_on_both_engines(tmp_path, capsys):
+    # both engines draw groups from the three Bs that pass, so neither
+    # cuts a group at the default cap of 8 and both write the seven groups
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(KLEENE_FILTER)
+    stream = tmp_path / "stream.csv"
+    stream.write_text(KLEENE_FILTER_STREAM)
+    stats, plan = tmp_path / "stats.json", tmp_path / "plan.json"
+    assert cli.main(["stats", str(stream), str(pattern), "--out", str(stats)]) == cli.EXIT_OK
+    assert cli.main(["optimize", str(pattern), str(stats), "--algorithm", "greedy",
+                     "--out", str(plan)]) == cli.EXIT_OK
+    written = {}
+    for engine in ("nfa", "tree"):
+        out = tmp_path / f"{engine}.txt"
+        capsys.readouterr()
+        assert cli.main(["run", str(plan), str(pattern), str(stream), "--out", str(out),
+                         "--engine", engine]) == cli.EXIT_OK, engine
+        assert capsys.readouterr().out.splitlines()[1].endswith(",0")
+        written[engine] = out.read_text()
+    assert written["nfa"] == written["tree"]
+    assert sorted(written["nfa"].splitlines()) == sorted(
+        ",".join(map(str, r.serials))
+        for r in oracle_match(parse_pattern(KLEENE_FILTER), ingest_csv(str(stream)).events)
+    )
+    assert len(written["nfa"].splitlines()) == 7
 
 
 def test_subcommands_are_optimize_run_stats_verify():

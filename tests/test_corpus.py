@@ -13,6 +13,7 @@ from helpers import (
     GATE_CONJUNCTION,
     GATE_PATTERN,
     GATE_STREAM,
+    KLEENE_FILTER,
     plant_fault,
 )
 
@@ -127,6 +128,21 @@ class TestVerifyReportsFaults:
         assert all(not cell.passed and cell.error is None
                    and cell.missing == ("0,1", "0,3", "0,5", "1,4", "3,4", "4,5")
                    and cell.extra == ("1,2", "2,3", "2,5")
+                   for cell in cells)
+
+    def test_groups_past_a_member_filter_are_listed_as_extra(self, tmp_path, monkeypatch):
+        # B#1 is the first B (difference 0) and B#3 rises by 0.1, so only
+        # B#2 passes b.difference > 0.5; groups drawn from the whole pool
+        # add every group that holds B#1 or B#3
+        path = tmp_path / "stream.csv"
+        path.write_text("A,0,10\nB,1,10\nB,2,11\nB,3,11.1\n")
+        pattern = parse_pattern(KLEENE_FILTER)
+        assert all(cell.passed for cell in verify_pattern(pattern, ingest_csv(str(path))))
+        plant_fault(monkeypatch, "kleene-unfiltered")
+        cells = verify_pattern(pattern, ingest_csv(str(path)))
+        assert len(cells) == 15
+        assert all(not cell.passed and cell.error is None and cell.missing == ()
+                   and cell.extra == ("0,1", "0,1,2", "0,1,2,3", "0,1,3", "0,2,3", "0,3")
                    for cell in cells)
 
     def test_a_type_absent_from_the_stream_still_gets_planned(self, tmp_path):

@@ -11,7 +11,7 @@ import pytest
 import streamcep.nfa
 import streamcep.runner
 import streamcep.tree_engine
-from streamcep.corpus import CORPUS_WINDOW, builtin_corpus, corpus_stream
+from streamcep.corpus import CORPUS_WINDOW, builtin_corpus, corpus_stream, verify_pattern
 from streamcep.model import (
     AND,
     AttrRef,
@@ -45,7 +45,9 @@ from streamcep.plangen import (
     PlanSearchReport,
     generate_plan,
 )
+from streamcep.parser import parse_pattern
 from streamcep.runner import PatternRunner
+from streamcep.stream import from_events
 from streamcep.transform import normalize_pattern
 
 from helpers import (
@@ -497,6 +499,31 @@ class TestKleene:
                 self.LEAF_STREAM)
             assert grouped_keys(result.reports) == want, (algorithm, engine)
 
+    # A#0 and twelve Bs, of which B#4, B#8 and B#12 rise by more than 0.5
+    FILTERED_STREAM = [ev("A", 0.0, 0, difference=0.0)] + [
+        ev("B", float(i), i, difference=1.0 if i % 4 == 0 else 0.1, y=0.5)
+        for i in range(1, 13)
+    ]
+
+    # SEQ(A a, KL(B b)) WHERE (b.difference > 0.5), or > b.y, which every
+    # B holds at 0.5, passes seven groups of those three.  A cap of 3 holds
+    # them all; under a cap of 2, B#12 finds two members that pass pooled,
+    # more than a group with it can take
+    @pytest.mark.parametrize("right", [Literal(0.5), AttrRef("b", "y")])
+    @pytest.mark.parametrize("kl_cap, overflows", [(3, 0), (2, 1)])
+    def test_only_members_that_pass_the_filter_fill_the_cap(self, right, kl_cap, overflows):
+        p = Pattern(OperatorNode(SEQ, (Leaf("A", "a"), Leaf("B", "b", (KLEENE,)))),
+                    (Predicate(AttrRef("b", "difference"), ">", right),), 100.0)
+        want = {key for key in grouped_keys(oracle_match(p, self.FILTERED_STREAM))
+                if len(key[0]) <= 1 + kl_cap}
+        assert len(want) == 7 - (kl_cap < 3)
+        for algorithm, engine in (("greedy", "nfa"), ("trivial", "nfa"), ("dp-ld", "nfa"),
+                                  ("trivial", "tree"), ("zstream", "tree"), ("dp-b", "tree")):
+            result = PatternRunner(p, bundle_for(p, algorithm),
+                                   engine=engine, kl_cap=kl_cap).run(self.FILTERED_STREAM)
+            assert grouped_keys(result.reports) == want, (algorithm, engine)
+            assert result.kl_overflows == overflows, (algorithm, engine)
+
     def test_cap_below_one_is_a_contract_error(self):
         for cap in (0, -1):
             with pytest.raises(ContractError):
@@ -547,6 +574,29 @@ class TestPlanInvariance:
         doubled = PlanBundle("trivial", (planned, planned))
         with pytest.raises(ContractError):
             PatternRunner(p, doubled)
+
+
+class TestReferenceShapes:
+    # A0 B1 C2 A3 C4 B5 C6, one a second, with x = -1, 2, 0, 1, 3, 1, 0.5
+    STREAM = [ev(t, float(i), i, x=x) for i, (t, x) in enumerate(
+        zip("ABCACBC", (-1, 2, 0, 1, 3, 1, 0.5)))]
+
+    @pytest.mark.parametrize("text, expected", [
+        # the exhaustive matcher splices the inner sequence into the outer
+        ("PATTERN SEQ(A a, SEQ(B b, C c)) WITHIN 10 seconds",
+         {(0, 1, 2), (0, 1, 4), (0, 1, 6), (0, 5, 6), (3, 5, 6)}),
+        # a sequence under a conjunction orders only its own members
+        ("PATTERN AND(SEQ(A a, B b), C c) WHERE (a.x < c.x) WITHIN 10 seconds",
+         {(0, 1, 2), (0, 1, 4), (0, 1, 6), (0, 2, 5), (0, 4, 5), (0, 5, 6), (3, 4, 5)}),
+        # each bare leaf of a disjunction is a variant of its own
+        ("PATTERN OR(A a, B b) WHERE (a.x > 0) WITHIN 10 seconds", {(1,), (3,), (5,)}),
+    ], ids=["nested-sequence", "sequence-in-conjunction", "bare-leaves"])
+    def test_every_cell_agrees_with_the_exhaustive_matcher(self, text, expected):
+        pattern = parse_pattern(text)
+        assert match_keys(oracle_match(pattern, self.STREAM)) == expected
+        cells = verify_pattern(pattern, from_events(self.STREAM))
+        assert len(cells) == 15
+        assert all(cell.passed for cell in cells)
 
 
 class TestTimeIndex:

@@ -244,7 +244,7 @@ class TestStrategies:
             ev("B", 3.0, 3),
         ]
         got = match_keys(
-            oracle_match(AB, events, SelectionStrategy(NEXT_MATCH))
+            oracle_match(AB.with_strategy(SelectionStrategy(NEXT_MATCH)), events)
         )
         assert got == {(0, 2), (1, 3)}
 
@@ -256,17 +256,17 @@ class TestStrategies:
             ev("A", 2.0, 2),
         ]
         got = match_keys(
-            oracle_match(AB, events, SelectionStrategy(NEXT_MATCH))
+            oracle_match(AB.with_strategy(SelectionStrategy(NEXT_MATCH)), events)
         )
         assert got == {(0, 1)}
 
     def test_strict_contiguity_requires_adjacent_serials(self):
         strategy = SelectionStrategy(STRICT_CONTIGUITY)
         good = [ev("A", 0.0, 0), ev("B", 0.5, 1)]
-        assert match_keys(oracle_match(AB, good, strategy)) == {(0, 1)}
+        assert match_keys(oracle_match(AB.with_strategy(strategy), good)) == {(0, 1)}
         # a foreign event between them breaks adjacency
         broken = [ev("A", 0.0, 0), ev("C", 0.2, 1), ev("B", 0.5, 2)]
-        assert oracle_match(AB, broken, strategy) == []
+        assert oracle_match(AB.with_strategy(strategy), broken) == []
 
     def test_partition_contiguity_counts_per_key(self):
         strategy = SelectionStrategy(PARTITION_CONTIGUITY, "region")
@@ -276,7 +276,7 @@ class TestStrategies:
             ev("B", 1.0, 2, region="east"),
             ev("B", 1.5, 3, region="west"),
         ]
-        got = match_keys(oracle_match(AB, events, strategy))
+        got = match_keys(oracle_match(AB.with_strategy(strategy), events))
         assert got == {(0, 2), (1, 3)}
 
     def test_partition_contiguity_rejects_skipped_member(self):
@@ -286,7 +286,7 @@ class TestStrategies:
             ev("C", 0.5, 1, region="east"),
             ev("B", 1.0, 2, region="east"),
         ]
-        assert oracle_match(AB, events, strategy) == []
+        assert oracle_match(AB.with_strategy(strategy), events) == []
 
     def test_partition_serials_count_in_arrival_order(self):
         events = [

@@ -185,6 +185,22 @@ class TestSearchProperties:
             bundle = generate_plan(pattern, stats, "dp-b", alpha)
             assert bundle.conjuncts[0].report.cost == model.costs(best)[0]
 
+    def test_a_sequence_anchors_latency_at_its_last_positive_type(self):
+        # the trailing negation is not a type the plan schedules, so the
+        # anchor is B, though A, the fastest type, would anchor a conjunction
+        pattern = seq_pattern(Leaf("A", "a"), Leaf("B", "b"), Leaf("C", "c", (NOT,)))
+        fast_a = StatisticsCatalog(rates={"A": 4.0, "B": 1.0, "C": 2.0},
+                                   selectivities={("A", "B"): 0.5})
+        rng = random.Random(6)
+        for stats in [fast_a] + [random_catalog(rng, 3) for _ in range(5)]:
+            model = model_of(pattern, stats, 0.5)
+            assert model.objective.last_type == "B"
+            for algorithm, brute_force in (("dp-ld", brute_force_order),
+                                           ("dp-b", brute_force_tree)):
+                _, best = brute_force(model)
+                (planned,) = generate_plan(pattern, stats, algorithm, 0.5).conjuncts
+                assert planned.report.cost == model.costs(best)[0], algorithm
+
     def test_iterative_improvement_is_deterministic_per_seed(self):
         rng = random.Random(11)
         stats = random_catalog(rng, 6)
